@@ -168,14 +168,6 @@ class AddressSpace {
   // observes the current bytes, which is exactly the slow path's view.)
   uint64_t payload_epoch() const { return payload_epoch_; }
 
-  // Forces consumers to revalidate even though no mapping changed. Rarely
-  // needed; exists so Machine::FlushDecodeCache keeps working for callers
-  // that mutate page contents through a route this class cannot see.
-  void BumpGeneration() {
-    ++generation_;
-    ++payload_epoch_;
-  }
-
   // Raw payload pointers for `pageno`, for the Machine's data TLB. ro is
   // non-null iff the page is mapped readable; rw is resolved (copying if
   // shared) only when want_write is set and the page is writable and

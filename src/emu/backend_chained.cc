@@ -150,16 +150,7 @@ bool Machine::ExecChainedRange(const Block& blk, size_t take) {
 #define EXEC_WRITE(addr, value, size) FastWrite((addr), (value), (size))
 #define EXEC_MEMFAULT() return MemFaultStop()
 #define EXEC_STOP() return false
-#define EXEC_MEM_EXTRA(addr, is_store) \
-  timing_.MemoryExtraFast((addr), (is_store))
-#define EXEC_PREDICT_COND(pc, taken) \
-  timing_.predictor().PredictConditionalFast((pc), (taken))
-#define EXEC_PREDICT_IND(pc, target) \
-  timing_.predictor().PredictIndirectFast((pc), (target))
 #include "emu/exec_ops.inc"  // NOLINT(build/include)
-#undef EXEC_PREDICT_IND
-#undef EXEC_PREDICT_COND
-#undef EXEC_MEM_EXTRA
 #undef EXEC_STOP
 #undef EXEC_MEMFAULT
 #undef EXEC_WRITE
@@ -191,7 +182,7 @@ StopReason Machine::RunChainedImpl(uint64_t max_instructions) {
     // Dispatch entry: mirrors RunBlocks' loop head exactly (budget, then
     // runtime region, then fetch).
     if (executed >= max_instructions) {
-      stop_ = StopReason::kStepLimit;
+      stop_ = StopReason::kInstLimit;
       return stop_;
     }
     if (state_.pc - rt_base_ < rt_len_) {
@@ -212,7 +203,7 @@ StopReason Machine::RunChainedImpl(uint64_t max_instructions) {
       if (!ExecChainedRange<kCounting>(*b, take)) return stop_;
       executed += take;
       if (take < size || executed >= max_instructions) {
-        stop_ = StopReason::kStepLimit;  // step budget exhausted
+        stop_ = StopReason::kInstLimit;  // step budget exhausted
         return stop_;
       }
       // A changed generation means every cached block — and every link —

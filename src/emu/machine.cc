@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "arch/decode.h"
-#include "emu/backend.h"
 #include "emu/machine_internal.h"
 
 namespace lfi::emu {
@@ -55,53 +54,11 @@ uint8_t Machine::ClassifyInst(const Inst& i) {
 
 void Machine::ClearCaches() {
   block_cache_.clear();
-  decode_cache_.clear();
   std::fill(block_lut_.begin(), block_lut_.end(), BlockLutEntry{});
   // Every chain link pointed into block_cache_ nodes that no longer
   // exist; the bump tells an in-flight link resolution not to write into
   // a destroyed predecessor.
   ++cache_clears_;
-}
-
-// Legacy per-instruction fetch path (Dispatch::kStep). Executability is
-// verified once per page; staleness across Map/Unmap/Protect is handled
-// by the generation check in RunSteps.
-const Inst* Machine::FetchDecode(uint64_t pc) {
-  const uint64_t pageno = pc / kPageSize;
-  auto it = decode_cache_.find(pageno);
-  if (it == decode_cache_.end()) {
-    if (!mem_->Check(pageno * kPageSize, kPageSize, kPermExec)) {
-      auto f = mem_->Fetch(pc);  // sets last_fault
-      (void)f;
-      fault_ = {CpuFault::Kind::kFetch, pc, mem_->last_fault(), "fetch"};
-      return nullptr;
-    }
-    DecodedPage dp;
-    dp.insts.resize(kPageSize / 4);
-    dp.status.assign(kPageSize / 4, 0);
-    it = decode_cache_.emplace(pageno, std::move(dp)).first;
-  }
-  DecodedPage& dp = it->second;
-  const size_t idx = (pc & kPageMask) / 4;
-  if (dp.status[idx] == 0) {
-    auto word = mem_->Fetch(pc);
-    if (!word) {
-      fault_ = {CpuFault::Kind::kFetch, pc, mem_->last_fault(), "fetch"};
-      return nullptr;
-    }
-    auto inst = arch::Decode(*word);
-    if (!inst) {
-      dp.status[idx] = 2;
-      fault_ = {CpuFault::Kind::kDecode, pc, {}, inst.error()};
-      return nullptr;
-    }
-    dp.insts[idx] = *inst;
-    dp.status[idx] = 1;
-  } else if (dp.status[idx] == 2) {
-    fault_ = {CpuFault::Kind::kDecode, pc, {}, "bad instruction (cached)"};
-    return nullptr;
-  }
-  return &dp.insts[idx];
 }
 
 const Machine::Block* Machine::FetchBlock(uint64_t pc) {
@@ -178,14 +135,16 @@ const Machine::Block* Machine::FetchBlock(uint64_t pc) {
 }
 
 StopReason Machine::Run(uint64_t max_instructions) {
-  const EmuBackend& be = BackendFor(dispatch_);
-  if (counters_ == nullptr) return be.Run(this, max_instructions);
   // Retired instructions are counted as a Timing delta around the whole
   // run rather than per instruction: Timing::Issue already increments its
   // own retire counter on the hot path, so this is exact and free.
   const uint64_t retired_before = timing_.Retired();
-  const StopReason r = be.Run(this, max_instructions);
-  counters_->retired += timing_.Retired() - retired_before;
+  const StopReason r = dispatch_ == Dispatch::kChained
+                           ? RunChained(max_instructions)
+                           : RunBlocks(max_instructions);
+  if (counters_ != nullptr) {
+    counters_->retired += timing_.Retired() - retired_before;
+  }
   return r;
 }
 
@@ -234,46 +193,8 @@ StopReason Machine::RunBlocks(uint64_t max_instructions) {
     executed += take;
     if (take < b->insts.size()) break;  // step budget exhausted mid-block
   }
-  stop_ = StopReason::kStepLimit;
+  stop_ = StopReason::kInstLimit;
   return stop_;
-}
-
-StopReason Machine::RunSteps(uint64_t max_instructions) {
-  RevalidateCaches();
-  for (uint64_t n = 0; n < max_instructions; ++n) {
-    if (state_.pc - rt_base_ < rt_len_) {
-      stop_ = StopReason::kRuntimeEntry;
-      return stop_;
-    }
-    if (!Step()) return stop_;
-  }
-  stop_ = StopReason::kStepLimit;
-  return stop_;
-}
-
-bool Machine::Step() {
-  CpuState& s = state_;
-  if (s.pc % 4 != 0) {
-    fault_ = {CpuFault::Kind::kPcAlign, s.pc, {}, "misaligned pc"};
-    stop_ = StopReason::kFault;
-    return false;
-  }
-  const Inst* ip = FetchDecode(s.pc);
-  if (ip == nullptr) {
-    stop_ = StopReason::kFault;
-    return false;
-  }
-  const InstCost cost = arch::CostOf(*ip, timing_.params());
-  const bool ok = hook_ == nullptr ? ExecInst(*ip, cost) : ExecHooked(*ip, cost);
-  if (ok && counters_ != nullptr) {
-    // kStep has no decode-time flags byte; classify on the fly (this path
-    // is the legacy baseline, not the hot one).
-    const uint8_t f = ClassifyInst(*ip);
-    counters_->loads += f & kClassLoad;
-    counters_->stores += (f >> 1) & 1;
-    counters_->guards += (f >> 2) & 1;
-  }
-  return ok;
 }
 
 bool Machine::ExecHooked(const Inst& i, const InstCost& cost) {
@@ -307,15 +228,7 @@ bool Machine::ExecInst(const Inst& i, const InstCost& cost) {
 #define EXEC_WRITE(addr, value, size) mem_->Write((addr), (value), (size)).ok()
 #define EXEC_MEMFAULT() return MemFaultStop()
 #define EXEC_STOP() return false
-#define EXEC_MEM_EXTRA(addr, is_store) timing_.MemoryExtra((addr), (is_store))
-#define EXEC_PREDICT_COND(pc, taken) \
-  timing_.predictor().PredictConditional((pc), (taken))
-#define EXEC_PREDICT_IND(pc, target) \
-  timing_.predictor().PredictIndirect((pc), (target))
 #include "emu/exec_ops.inc"  // NOLINT(build/include)
-#undef EXEC_PREDICT_IND
-#undef EXEC_PREDICT_COND
-#undef EXEC_MEM_EXTRA
 #undef EXEC_STOP
 #undef EXEC_MEMFAULT
 #undef EXEC_WRITE

@@ -17,26 +17,23 @@
 // AddressSpace::mutation_generation(), which Map/Unmap/Protect/ShareRange
 // and any write landing on an executable page bump. A stamp mismatch at
 // block-entry drops every cached block, so executing stale code after a
-// remap is structurally impossible -- no caller cooperation needed.
-// FlushDecodeCache() therefore exists only for callers that mutate code
-// bytes through a channel AddressSpace cannot observe (there is none in
-// this repo; it is kept for API compatibility and tests). The one window
-// the generation cannot close is an instruction overwriting *its own*
-// basic block mid-flight; real hardware requires an ISB there, and the
-// runtime's W^X policy forbids it entirely.
+// remap is structurally impossible -- no caller cooperation needed. The
+// one window the generation cannot close is an instruction overwriting
+// *its own* basic block mid-flight; real hardware requires an ISB there,
+// and the runtime's W^X policy forbids it entirely.
 //
-// Backends. Run() routes through a small strategy interface (EmuBackend,
-// emu/backend.h) selected by set_dispatch(). kBlock and kStep are the
-// reference interpreters (the switch in ExecInst); kChained is the
-// optimized backend (backend_chained.cc): blocks record their static
+// Backends. Run() picks one of two interpreters by set_dispatch(). kBlock
+// is the reference (RunBlocks, with the switch in ExecInst); kChained is
+// the optimized backend (backend_chained.cc): blocks record their static
 // fallthrough/direct-branch successors and hot loops jump block->block
 // without re-entering the dispatch loop, the inner loop is
 // direct-threaded (computed goto) where the compiler supports it, and
 // data accesses go through a small per-Machine page-pointer TLB validated
-// against AddressSpace::payload_epoch(). All backends share the op bodies
-// in exec_ops.inc, and kChained is required to keep simulated cycles,
-// retired counts, ExecCounters, and traces bit-identical to kBlock (see
-// docs/DISPATCH.md for the argument and the invalidation contract).
+// against AddressSpace::payload_epoch(). Both share the op bodies in
+// exec_ops.inc and the inline timing-model functions in timing.h, and
+// kChained is required to keep simulated cycles, retired counts,
+// ExecCounters, and traces bit-identical to kBlock (see docs/DISPATCH.md
+// for the argument and the invalidation contract).
 #ifndef LFI_EMU_MACHINE_H_
 #define LFI_EMU_MACHINE_H_
 
@@ -101,7 +98,7 @@ inline void CanonicalizeSandboxRegs(CpuState& cpu, uint64_t base) {
 
 // Why Run() returned.
 enum class StopReason : uint8_t {
-  kStepLimit,     // executed the requested number of instructions
+  kInstLimit,     // executed the requested number of instructions
   kRuntimeEntry,  // PC entered the registered runtime region
   kFault,         // memory/decode/alignment fault; see fault()
   kBrk,           // brk instruction (debug trap)
@@ -147,7 +144,6 @@ struct CpuFault {
 enum class Dispatch : uint8_t {
   kChained,  // block chaining + direct-threaded inner loop (default)
   kBlock,    // basic-block cache, one probe per block (reference)
-  kStep,     // per-instruction page cache (legacy; baseline for benchmarks)
 };
 
 // The emulated CPU. One Machine per hardware context; multiple sandboxes
@@ -174,18 +170,12 @@ class Machine {
 
   const CpuFault& fault() const { return fault_; }
 
-  // Selects the fetch strategy (see Dispatch). kBlock/kStep exist so
-  // benchmarks and the differential fuzzer can compare against the
-  // reference interpreter; all modes are semantically identical,
-  // including cycle accounting.
+  // Selects the interpreter (see Dispatch). kBlock exists so benchmarks
+  // and the differential fuzzers can compare against the reference
+  // interpreter; both modes are semantically identical, including cycle
+  // accounting.
   void set_dispatch(Dispatch d) { dispatch_ = d; }
   Dispatch dispatch() const { return dispatch_; }
-
-  // Drops all cached decoded instructions immediately. NOT required after
-  // Map/Unmap/Protect or code writes -- the mutation generation already
-  // invalidates those lazily (see the file comment). Kept for callers
-  // that want an explicit, eager flush.
-  void FlushDecodeCache() { ClearCaches(); }
 
   // Reads a general-purpose register by Inst operand conventions
   // (zr reads 0; sp reads the stack pointer). Exposed for the runtime.
@@ -242,7 +232,7 @@ class Machine {
     // Direct-threading slot: the chained backend caches the computed-goto
     // label for inst.mn here on a block's first execution, so steady-state
     // dispatch is one load + one indirect jump (no table indexing). The
-    // reference backends never read it.
+    // reference backend never reads it.
     mutable const void* exec_label = nullptr;
   };
 
@@ -270,14 +260,8 @@ class Machine {
     mutable const Block* branch_link = nullptr;
   };
 
-  // Legacy per-page decode cache (Dispatch::kStep).
-  struct DecodedPage {
-    std::vector<arch::Inst> insts;   // kPageSize / 4 entries
-    std::vector<uint8_t> status;     // 0 = undecoded, 1 = ok, 2 = bad
-  };
-
+  // Reference backend: one FetchBlock per block, ExecInst per instruction.
   StopReason RunBlocks(uint64_t max_instructions);
-  StopReason RunSteps(uint64_t max_instructions);
 
   // Optimized backend (backend_chained.cc). RunChained falls back to
   // RunBlocks while an ExecHook is attached (observation wants the
@@ -333,9 +317,6 @@ class Machine {
   // access trace, executes, then consults hook_ (which must be non-null).
   bool ExecHooked(const arch::Inst& i, const arch::InstCost& cost);
 
-  // Legacy single-step: align-check + fetch + decode + execute.
-  bool Step();
-
   // Returns the (possibly freshly decoded) block starting at pc, or
   // nullptr with fault_ set. Revalidates the generation stamp first.
   const Block* FetchBlock(uint64_t pc);
@@ -356,8 +337,6 @@ class Machine {
 
   void ClearCaches();
 
-  const arch::Inst* FetchDecode(uint64_t pc);
-
   AddressSpace* mem_;
   CpuState state_;
   Timing timing_;
@@ -365,18 +344,17 @@ class Machine {
   ExecHook* hook_ = nullptr;
   AccessTrace hook_trace_;
   trace::ExecCounters* counters_ = nullptr;
-  StopReason stop_ = StopReason::kStepLimit;
+  StopReason stop_ = StopReason::kInstLimit;
   uint64_t rt_base_ = 0, rt_len_ = 0;
   Dispatch dispatch_ = Dispatch::kChained;
-  // Generation stamp both caches were filled under; ~0 forces the first
-  // RevalidateCaches() to start clean.
+  // Generation stamp the block cache was filled under; ~0 forces the
+  // first RevalidateCaches() to start clean.
   uint64_t cache_generation_ = ~uint64_t{0};
   // Counts ClearCaches() calls. The chained backend snapshots this around
   // a FetchBlock during link resolution: if a clear happened, the
   // predecessor block was destroyed and no link may be installed into it.
   uint64_t cache_clears_ = 0;
   std::unordered_map<uint64_t, Block> block_cache_;
-  std::unordered_map<uint64_t, DecodedPage> decode_cache_;
   // Direct-mapped front cache over block_cache_: the common case (a hot
   // loop re-entering the same few blocks) resolves in one compare instead
   // of a hash probe. Entries point into block_cache_ nodes (stable across
@@ -429,10 +407,6 @@ class Machine {
       dtlb_epoch_ = e;
     }
   }
-
-  friend class StepBackend;
-  friend class BlockBackend;
-  friend class ChainedBackend;
 };
 
 }  // namespace lfi::emu

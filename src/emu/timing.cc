@@ -10,14 +10,6 @@ BranchPredictor::BranchPredictor()
       tags_(size_t{1} << kTableBits, 0),
       btb_tags_(size_t{1} << kTableBits, 0) {}
 
-bool BranchPredictor::PredictConditional(uint64_t pc, bool taken) {
-  return PredictConditionalFast(pc, taken);
-}
-
-bool BranchPredictor::PredictIndirect(uint64_t pc, uint64_t target) {
-  return PredictIndirectFast(pc, target);
-}
-
 CacheModel::CacheModel(uint64_t size_bytes, unsigned ways)
     : ways_(ways),
       sets_(std::max<uint64_t>(1, size_bytes / kLineBytes / ways)),
@@ -37,10 +29,6 @@ Timing::Timing(const arch::CoreParams& params)
       l1d_(uint64_t{params.l1d_kib} * 1024, 8),
       l2_(uint64_t{params.l1d_kib} * 1024 * 16, 8),
       tlb_(static_cast<unsigned>(params.tlb_entries)) {}
-
-uint64_t Timing::MemoryExtra(uint64_t addr, bool is_store) {
-  return MemoryExtraFast(addr, is_store);
-}
 
 void Timing::ChargeFlat(uint64_t cycles) {
   flat_ += cycles;

@@ -37,16 +37,9 @@ class BranchPredictor {
   void SetContext(uint32_t ctx) { ctx_ = ctx; }
   uint32_t context() const { return ctx_; }
 
-  // Returns true if the prediction was correct; updates state.
-  bool PredictConditional(uint64_t pc, bool taken);
-  bool PredictIndirect(uint64_t pc, uint64_t target);
-
-  // Inline twins of the two predictors, for the optimized backend's
-  // translation unit. The out-of-line versions (which the reference
-  // interpreter calls, keeping its codegen - and therefore the in-run
-  // chained-vs-block speedup gate - honest) delegate to these, so the
-  // state transitions cannot diverge.
-  bool PredictConditionalFast(uint64_t pc, bool taken) {
+  // Returns true if the prediction was correct; updates state. Defined
+  // inline: both interpreters call these on every branch.
+  bool PredictConditional(uint64_t pc, bool taken) {
     const uint64_t idx = Hash(pc);
     if (tags_[idx] != ctx_) {
       // Entry belongs to another software context: treat as cold.
@@ -59,7 +52,7 @@ class BranchPredictor {
     if (!taken && ctr > 0) --ctr;
     return predicted == taken;
   }
-  bool PredictIndirectFast(uint64_t pc, uint64_t target) {
+  bool PredictIndirect(uint64_t pc, uint64_t target) {
     const uint64_t idx = Hash(pc);
     if (btb_tags_[idx] != ctx_) {
       btb_tags_[idx] = ctx_;
@@ -90,7 +83,7 @@ class CacheModel {
   CacheModel(uint64_t size_bytes, unsigned ways);
 
   // Returns true on hit; inserts the line on miss (LRU within set).
-  // Defined inline so Timing::MemoryExtraFast fully inlines.
+  // Defined inline so Timing::MemoryExtra fully inlines.
   bool Access(uint64_t addr) {
     const uint64_t line = addr / kLineBytes;
     const uint64_t set = line % sets_;
@@ -199,15 +192,9 @@ class Timing {
   }
 
   // Memory access bookkeeping: returns extra latency cycles from cache/TLB
-  // behaviour for an access at `addr`. Deliberately out-of-line: the
-  // reference interpreter calls this, and its codegen anchors the in-run
-  // chained-vs-block speedup gate in bench_emu_dispatch.
-  uint64_t MemoryExtra(uint64_t addr, bool is_store);
-
-  // Inline twin of MemoryExtra for the optimized backend's translation
-  // unit; MemoryExtra delegates here, so the model state transitions are
-  // the same code either way.
-  uint64_t MemoryExtraFast(uint64_t addr, bool is_store) {
+  // behaviour for an access at `addr`. Defined inline: both interpreters
+  // call it on every load and store.
+  uint64_t MemoryExtra(uint64_t addr, bool is_store) {
     uint64_t extra = 0;
     if (!tlb_.Access(addr)) {
       uint64_t walk = static_cast<uint64_t>(params_.tlb_walk_cycles);

@@ -230,8 +230,11 @@ uint64_t ExecEnv::Restore(const Checkpoint& ck) {
   return dirty;
 }
 
-ExecResult ExecuteWords(std::span<const uint32_t> words,
-                        const ExecOptions& opts) {
+namespace {
+
+// The body of ExecuteWords and ExecuteWordsStepwise.
+ExecResult Execute(std::span<const uint32_t> words, const ExecOptions& opts,
+                   bool stepwise) {
   namespace rt = lfi::runtime;
   ExecEnv env(words, opts);
   SlotInvariantChecker checker(env.checker_config());
@@ -239,7 +242,14 @@ ExecResult ExecuteWords(std::span<const uint32_t> words,
   if (opts.attach_checker) machine.set_exec_hook(&checker);
 
   ExecResult res;
-  res.stop = machine.Run(opts.max_insts);
+  if (stepwise) {
+    for (uint64_t n = 0;
+         n < opts.max_insts && res.stop == emu::StopReason::kInstLimit; ++n) {
+      res.stop = machine.Run(1);
+    }
+  } else {
+    res.stop = machine.Run(opts.max_insts);
+  }
   machine.set_exec_hook(nullptr);
   res.fault = machine.fault();
   res.retired = machine.timing().Retired();
@@ -263,6 +273,18 @@ ExecResult ExecuteWords(std::span<const uint32_t> words,
     }
   }
   return res;
+}
+
+}  // namespace
+
+ExecResult ExecuteWords(std::span<const uint32_t> words,
+                        const ExecOptions& opts) {
+  return Execute(words, opts, /*stepwise=*/false);
+}
+
+ExecResult ExecuteWordsStepwise(std::span<const uint32_t> words,
+                                const ExecOptions& opts) {
+  return Execute(words, opts, /*stepwise=*/true);
 }
 
 }  // namespace lfi::fuzz

@@ -96,7 +96,7 @@ struct ExecOptions {
 };
 
 struct ExecResult {
-  emu::StopReason stop = emu::StopReason::kStepLimit;
+  emu::StopReason stop = emu::StopReason::kInstLimit;
   emu::CpuFault fault;          // valid when the run ended in a fault
   std::string violation;        // non-empty => sandbox escape detected
   uint64_t retired = 0;
@@ -108,6 +108,13 @@ struct ExecResult {
 // does not verify) inside a fresh slot under the invariant checker.
 ExecResult ExecuteWords(std::span<const uint32_t> words,
                         const ExecOptions& opts);
+
+// ExecuteWords, but driving the machine with Machine::Run(1) until the
+// budget is spent or it stops, so every instruction heads its own decoded
+// block. Against a whole ExecuteWords run this is an independent oracle
+// for block formation (the differential fuzzing mode).
+ExecResult ExecuteWordsStepwise(std::span<const uint32_t> words,
+                                const ExecOptions& opts);
 
 // The slot environment ExecuteWords builds, kept alive so callers can run
 // in phases with page-level checkpoints in between (the snapshot oracle).

@@ -73,11 +73,10 @@ std::vector<uint32_t> GenStream(Rng& rng) {
 }
 
 // Differential comparison: first discrepancy between two runs, or "".
-// `an`/`bn` label the two runs in the message ("block"/"step",
+// `an`/`bn` label the two runs in the message ("block"/"stepwise",
 // "chained"/"block").
 std::string DescribeDiff(const ExecResult& a, const ExecResult& b,
-                         const std::string& an = "block",
-                         const std::string& bn = "step") {
+                         const std::string& an, const std::string& bn) {
   auto hx = [](uint64_t v) {
     char buf[32];
     snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
@@ -352,10 +351,9 @@ FuzzReport RunDifferential(const FuzzOptions& opts) {
     eo.table_bytes = opts.verify.table_bytes;
     eo.dispatch = emu::Dispatch::kBlock;
     const ExecResult rb = ExecuteWords(words, eo);
-    eo.dispatch = emu::Dispatch::kStep;
-    const ExecResult rs = ExecuteWords(words, eo);
+    const ExecResult rs = ExecuteWordsStepwise(words, eo);
     ++report.executed;
-    const std::string diff = DescribeDiff(rb, rs);
+    const std::string diff = DescribeDiff(rb, rs, "block", "stepwise");
     const std::string viol =
         !rb.violation.empty() ? rb.violation : rs.violation;
     if (diff.empty() && viol.empty()) continue;
@@ -364,19 +362,16 @@ FuzzReport RunDifferential(const FuzzOptions& opts) {
     a.mode = "differential";
     a.iter = it;
     a.seed = iseed;
-    a.detail = !diff.empty() ? "block/step divergence: " + diff
+    a.detail = !diff.empty() ? "block/stepwise divergence: " + diff
                              : "SANDBOX ESCAPE (during differential): " + viol;
     a.verdict = VerdictText(v);
     a.full_words = words;
     if (!diff.empty()) {
       auto fails = [&](const std::vector<uint32_t>& w) {
         if (!verifier::Verify(AsBytes(w), opts.verify).ok) return false;
-        ExecOptions e2 = eo;
-        e2.dispatch = emu::Dispatch::kBlock;
-        const ExecResult b2 = ExecuteWords(w, e2);
-        e2.dispatch = emu::Dispatch::kStep;
-        const ExecResult s2 = ExecuteWords(w, e2);
-        return !DescribeDiff(b2, s2).empty();
+        return !DescribeDiff(ExecuteWords(w, eo), ExecuteWordsStepwise(w, eo),
+                             "block", "stepwise")
+                    .empty();
       };
       a.words = MinimizeWords(words, fails);
     } else {

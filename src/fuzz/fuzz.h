@@ -7,9 +7,12 @@
 //   completeness grammar-generated assembly -> parse -> rewrite ->
 //                assemble -> Verify; any stage failing on rewriter output
 //                is a bug (the rewriter must only emit verifiable text).
-//   differential every accepted stream runs under both Dispatch::kBlock
-//                and Dispatch::kStep; final state, stop reason, retired
-//                count and cycle count must match exactly.
+//   differential every accepted stream runs twice under Dispatch::kBlock
+//                with the invariant checker attached: once to the budget
+//                and once one instruction at a time (ExecuteWordsStepwise,
+//                where every instruction heads its own block). Final
+//                state, stop reason, retired count and cycle count must
+//                match exactly: an oracle for block formation.
 //   chained      every accepted stream runs under Dispatch::kChained (the
 //                optimized backend: block chaining + direct threading +
 //                memoized translation) and Dispatch::kBlock, both without

@@ -776,7 +776,7 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
         }
         break;
       }
-      case emu::StopReason::kStepLimit:
+      case emu::StopReason::kInstLimit:
         // Preemption alarm fired: rotate.
         Enqueue(p->pid);
         break;
@@ -973,7 +973,7 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
     p->insts_retired += machine_.timing().Retired() - ret0;
     if (sink_ != nullptr) AttributeSlice(p, ctr_before, slice_start, stop);
     switch (stop) {
-      case emu::StopReason::kStepLimit:
+      case emu::StopReason::kInstLimit:
         // No preemption here: the embedded call owns the machine until it
         // completes or burns its fuel.
         continue;

@@ -123,10 +123,10 @@ struct RuntimeConfig {
   arch::CoreParams core;
   verifier::VerifyOptions verify;
   bool enforce_verification = true;
-  // Interpreter backend for the shared machine (docs/DISPATCH.md). All
+  // Interpreter backend for the shared machine (docs/DISPATCH.md). Both
   // backends produce identical simulated results; kChained is simply the
-  // fastest. kBlock/kStep remain selectable as the reference for
-  // differential testing.
+  // faster. kBlock remains selectable as the reference for differential
+  // testing.
   emu::Dispatch dispatch = emu::Dispatch::kChained;
   uint64_t timeslice_insts = 100000;  // preemption quantum (alarm period)
   // Host-side cycle charges, calibrated to the paper's microbenchmarks

@@ -104,7 +104,7 @@ std::string RegName(int reg) {
 
 const char* StopName(StopReason r) {
   switch (r) {
-    case StopReason::kStepLimit: return "step-limit";
+    case StopReason::kInstLimit: return "inst-limit";
     case StopReason::kRuntimeEntry: return "runtime-entry";
     case StopReason::kFault: return "fault";
     case StopReason::kBrk: return "brk";
@@ -156,9 +156,9 @@ CrossvalResult CrossValidateWords(std::string_view class_name,
     } else if (facts.IsBranchInst()) {
       // The branch itself retires; the emulator may or may not attempt
       // the next fetch (which can fault on a non-executable target)
-      // before honoring the step limit, so accept either stop.
+      // before honoring the instruction limit, so accept either stop.
       ++res.branches;
-      if (stop != StopReason::kStepLimit && stop != StopReason::kFault) {
+      if (stop != StopReason::kInstLimit && stop != StopReason::kFault) {
         fail(w, std::string("branch sample stopped with ") + StopName(stop));
         continue;
       }
@@ -168,7 +168,7 @@ CrossvalResult CrossValidateWords(std::string_view class_name,
         continue;
       }
     } else {
-      if (stop != StopReason::kStepLimit) {
+      if (stop != StopReason::kInstLimit) {
         fail(w, std::string("expected clean retirement, emulator stopped "
                             "with ") +
                     StopName(stop));

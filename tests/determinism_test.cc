@@ -190,7 +190,7 @@ TEST(Determinism, DispatchBackendsTraceByteIdentically) {
   // The dispatch backend is a pure execution-speed knob: the chained
   // backend (block chaining + direct threading + memoized translation)
   // must produce the same Chrome trace, byte for byte, as the reference
-  // block loop and the legacy step loop — every simulated timestamp,
+  // block loop — every simulated timestamp,
   // every counter, every event. kBusyProg covers fork, pipes, waits and
   // both exit paths, so the equality spans context switches and fork
   // copies (which must not share chain state with their parent).
@@ -198,13 +198,10 @@ TEST(Determinism, DispatchBackendsTraceByteIdentically) {
                                      nullptr, emu::Dispatch::kChained);
   const TraceRun block = TracedRun(kBusyProg, /*spawn=*/false, nullptr,
                                    nullptr, emu::Dispatch::kBlock);
-  const TraceRun step = TracedRun(kBusyProg, /*spawn=*/false, nullptr,
-                                  nullptr, emu::Dispatch::kStep);
   ASSERT_EQ(chained.exit_kind, ExitKind::kExited);
   EXPECT_EQ(chained.exit_status, 7);
   ASSERT_FALSE(chained.json.empty());
   EXPECT_EQ(block.json, chained.json);
-  EXPECT_EQ(step.json, chained.json);
 }
 
 TEST(Determinism, ChainedChaosRestartMatchesReferenceBackend) {
@@ -473,11 +470,10 @@ TEST(Determinism, EmbedCallsReplayAcrossBackends) {
   // deterministic cookies, so a multi-sandbox callback-heavy run — typed
   // calls, buffer marshalling, cross-sandbox nested chains, a mid-run
   // forged-return kill and restart — must replay byte-identically across
-  // all three dispatch backends: same Chrome trace, same cycle count,
+  // both dispatch backends: same Chrome trace, same cycle count,
   // same results.
   const EmbedRun chained = EmbeddedWorkload(emu::Dispatch::kChained);
   const EmbedRun block = EmbeddedWorkload(emu::Dispatch::kBlock);
-  const EmbedRun step = EmbeddedWorkload(emu::Dispatch::kStep);
   ASSERT_FALSE(chained.trace_json.empty());
   ASSERT_EQ(chained.results.size(), 8u * 3 + 2);
   // Spot-check the workload actually computed: echo(i) = 2i+101 through
@@ -488,9 +484,6 @@ TEST(Determinism, EmbedCallsReplayAcrossBackends) {
   EXPECT_EQ(block.trace_json, chained.trace_json);
   EXPECT_EQ(block.cycles, chained.cycles);
   EXPECT_EQ(block.results, chained.results);
-  EXPECT_EQ(step.trace_json, chained.trace_json);
-  EXPECT_EQ(step.cycles, chained.cycles);
-  EXPECT_EQ(step.results, chained.results);
 }
 
 }  // namespace

@@ -505,7 +505,7 @@ TEST(Machine, ProtectDropsExecAndRerunFetchFaults) {
 // A guest store into the executing page bumps the mutation generation
 // mid-flight: the chained backend must sever its block->block links at the
 // very next edge, redecode, and execute the patched code — and do all of
-// that on the same simulated schedule as the reference backends. The store
+// that on the same simulated schedule as the reference backend. The store
 // lands on an instruction *after* the loop, so a stale chain would deliver
 // the pre-patch "mov x0, #1".
 TEST(Machine, ChainedSelfModifyingStoreSeversChainsMidLoop) {
@@ -520,7 +520,7 @@ TEST(Machine, ChainedSelfModifyingStoreSeversChainsMidLoop) {
       "  mov x0, #1\n"  // patch site: becomes "mov x0, #2"
       "  brk #0\n";
   uint64_t want_retired = 0, want_cycles = 0;
-  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock, Dispatch::kStep}) {
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
     SCOPED_TRACE("dispatch " + std::to_string(int(d)));
     TestVm vm(src);
     ASSERT_TRUE(vm.space
@@ -612,14 +612,55 @@ TEST(Machine, ChainedHostMutationsMatchReferenceAcrossRuns) {
   };
   const std::vector<uint64_t> chained = run_seq(Dispatch::kChained);
   const std::vector<uint64_t> block = run_seq(Dispatch::kBlock);
-  const std::vector<uint64_t> step = run_seq(Dispatch::kStep);
   ASSERT_EQ(chained.size(), 12u);
   EXPECT_EQ(chained[0], 1u);
   EXPECT_EQ(chained[3], 2u);
   EXPECT_EQ(chained[6], 2u);  // phase 3 reruns the phase-2 code
   EXPECT_EQ(chained[9], 3u);
   EXPECT_EQ(block, chained);
-  EXPECT_EQ(step, chained);
+}
+
+// More distinct blocks than the block cache holds (kMaxCachedBlocks, 32768
+// in machine.cc): nine pages of `b .+4`, each its own one-instruction
+// block, traversed twice. The cache clears at the cap mid-traversal --
+// under kChained inside the FetchBlock that resolves a chain link, where
+// the cache_clears_ guard must keep the link out of the destroyed
+// predecessor -- and both backends must still agree on every result and
+// every counter.
+TEST(Machine, BlockCacheCapClearsIdenticallyAcrossBackends) {
+  constexpr uint64_t kJumps = 9 * kPageSize / 4;
+  std::string src = "  movz x9, #2\nouter:\n";
+  for (uint64_t k = 0; k < kJumps; ++k) {
+    const std::string label = "j" + std::to_string(k);
+    src += "  b " + label + "\n" + label + ":\n";
+  }
+  src += "  add x0, x0, #1\n  subs x9, x9, #1\n  b.ne outer\n  brk #0\n";
+  trace::ExecCounters want;
+  uint64_t want_cycles = 0;
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(src);
+    trace::ExecCounters c;
+    vm.machine.set_dispatch(d);
+    vm.machine.set_counters(&c);
+    ASSERT_EQ(vm.Run(4 * kJumps), StopReason::kBrk);
+    EXPECT_EQ(vm.X(0), 2u);
+    // Only a cleared cache decodes a block twice.
+    EXPECT_GT(c.block_misses, kJumps + 8);
+    if (d == Dispatch::kChained) {
+      want = c;
+      want_cycles = vm.machine.timing().Cycles();
+      continue;
+    }
+    EXPECT_EQ(vm.machine.timing().Cycles(), want_cycles);
+    EXPECT_EQ(c.retired, want.retired);
+    EXPECT_EQ(c.guards, want.guards);
+    EXPECT_EQ(c.loads, want.loads);
+    EXPECT_EQ(c.stores, want.stores);
+    EXPECT_EQ(c.block_hits, want.block_hits);
+    EXPECT_EQ(c.block_misses, want.block_misses);
+    EXPECT_EQ(c.block_invalidations, want.block_invalidations);
+  }
 }
 
 // --- Timing model properties ---

@@ -81,7 +81,7 @@ TEST(FuzzSmoke, SoundnessRunsClean) {
   EXPECT_GE(DistinctRejectKinds(r), 4u);
 }
 
-TEST(FuzzSmoke, DifferentialBlockStepAgree) {
+TEST(FuzzSmoke, DifferentialStepwiseMatchesWholeRun) {
   fuzz::FuzzOptions opts;
   opts.seed = 0xd1ff;
   opts.iters = 200;
@@ -123,13 +123,17 @@ TEST(SoundnessOracle, ConvictsOutOfWindowStore) {
   // store *retires*; only the checker can object).
   const std::vector<uint32_t> words = {Enc(Movz(25, 0xFFFF, 1)),
                                        Enc(Str(0, 25))};
-  for (auto dispatch : {emu::Dispatch::kBlock, emu::Dispatch::kStep}) {
+  // A hooked kChained machine runs the reference loop, and the stepwise
+  // run is the differential mode's oracle: every route must convict.
+  for (auto dispatch : {emu::Dispatch::kBlock, emu::Dispatch::kChained}) {
     fuzz::ExecOptions eo;
     eo.dispatch = dispatch;
-    const auto res = fuzz::ExecuteWords(words, eo);
-    EXPECT_NE(res.violation.find("escapes the slot+guard window"),
-              std::string::npos)
-        << "dispatch=" << int(dispatch) << ": " << res.violation;
+    for (const auto& res : {fuzz::ExecuteWords(words, eo),
+                            fuzz::ExecuteWordsStepwise(words, eo)}) {
+      EXPECT_NE(res.violation.find("escapes the slot+guard window"),
+                std::string::npos)
+          << "dispatch=" << int(dispatch) << ": " << res.violation;
+    }
   }
 }
 

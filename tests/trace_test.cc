@@ -1,5 +1,5 @@
 // Trace subsystem tests: the per-sandbox instructions-retired counter must
-// equal the Machine's own retire count under both dispatch strategies, and
+// equal the Machine's own retire count under both dispatch backends, and
 // identical runs must produce byte-identical Chrome trace JSON (the trace
 // clock is the simulated cycle counter, never host time). Also unit-tests
 // the event ring and the stats/trace exporters.
@@ -92,7 +92,9 @@ void RunBusyProg(runtime::Runtime& rt, TraceSink& sink) {
 }
 
 TEST(Trace, RetiredCounterMatchesMachineUnderBlockDispatch) {
-  runtime::Runtime rt(TestConfig());
+  runtime::RuntimeConfig cfg = TestConfig();
+  cfg.dispatch = emu::Dispatch::kBlock;
+  runtime::Runtime rt(cfg);
   TraceSink sink;
   RunBusyProg(rt, sink);
   // Every instruction the machine retired belongs to exactly one pid.
@@ -100,38 +102,36 @@ TEST(Trace, RetiredCounterMatchesMachineUnderBlockDispatch) {
   EXPECT_GT(TotalRetired(sink), 0u);
 }
 
-TEST(Trace, RetiredCounterMatchesMachineUnderStepDispatch) {
-  runtime::Runtime rt(TestConfig());
-  rt.machine().set_dispatch(emu::Dispatch::kStep);
+TEST(Trace, RetiredCounterMatchesMachineUnderChainedDispatch) {
+  runtime::Runtime rt(TestConfig());  // kChained is the default
   TraceSink sink;
   RunBusyProg(rt, sink);
   EXPECT_EQ(TotalRetired(sink), rt.machine().timing().Retired());
 }
 
-TEST(Trace, StepAndBlockDispatchCountIdentically) {
-  // The two dispatch strategies are semantically identical, so every
-  // architectural counter (retired/loads/stores/guards/syscalls) must
-  // match exactly; only the block-cache counters may differ.
-  runtime::Runtime rt_block(TestConfig());
+TEST(Trace, ChainedAndBlockDispatchCountIdentically) {
+  // The two dispatch backends are semantically identical, and a chained
+  // block transition tallies a cache hit exactly where the reference loop
+  // would, so every counter -- block-cache traffic included -- must match.
+  runtime::RuntimeConfig block_cfg = TestConfig();
+  block_cfg.dispatch = emu::Dispatch::kBlock;
+  runtime::Runtime rt_block(block_cfg);
   TraceSink s_block;
   RunBusyProg(rt_block, s_block);
 
-  runtime::Runtime rt_step(TestConfig());
-  rt_step.machine().set_dispatch(emu::Dispatch::kStep);
-  TraceSink s_step;
-  RunBusyProg(rt_step, s_step);
+  runtime::Runtime rt_chained(TestConfig());
+  TraceSink s_chained;
+  RunBusyProg(rt_chained, s_chained);
 
-  ASSERT_EQ(s_block.all_metrics().size(), s_step.all_metrics().size());
+  ASSERT_EQ(s_block.all_metrics().size(), s_chained.all_metrics().size());
   for (const auto& [pid, mb] : s_block.all_metrics()) {
-    const Metrics& ms = s_step.metrics(pid);
-    for (Counter c : {Counter::kInstRetired, Counter::kGuardsExecuted,
-                      Counter::kLoads, Counter::kStores, Counter::kSyscalls,
-                      Counter::kPipeBytesRead, Counter::kPipeBytesWritten,
-                      Counter::kForks}) {
-      EXPECT_EQ(mb.Get(c), ms.Get(c))
-          << "pid " << pid << " counter " << CounterName(c);
+    const Metrics& mc = s_chained.metrics(pid);
+    for (size_t ci = 0; ci < mb.c.size(); ++ci) {
+      EXPECT_EQ(mb.c[ci], mc.c[ci])
+          << "pid " << pid << " counter "
+          << CounterName(static_cast<Counter>(ci));
     }
-    EXPECT_EQ(mb.syscalls, ms.syscalls) << "pid " << pid;
+    EXPECT_EQ(mb.syscalls, mc.syscalls) << "pid " << pid;
   }
   // Block dispatch actually used its cache on this workload.
   uint64_t hits = 0;

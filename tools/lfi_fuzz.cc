@@ -4,12 +4,13 @@
 // streams go through the static verifier, and everything the verifier
 // accepts executes under the slot-invariant checker, which convicts any
 // access, branch target, or reserved-register value that leaves the
-// sandbox. Also runs completeness fuzzing (rewriter output must verify)
-// and differential fuzzing (block vs. step dispatch must agree), a
-// chained differential (the optimized chained backend vs. the reference
-// block loop, hook-free so the optimized loop actually runs), plus a
-// snapshot oracle (run N, checkpoint, run M, restore, re-run M; the two
-// M-phases must match in registers, retired count, and access trace).
+// sandbox. Also runs completeness fuzzing (rewriter output must verify),
+// differential fuzzing (the block interpreter run whole and run one
+// instruction at a time must agree), a chained differential (the
+// optimized chained backend vs. the reference block loop, hook-free so
+// the optimized loop actually runs), plus a snapshot oracle (run N,
+// checkpoint, run M, restore, re-run M; the two M-phases must match in
+// registers, retired count, and access trace).
 //
 // Usage:
 //   lfi_fuzz [--mode=soundness|completeness|differential|chained|
