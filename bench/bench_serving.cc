@@ -22,7 +22,9 @@
 //
 // Gates: warm throughput >= 5x cold at equal offered load; byte-identical
 // same-seed replay (warm and storm); storm exercises the dead-parked
-// purge without any bystander-tenant SLO violation.
+// purge without any bystander-tenant SLO violation; the warm pool decodes
+// its handler once (every block miss of the warm run happens before its
+// first request completes, and no decoded block is ever dropped).
 
 #include <memory>
 #include <string>
@@ -31,6 +33,7 @@
 #include "harness.h"
 #include "runtime/spawn_pool.h"
 #include "serve/serve.h"
+#include "trace/trace.h"
 
 namespace lfi::bench {
 namespace {
@@ -248,21 +251,49 @@ int main(int argc, char** argv) {
   const uint64_t kRequests = 1500;
 
   // ---- Warm pool vs cold load, equal offered load ------------------------
-  auto run_warm = [&](std::string* transcript) -> ServeReport {
+  // With a sink, also reports the decode-cache traffic of the whole run
+  // and the block misses taken by the time the first request completed.
+  struct DecodeTally {
+    uint64_t first_misses = 0, misses = 0, invalidations = 0;
+  };
+  auto run_warm = [&](std::string* transcript,
+                      DecodeTally* tally) -> ServeReport {
     Stack s(b);
     if (s.pool == nullptr) {
       std::fprintf(stderr, "error: stack: %s\n", s.error.c_str());
       std::exit(1);
     }
+    lfi::trace::TraceSink sink;
+    if (tally != nullptr) s.rt.set_trace_sink(&sink);
+    auto sum = [&sink](lfi::trace::Counter c) {
+      uint64_t n = 0;
+      for (const auto& [pid, m] : sink.all_metrics()) n += m.Get(c);
+      return n;
+    };
     Server srv(&s.rt, BaseConfig(TrafficKind::kPoisson, kSeed, kRequests),
                s.pool.get());
+    if (tally != nullptr) {
+      while (srv.report().completed == 0 && srv.Step()) {
+      }
+      tally->first_misses = sum(lfi::trace::Counter::kBlockCacheMisses);
+    }
     ServeReport rep = srv.Run();
     if (transcript != nullptr) *transcript = rep.Format();
+    if (tally != nullptr) {
+      tally->misses = sum(lfi::trace::Counter::kBlockCacheMisses);
+      tally->invalidations =
+          sum(lfi::trace::Counter::kBlockCacheInvalidations);
+    }
     return rep;
   };
 
+  // The traced run is the reported one; the untraced replay below then
+  // also proves the sink does not perturb the simulation.
   std::string warm_transcript;
-  const ServeReport warm = run_warm(&warm_transcript);
+  DecodeTally decode;
+  const ServeReport warm = run_warm(&warm_transcript, &decode);
+  const bool decode_once =
+      decode.first_misses > 0 && decode.misses == decode.first_misses;
 
   lfi::runtime::RuntimeConfig cold_cfg;
   cold_cfg.core = lfi::arch::AppleM1LikeParams();
@@ -279,7 +310,7 @@ int main(int argc, char** argv) {
 
   // ---- Determinism: same seed, fresh stack, byte-identical transcript ----
   std::string replay_transcript;
-  (void)run_warm(&replay_transcript);
+  (void)run_warm(&replay_transcript, nullptr);
   const bool warm_deterministic = replay_transcript == warm_transcript;
 
   // ---- Storm chaos while serving -----------------------------------------
@@ -365,6 +396,11 @@ int main(int argc, char** argv) {
               (unsigned long long)cold.LatencyPercentile(99.9),
               (unsigned long long)cold.completed);
   std::printf("warm/cold throughput: %.1fx (gate >= 5x)\n", speedup);
+  std::printf("warm decode: %llu block misses (%llu by the first completion),"
+              " %llu invalidations (gate: decode once, 0 invalidations)\n",
+              (unsigned long long)decode.misses,
+              (unsigned long long)decode.first_misses,
+              (unsigned long long)decode.invalidations);
   std::printf("storm: dead_parked=%llu cold_spawns=%llu victims "
               "disrupted=%llu bystander failed=%llu slo_viol=%llu\n",
               (unsigned long long)storm.dead_parked,
@@ -394,6 +430,9 @@ int main(int argc, char** argv) {
   AddLatencies(&report, "serving.cold", cold);
   report.Add("serving.warm_vs_cold.speedup", speedup);
   report.Add("serving.warm.recycles", static_cast<double>(warm.recycles));
+  report.Add("serving.warm.block_invalidations.exact",
+             static_cast<double>(decode.invalidations));
+  report.Add("serving.warm.decode_once.exact", decode_once ? 1.0 : 0.0);
   report.Add("serving.storm.dead_parked",
              static_cast<double>(storm.dead_parked));
   report.Add("serving.storm.bystander_failed",
@@ -424,6 +463,15 @@ int main(int argc, char** argv) {
   if (speedup < 5.0) {
     std::fprintf(stderr, "FAIL: warm serving only %.1fx cold throughput "
                  "(need >= 5x)\n", speedup);
+    rc = 1;
+  }
+  if (!decode_once || decode.invalidations != 0) {
+    std::fprintf(stderr, "FAIL: warm pool re-decoded its handler (%llu block "
+                 "misses, %llu by the first completion; %llu "
+                 "invalidations)\n",
+                 (unsigned long long)decode.misses,
+                 (unsigned long long)decode.first_misses,
+                 (unsigned long long)decode.invalidations);
     rc = 1;
   }
   if (!warm_deterministic || !storm_deterministic) {

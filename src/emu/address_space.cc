@@ -11,12 +11,9 @@ bool PageAligned(uint64_t v) { return (v & kPageMask) == 0; }
 bool RangeWraps(uint64_t addr, uint64_t len) { return addr + len < addr; }
 }  // namespace
 
-void AddressSpace::NoteExec(uint64_t pageno, uint8_t perms) {
-  if (perms & kPermExec) {
-    exec_pages_.insert(pageno);
-  } else {
-    exec_pages_.erase(pageno);
-  }
+bool AddressSpace::NoteExec(uint64_t pageno, uint8_t perms) {
+  if (perms & kPermExec) return !exec_pages_.insert(pageno).second;
+  return exec_pages_.erase(pageno) != 0;
 }
 
 Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms,
@@ -33,15 +30,16 @@ Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms,
       }
     }
   }
+  bool exec_touched = (perms & kPermExec) != 0;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
     Page page;
     page.data = std::make_shared<PageData>();
     page.data->fill(0);
     page.perms = perms;
+    exec_touched = NoteExec(p, perms) || exec_touched;
     pages_[p] = std::move(page);
-    NoteExec(p, perms);
   }
-  ++generation_;
+  if (exec_touched) ++generation_;
   ++payload_epoch_;
   return Status::Ok();
 }
@@ -53,14 +51,13 @@ Status AddressSpace::Unmap(uint64_t addr, uint64_t len) {
   if (len == 0) return Status::Ok();
   if (RangeWraps(addr, len)) return Status::Fail("unmap: range wraps");
   size_t erased = 0;
+  bool exec_touched = false;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
     erased += pages_.erase(p);
-    exec_pages_.erase(p);
+    exec_touched = exec_pages_.erase(p) != 0 || exec_touched;
   }
-  if (erased != 0) {
-    ++generation_;
-    ++payload_epoch_;
-  }
+  if (exec_touched) ++generation_;
+  if (erased != 0) ++payload_epoch_;
   return Status::Ok();
 }
 
@@ -74,11 +71,12 @@ Status AddressSpace::Protect(uint64_t addr, uint64_t len, uint8_t perms) {
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
     if (pages_.count(p) == 0) return Status::Fail("protect: unmapped page");
   }
+  bool exec_touched = (perms & kPermExec) != 0;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
     pages_[p].perms = perms;
-    NoteExec(p, perms);
+    exec_touched = NoteExec(p, perms) || exec_touched;
   }
-  ++generation_;
+  if (exec_touched) ++generation_;
   ++payload_epoch_;
   return Status::Ok();
 }
@@ -246,9 +244,8 @@ Status AddressSpace::InstallPage(uint64_t addr,
   if (!PageAligned(addr)) return Status::Fail("install: unaligned page");
   if (data == nullptr) return Status::Fail("install: null payload");
   const uint64_t pageno = addr / kPageSize;
+  if (NoteExec(pageno, perms) || (perms & kPermExec) != 0) ++generation_;
   pages_[pageno] = Page{std::move(data), perms};
-  NoteExec(pageno, perms);
-  ++generation_;
   ++payload_epoch_;
   return Status::Ok();
 }
@@ -279,16 +276,18 @@ Status AddressSpace::ShareRange(uint64_t src, uint64_t dst, uint64_t len) {
   if (RangeWraps(src, len) || RangeWraps(dst, len)) {
     return Status::Fail("share: range wraps");
   }
+  bool exec_touched = false;
   for (uint64_t off = 0; off < len; off += kPageSize) {
     auto it = pages_.find((src + off) / kPageSize);
     if (it == pages_.end()) continue;  // holes stay holes
     const uint64_t dpage = (dst + off) / kPageSize;
     // Copy out first: pages_[dpage] may rehash and invalidate `it`.
     Page src_page = it->second;
-    NoteExec(dpage, src_page.perms);
+    exec_touched = NoteExec(dpage, src_page.perms) ||
+                   (src_page.perms & kPermExec) != 0 || exec_touched;
     pages_[dpage] = std::move(src_page);
   }
-  ++generation_;
+  if (exec_touched) ++generation_;
   ++payload_epoch_;
   return Status::Ok();
 }

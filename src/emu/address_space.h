@@ -7,13 +7,16 @@
 // paper's memfd-based approach.
 //
 // Mutation generation: every operation that can change what an instruction
-// fetch observes -- Map, Unmap, Protect, ShareRange, CloneInto, and any
-// guest/host write that lands on an executable page -- bumps a monotonically
-// increasing counter. The Machine's decoded-block cache is stamped with the
-// generation it was filled under and revalidates the stamp on every block
-// entry, so stale decoded code can never execute after a remap. Writes to
-// non-executable pages do not bump the counter (the common case stays
-// free): the exec-page set below makes that test one branch.
+// fetch observes bumps a monotonically increasing counter -- mapping,
+// unmapping, replacing or re-protecting an executable page (Map, Unmap,
+// Protect, InstallPage, ShareRange, CloneInto), a page becoming
+// executable, and any guest/host write that lands on an executable page.
+// The same operations on non-executable pages over non-executable pages
+// leave it alone, so restoring a sandbox's dirty data pages costs the
+// decode cache nothing. The Machine keeps its PC-keyed lookup caches
+// stamped with the generation and resets them on a change, so stale
+// decoded code can never execute after a remap. Writes to non-executable
+// pages stay free: the exec-page set below makes that test one branch.
 #ifndef LFI_EMU_ADDRESS_SPACE_H_
 #define LFI_EMU_ADDRESS_SPACE_H_
 
@@ -140,12 +143,14 @@ class AddressSpace {
 
   // Snapshot support (src/snapshot/, docs/SNAPSHOTS.md). ExportPage hands
   // out shared ownership of the page's payload plus its perms (nullptr if
-  // unmapped): a capture is one shared_ptr copy per page. InstallPage maps
-  // `addr`'s page sharing `data` copy-on-write (replacing any existing
-  // page) and bumps the mutation generation, so the decode cache revokes
-  // stale code after a restore. PagePayload is the raw observer used for
-  // dirty detection: a page is clean w.r.t. a snapshot iff its payload
-  // pointer and perms still match the captured ones.
+  // unmapped): a capture is one shared_ptr copy per page. The Machine's
+  // decode cache pins the exec payloads it decoded the same way, which
+  // keeps decoded bytes immutable. InstallPage maps `addr`'s page sharing
+  // `data` copy-on-write (replacing any existing page); it bumps the
+  // mutation generation when the old or the new page is executable.
+  // PagePayload is the raw observer used for dirty detection and decode
+  // lookup: a page is clean w.r.t. a snapshot iff its payload pointer and
+  // perms still match the captured ones.
   std::shared_ptr<PageData> ExportPage(uint64_t addr, uint8_t* perms) const;
   Status InstallPage(uint64_t addr, std::shared_ptr<PageData> data,
                      uint8_t perms);
@@ -154,9 +159,10 @@ class AddressSpace {
   // Number of mapped pages (for tests and accounting).
   size_t MappedPages() const { return pages_.size(); }
 
-  // Monotonic counter of mutations that could invalidate decoded code
-  // (see the file comment). Consumers stamp their caches with this value
-  // and treat any change as "flush everything".
+  // Monotonic counter of mutations that could change what an instruction
+  // fetch observes (see the file comment). Consumers stamp their
+  // address-keyed caches with this value and treat any change as "every
+  // address may now map different code".
   uint64_t mutation_generation() const { return generation_; }
 
   // Monotonic counter of events that can invalidate a cached raw page
@@ -196,8 +202,9 @@ class AddressSpace {
   // Returns a writable pointer to the page's data, copying if shared (a
   // copy replaces the payload pointer, so it bumps payload_epoch_).
   uint8_t* WritablePage(Page* page);
-  // Records pageno's executability and returns true if `perms` is exec.
-  void NoteExec(uint64_t pageno, uint8_t perms);
+  // Records pageno's executability as given by `perms`; returns true if
+  // the page was executable before.
+  bool NoteExec(uint64_t pageno, uint8_t perms);
   // True if a data write to a page with `perms` must bump the generation.
   bool WriteTouchesExec(uint8_t perms) const {
     return !exec_pages_.empty() && (perms & kPermExec) != 0;

@@ -4,16 +4,22 @@
 // Three independent optimizations over the reference RunBlocks loop, all
 // required to keep counters, simulated cycles, and traces bit-identical:
 //
-//  1. Block chaining. Each decoded block records its static successor PCs
-//     (fallthrough + direct-branch target, computed in FetchBlock); the
-//     first transition resolves the successor through the normal dispatch
-//     path and installs a pointer link, after which a hot loop transfers
-//     block->block with two compares — no LUT probe, no hash. Links are
-//     trusted only while the mutation generation is unchanged (checked at
-//     every edge) and die with ClearCaches(); the cache_clears_ snapshot
-//     around link resolution keeps a clear inside FetchBlock from writing
-//     through a dangling predecessor. Chained entries tally block_hits
-//     exactly where the reference path's FetchBlock would have.
+//  1. Block chaining. Each decoded block records the in-page offsets of
+//     its static successors (fallthrough + direct-branch target, computed
+//     in FetchBlock); the first transition resolves the successor through
+//     the normal dispatch path and installs a pointer link, after which a
+//     hot loop transfers block->block with two compares -- no LUT probe,
+//     no hash. Decoded blocks are shared by every sandbox that maps the
+//     same exec-page payload, so a link only ever joins two blocks of one
+//     decoded page: following it from any sandbox lands on the same bytes.
+//     Cross-page edges go back to the dispatch head, which resolves them
+//     by PC. Links are trusted only while the mutation generation is
+//     unchanged (checked at every edge: a store in the block may have
+//     replaced its own page's payload). The cache cap is enforced only at
+//     the dispatch head (FetchBlock forces the stamp stale, which ends the
+//     flight at the next edge), so no block the flight holds is ever
+//     destroyed. Chained entries tally block_hits exactly where the
+//     reference path's FetchBlock would have.
 //
 //  2. Direct-threaded inner loop. On GCC/Clang the per-instruction switch
 //     becomes a computed goto through a label table built from
@@ -189,13 +195,16 @@ StopReason Machine::RunChainedImpl(uint64_t max_instructions) {
       stop_ = StopReason::kRuntimeEntry;
       return stop_;
     }
+    RevalidateCaches();
     const Block* b = FetchBlock(state_.pc);
     if (b == nullptr) {
       stop_ = StopReason::kFault;
       return stop_;
     }
-    // Chained flight: stay block->block until the budget, a generation
-    // change, the runtime region, or an unchainable edge intervenes.
+    // Chained flight: stay block->block within this page until the
+    // budget, a generation change, the runtime region, or an unchainable
+    // edge intervenes.
+    const uint64_t page = state_.pc & ~kPageMask;
     for (;;) {
       const uint64_t budget = max_instructions - executed;
       const size_t size = b->insts.size();
@@ -206,39 +215,44 @@ StopReason Machine::RunChainedImpl(uint64_t max_instructions) {
         stop_ = StopReason::kInstLimit;  // step budget exhausted
         return stop_;
       }
-      // A changed generation means every cached block — and every link —
-      // is stale: bail to dispatch, whose FetchBlock revalidates (and
-      // counts the invalidation exactly as the reference path would).
+      // A changed generation means this page may now map other code (or
+      // the cache is over its cap): bail to dispatch, which revalidates
+      // exactly as the reference path would.
       if (mem_->mutation_generation() != cache_generation_) break;
       if (state_.pc - rt_base_ < rt_len_) {
         stop_ = StopReason::kRuntimeEntry;
         return stop_;
       }
+      // A PC outside this page gives an offset of at least kPageSize (or
+      // a wrapped one), which matches no in-page successor; kNoSucc can
+      // match only a misaligned PC, which FetchBlock rejects before a link
+      // is installed. Cross-page and indirect targets go to dispatch,
+      // which resolves (and counts) them.
+      const uint64_t off = state_.pc - page;
       const Block* nxt;
       const Block** slot;
-      if (state_.pc == b->fall_pc) {
+      if (off == b->fall_off) {
         nxt = b->fall_link;
         slot = &b->fall_link;
-      } else if (state_.pc == b->branch_pc) {
+      } else if (off == b->branch_off) {
         nxt = b->branch_link;
         slot = &b->branch_link;
       } else {
-        break;  // indirect target: dispatch resolves (and counts) it
+        break;
       }
       if (nxt != nullptr) {
         // Chained transition. The successor is cached by construction, so
         // the reference path's FetchBlock would have counted a hit here.
         if constexpr (kCounting) ++counters_->block_hits;
       } else {
-        const uint64_t clears = cache_clears_;
+        // Same page, same generation: the successor lands in b's decoded
+        // page, and FetchBlock never drops a block.
         nxt = FetchBlock(state_.pc);  // tallies hit/miss itself
         if (nxt == nullptr) {
           stop_ = StopReason::kFault;
           return stop_;
         }
-        // Install the link only if no clear ran inside FetchBlock: a
-        // clear destroyed *b, taking the slot with it.
-        if (cache_clears_ == clears) *slot = nxt;
+        *slot = nxt;
       }
       b = nxt;
     }

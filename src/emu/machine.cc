@@ -36,8 +36,15 @@ bool EndsBlock(Mn mn) {
 // Cap on decoded-block length; blocks also never cross a page boundary,
 // so an executability check at decode time covers every instruction.
 constexpr size_t kMaxBlockInsts = 256;
-// Backstop against unbounded cache growth across many sandboxes.
+// Backstops against unbounded cache growth across many sandboxes and
+// images: decoded blocks, and pinned exec payloads (16 KiB each).
 constexpr size_t kMaxCachedBlocks = size_t{1} << 15;
+constexpr size_t kMaxDecodedPages = size_t{1} << 10;
+
+uint32_t LoadWord(const uint8_t* p) {
+  return uint32_t{p[0]} | (uint32_t{p[1]} << 8) | (uint32_t{p[2]} << 16) |
+         (uint32_t{p[3]} << 24);
+}
 
 }  // namespace
 
@@ -52,45 +59,74 @@ uint8_t Machine::ClassifyInst(const Inst& i) {
   return f;
 }
 
-void Machine::ClearCaches() {
-  block_cache_.clear();
+void Machine::Revalidate() {
   std::fill(block_lut_.begin(), block_lut_.end(), BlockLutEntry{});
-  // Every chain link pointed into block_cache_ nodes that no longer
-  // exist; the bump tells an in-flight link resolution not to write into
-  // a destroyed predecessor.
-  ++cache_clears_;
+  itlb_.fill(ItlbEntry{});
+  // A payload only this cache still holds is mapped nowhere and can never
+  // be mapped again (nobody else can hand it out): free it. This keeps
+  // code patching, which copies a pinned page on every write, from
+  // piling up dead pages. It drops nothing that could ever hit, so it is
+  // not counted as an invalidation.
+  std::erase_if(decoded_pages_, [this](const auto& kv) {
+    if (kv.second.pin.use_count() > 1) return false;
+    num_blocks_ -= kv.second.blocks.size();
+    return true;
+  });
+  if (num_blocks_ >= kMaxCachedBlocks ||
+      decoded_pages_.size() >= kMaxDecodedPages) {
+    // Only the dispatch head gets here, where no caller holds a block.
+    decoded_pages_.clear();
+    num_blocks_ = 0;
+    if (counters_ != nullptr) ++counters_->block_invalidations;
+  }
+  cache_generation_ = mem_->mutation_generation();
+}
+
+Machine::DecodedPage* Machine::CodePage(uint64_t pc) {
+  const uint64_t pageno = pc / kPageSize;
+  ItlbEntry& e = itlb_[pageno % kItlbSize];
+  if (e.pageno == pageno) return e.page;
+  uint8_t perms = 0;
+  const AddressSpace::PageData* payload = mem_->PagePayload(pc, &perms);
+  if (payload == nullptr || (perms & kPermExec) == 0) return nullptr;
+  auto [it, fresh] = decoded_pages_.try_emplace(payload);
+  if (fresh) {
+    it->second.pin = mem_->ExportPage(pc, nullptr);
+    if (decoded_pages_.size() >= kMaxDecodedPages) cache_generation_ = kStale;
+  }
+  e = {pageno, &it->second};
+  return e.page;
 }
 
 const Machine::Block* Machine::FetchBlock(uint64_t pc) {
-  RevalidateCaches();
   BlockLutEntry& lut = block_lut_[LutIndex(pc)];
   if (lut.pc == pc) {
     if (counters_ != nullptr) ++counters_->block_hits;
-    return lut.block;
-  }
-  auto it = block_cache_.find(pc);
-  if (it != block_cache_.end()) {
-    if (counters_ != nullptr) ++counters_->block_hits;
-    lut = {pc, &it->second};
     return lut.block;
   }
   if (pc % 4 != 0) {
     fault_ = {CpuFault::Kind::kPcAlign, pc, {}, "misaligned pc"};
     return nullptr;
   }
-  const uint64_t page_base = pc & ~kPageMask;
-  if (!mem_->Check(page_base, kPageSize, kPermExec)) {
+  DecodedPage* page = CodePage(pc);
+  if (page == nullptr) {
     auto f = mem_->Fetch(pc);  // sets last_fault with the precise cause
     (void)f;
     fault_ = {CpuFault::Kind::kFetch, pc, mem_->last_fault(), "fetch"};
     return nullptr;
   }
+  const uint32_t start = static_cast<uint32_t>(pc & kPageMask);
+  auto it = page->blocks.find(start);
+  if (it != page->blocks.end()) {
+    if (counters_ != nullptr) ++counters_->block_hits;
+    lut = {pc, &it->second};
+    return lut.block;
+  }
+  const uint8_t* bytes = page->pin->data();
   Block b;
   b.insts.reserve(8);
-  for (uint64_t cur = pc; cur < page_base + kPageSize; cur += 4) {
-    auto word = mem_->Fetch(cur);
-    if (!word) break;  // unreachable: the whole page was checked above
-    auto inst = arch::Decode(*word);
+  for (uint32_t cur = start; cur < kPageSize; cur += 4) {
+    auto inst = arch::Decode(LoadWord(bytes + cur));
     if (!inst) {
       if (b.insts.empty()) {
         fault_ = {CpuFault::Kind::kDecode, pc, {}, inst.error()};
@@ -104,19 +140,22 @@ const Machine::Block* Machine::FetchBlock(uint64_t pc) {
         {*inst, arch::CostOf(*inst, timing_.params()), ClassifyInst(*inst)});
     if (EndsBlock(inst->mn) || b.insts.size() >= kMaxBlockInsts) break;
   }
-  // Record the static successor PCs the chained backend links through.
-  // Only direct control flow is chainable; br/blr/ret targets are data-
-  // dependent and stopping instructions have no successor.
+  // Record the in-page successor offsets the chained backend links
+  // through. Only direct control flow is chainable; br/blr/ret targets
+  // are data-dependent and stopping instructions have no successor.
   const Inst& last = b.insts.back().inst;
-  const uint64_t last_pc = pc + 4 * (b.insts.size() - 1);
+  const uint64_t last_off = start + 4 * (b.insts.size() - 1);
+  auto in_page = [](uint64_t off) {
+    return off < kPageSize ? static_cast<uint32_t>(off) : kNoSucc;
+  };
   switch (last.mn) {
     case Mn::kB: case Mn::kBl:
-      b.branch_pc = last_pc + static_cast<uint64_t>(last.imm);
+      b.branch_off = in_page(last_off + static_cast<uint64_t>(last.imm));
       break;
     case Mn::kBCond: case Mn::kCbz: case Mn::kCbnz:
     case Mn::kTbz: case Mn::kTbnz:
-      b.branch_pc = last_pc + static_cast<uint64_t>(last.imm);
-      b.fall_pc = last_pc + 4;
+      b.branch_off = in_page(last_off + static_cast<uint64_t>(last.imm));
+      b.fall_off = in_page(last_off + 4);
       break;
     case Mn::kBr: case Mn::kBlr: case Mn::kRet:
     case Mn::kBrk: case Mn::kSvc: case Mn::kMrs: case Mn::kMsr:
@@ -124,13 +163,15 @@ const Machine::Block* Machine::FetchBlock(uint64_t pc) {
     default:
       // Split block (size cap, page end, or undecodable next word):
       // control falls through to the next address.
-      b.fall_pc = last_pc + 4;
+      b.fall_off = in_page(last_off + 4);
       break;
   }
   if (counters_ != nullptr) ++counters_->block_misses;
-  if (block_cache_.size() >= kMaxCachedBlocks) ClearCaches();
-  const Block* nb = &block_cache_.emplace(pc, std::move(b)).first->second;
-  block_lut_[LutIndex(pc)] = {pc, nb};
+  // Over the cap, the next dispatch head drops everything; until then the
+  // block (which the caller is about to run) stays alive.
+  if (++num_blocks_ >= kMaxCachedBlocks) cache_generation_ = kStale;
+  const Block* nb = &page->blocks.emplace(start, std::move(b)).first->second;
+  lut = {pc, nb};
   return nb;
 }
 
@@ -158,6 +199,7 @@ StopReason Machine::RunBlocks(uint64_t max_instructions) {
       stop_ = StopReason::kRuntimeEntry;
       return stop_;
     }
+    RevalidateCaches();
     const Block* b = FetchBlock(state_.pc);
     if (b == nullptr) {
       stop_ = StopReason::kFault;

@@ -8,25 +8,37 @@
 //
 // Dispatch and the decode cache. The hot loop decodes straight-line basic
 // blocks (up to the next branch, page end, or undecodable word) into flat
-// vectors of pre-decoded instructions with their static costs, keyed by
-// start PC. Each block entry costs one hash probe, one runtime-region
-// check, and one generation compare; each instruction inside the block is
-// then executed with zero lookups.
+// vectors of pre-decoded instructions with their static costs. Decoded
+// ARM64 is position-independent (branches are PC-relative) and a block
+// never crosses a page, so blocks are keyed by (exec-page payload,
+// in-page offset), not by PC: every sandbox that maps one image's code
+// pages copy-on-write shares one decoded copy, and restoring a sandbox's
+// data pages costs no decoding. A block entry costs one runtime-region
+// check, one generation compare and, in the common case, one PC-keyed
+// front-LUT compare; each instruction inside the block is then executed
+// with zero lookups.
 //
-// Invalidation contract: the block cache is stamped with
-// AddressSpace::mutation_generation(), which Map/Unmap/Protect/ShareRange
-// and any write landing on an executable page bump. A stamp mismatch at
-// block-entry drops every cached block, so executing stale code after a
-// remap is structurally impossible -- no caller cooperation needed. The
-// one window the generation cannot close is an instruction overwriting
-// *its own* basic block mid-flight; real hardware requires an ISB there,
-// and the runtime's W^X policy forbids it entirely.
+// Invalidation contract: a decoded page pins its payload shared_ptr, so
+// every write to a decoded page copies it first (AddressSpace COW) and the
+// decoded bytes can never change underneath their blocks; staleness
+// reduces to payload identity. What can change is which payload a PC
+// maps to. The PC-keyed caches (front LUT, code-page TLB) are stamped
+// with AddressSpace::mutation_generation(), which bumps whenever an exec
+// page is mapped, unmapped, replaced, re-protected or written; a stamp
+// mismatch at the dispatch head resets them, and the next lookup
+// resolves the PC to its current payload again. Decoded blocks are
+// dropped only when the cache reaches its cap or no address space maps
+// their payload any more, and only at the dispatch head, so no block a
+// caller still holds is ever destroyed. The one
+// window the generation cannot close is an instruction overwriting *its
+// own* basic block mid-flight; real hardware requires an ISB there, and
+// the runtime's W^X policy forbids it entirely.
 //
 // Backends. Run() picks one of two interpreters by set_dispatch(). kBlock
 // is the reference (RunBlocks, with the switch in ExecInst); kChained is
 // the optimized backend (backend_chained.cc): blocks record their static
-// fallthrough/direct-branch successors and hot loops jump block->block
-// without re-entering the dispatch loop, the inner loop is
+// fallthrough/direct-branch successors within their page and hot loops
+// jump block->block without re-entering the dispatch loop, the inner loop is
 // direct-threaded (computed goto) where the compiler supports it, and
 // data accesses go through a small per-Machine page-pointer TLB validated
 // against AddressSpace::payload_epoch(). Both share the op bodies in
@@ -48,6 +60,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -236,28 +249,39 @@ class Machine {
     mutable const void* exec_label = nullptr;
   };
 
-  // PC sentinel for "no successor". ~0 is never 4-aligned, so it can
-  // never equal a real block-start PC.
-  static constexpr uint64_t kNoSucc = ~uint64_t{0};
+  // In-page offset sentinel for "no successor in this page". ~0 is never
+  // 4-aligned, so it can never equal a real block-start offset.
+  static constexpr uint32_t kNoSucc = ~uint32_t{0};
 
-  // A decoded straight-line run: starts at its cache key's PC and ends at
-  // the first branch/system instruction, page end, or undecodable word.
+  // A decoded straight-line run: starts at its key's in-page offset and
+  // ends at the first branch/system instruction, page end, or undecodable
+  // word. Blocks are shared by every sandbox that maps the same payload,
+  // so they hold nothing absolute.
   //
-  // Chaining fields: fall_pc/branch_pc are the block's *static* successor
-  // PCs, computed at decode time (fallthrough after a conditional branch
-  // or a split block; the target of a direct b/bl/b.cond/cbz/tbz).
-  // fall_link/branch_link are lazily resolved pointers to the successor
-  // blocks, installed by the chained backend so a hot loop transfers
-  // block->block with two compares. Links point into block_cache_ nodes
-  // and die with them: every ClearCaches() severs all chains, and the
-  // chained backend re-checks the mutation generation before following a
-  // link, so a stale chain is never executed (see docs/DISPATCH.md).
+  // Chaining fields: fall_off/branch_off are the in-page offsets of the
+  // block's *static* successors that lie in the same page, computed at
+  // decode time (fallthrough after a conditional branch or a split block;
+  // the target of a direct b/bl/b.cond/cbz/tbz). A successor in another
+  // page is kNoSucc: two sandboxes can map the same first page over
+  // different second pages, so cross-page edges resolve through the
+  // PC-keyed dispatch path. fall_link/branch_link are lazily resolved
+  // pointers to the successor blocks in the same decoded page, installed
+  // by the chained backend so a hot loop transfers block->block with two
+  // compares. Both ends of a link live and die with one DecodedPage.
   struct Block {
     std::vector<DecodedInst> insts;
-    uint64_t fall_pc = kNoSucc;
-    uint64_t branch_pc = kNoSucc;
+    uint32_t fall_off = kNoSucc;
+    uint32_t branch_off = kNoSucc;
     mutable const Block* fall_link = nullptr;
     mutable const Block* branch_link = nullptr;
+  };
+
+  // The decoded blocks of one exec-page payload, keyed by in-page offset.
+  // `pin` holds the payload alive and shared: its address cannot be
+  // reused while this entry exists (no ABA), and any write to it copies.
+  struct DecodedPage {
+    std::shared_ptr<const AddressSpace::PageData> pin;
+    std::unordered_map<uint32_t, Block> blocks;
   };
 
   // Reference backend: one FetchBlock per block, ExecInst per instruction.
@@ -318,24 +342,22 @@ class Machine {
   bool ExecHooked(const arch::Inst& i, const arch::InstCost& cost);
 
   // Returns the (possibly freshly decoded) block starting at pc, or
-  // nullptr with fault_ set. Revalidates the generation stamp first.
+  // nullptr with fault_ set. Callers revalidate at the dispatch head
+  // first; FetchBlock itself never drops a block.
   const Block* FetchBlock(uint64_t pc);
 
-  // Drops caches if the address space mutated since they were filled.
-  void RevalidateCaches() {
-    const uint64_t gen = mem_->mutation_generation();
-    if (gen != cache_generation_) {
-      // Don't count the very first fill (sentinel stamp) as an
-      // invalidation; nothing was dropped.
-      if (counters_ != nullptr && cache_generation_ != ~uint64_t{0}) {
-        ++counters_->block_invalidations;
-      }
-      ClearCaches();
-      cache_generation_ = gen;
-    }
-  }
+  // The decoded page for pc's page, pinning and registering the payload
+  // on first sight; nullptr if the page is unmapped or not executable.
+  DecodedPage* CodePage(uint64_t pc);
 
-  void ClearCaches();
+  // Dispatch-head check: if the address space mutated since the PC-keyed
+  // caches were filled, resets them, frees decoded pages whose payload is
+  // mapped nowhere, and drops every decoded block if the cache has
+  // reached its cap (FetchBlock forces the stamp stale then).
+  void RevalidateCaches() {
+    if (mem_->mutation_generation() != cache_generation_) Revalidate();
+  }
+  void Revalidate();
 
   AddressSpace* mem_;
   CpuState state_;
@@ -347,27 +369,40 @@ class Machine {
   StopReason stop_ = StopReason::kInstLimit;
   uint64_t rt_base_ = 0, rt_len_ = 0;
   Dispatch dispatch_ = Dispatch::kChained;
-  // Generation stamp the block cache was filled under; ~0 forces the
-  // first RevalidateCaches() to start clean.
-  uint64_t cache_generation_ = ~uint64_t{0};
-  // Counts ClearCaches() calls. The chained backend snapshots this around
-  // a FetchBlock during link resolution: if a clear happened, the
-  // predecessor block was destroyed and no link may be installed into it.
-  uint64_t cache_clears_ = 0;
-  std::unordered_map<uint64_t, Block> block_cache_;
-  // Direct-mapped front cache over block_cache_: the common case (a hot
-  // loop re-entering the same few blocks) resolves in one compare instead
-  // of a hash probe. Entries point into block_cache_ nodes (stable across
-  // inserts) and are wiped whenever block_cache_ is cleared.
+  // Generation stamp the PC-keyed caches were filled under; kStale
+  // forces the next RevalidateCaches() to run (first use, or cache cap).
+  static constexpr uint64_t kStale = ~uint64_t{0};
+  uint64_t cache_generation_ = kStale;
+  // Decoded code, keyed by payload address (pinned, so never reused).
+  std::unordered_map<const AddressSpace::PageData*, DecodedPage>
+      decoded_pages_;
+  size_t num_blocks_ = 0;
+  // Direct-mapped front cache from PC to block: the common case (a hot
+  // loop re-entering the same few blocks) resolves in one compare. Reset
+  // on every generation change: it is the only PC-keyed block index.
   struct BlockLutEntry {
     uint64_t pc = ~uint64_t{0};
     const Block* block = nullptr;
   };
   static constexpr size_t kBlockLutBits = 12;
   std::vector<BlockLutEntry> block_lut_;
+  // The in-page word index plus a multiplicative hash of the page number
+  // (slot bits included), so sandboxes at different slot bases running
+  // the same code do not all collide on one entry per in-page offset.
   static size_t LutIndex(uint64_t pc) {
-    return (pc >> 2) & ((size_t{1} << kBlockLutBits) - 1);
+    const uint64_t page_mix =
+        ((pc / kPageSize) * 0x9e3779b97f4a7c15ull) >> (64 - kBlockLutBits);
+    return ((pc >> 2) + page_mix) & ((size_t{1} << kBlockLutBits) - 1);
   }
+  // Direct-mapped code-page TLB: page number -> decoded page, so a front
+  // LUT miss costs one offset probe instead of an address-space probe
+  // plus a payload probe. Reset with the front LUT.
+  struct ItlbEntry {
+    uint64_t pageno = ~uint64_t{0};
+    DecodedPage* page = nullptr;
+  };
+  static constexpr size_t kItlbSize = 16;
+  std::array<ItlbEntry, kItlbSize> itlb_{};
 
   // Memoized address translation for the chained backend's load/store
   // fast path: a direct-mapped TLB of page-payload pointers, so a hit

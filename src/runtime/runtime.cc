@@ -107,9 +107,12 @@ void Runtime::FreeSlot(Proc* p) {
     (void)space_.Unmap(p->base + off, range.first);
   }
   p->mappings.clear();
-  // No decode-cache flush needed: Unmap bumped the address space's
-  // mutation generation, which invalidates the machine's cached blocks at
-  // its next block entry (see emu/machine.h).
+  // No decode-cache flush needed: unmapping the slot's exec pages bumped
+  // the mutation generation, so the machine re-resolves every PC at its
+  // next dispatch. Decoded blocks are keyed by page payload, not address,
+  // so a different image spawned into this slot decodes its own pages,
+  // and the same image spawned again reuses the decoded copy (see
+  // emu/machine.h).
   free_slots_.push_back(p->slot);
   --used_slots_;
 }
@@ -561,9 +564,10 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
 
   // Unmap pages the snapshot does not contain (post-capture brk growth,
   // mmaps); install only pages whose payload or perms diverged. A clean
-  // page is pointer-identical to its captured payload — nothing to do,
-  // and if nothing at all diverged the mutation generation never bumps,
-  // so the decode cache survives the restore intact.
+  // page is pointer-identical to its captured payload — nothing to do.
+  // Re-installing diverged data pages leaves the mutation generation
+  // alone (only exec pages bump it), and decoded blocks are keyed by
+  // payload, so the decode cache survives the restore intact.
   std::unordered_set<uint64_t> keep;
   keep.reserve(snap.pages.size());
   for (const auto& rec : snap.pages) keep.insert(rec.offset);
@@ -828,11 +832,11 @@ void Runtime::AttributeSlice(Proc* p, const trace::ExecCounters& before,
   const uint64_t inval = a.block_invalidations - before.block_invalidations;
   if (inval > 0) {
     m.Add(Counter::kBlockCacheInvalidations, inval);
-    // arg0 is the sandbox's cumulative invalidation count, not the raw
-    // mutation generation: the generation depends on how the sandbox was
-    // instantiated (ELF load vs. snapshot spawn bump it differently), and
-    // equivalent runs must produce byte-identical traces
-    // (docs/SNAPSHOTS.md determinism contract).
+    // arg0 is the sandbox's cumulative invalidation count, not a raw
+    // address-space counter: those depend on how the sandbox was
+    // instantiated (ELF load vs. snapshot spawn), and equivalent runs
+    // must produce byte-identical traces (docs/SNAPSHOTS.md determinism
+    // contract).
     sink_->EmitInstant(trace::EventKind::kBlockInvalidate, p->pid, Cycles(),
                        m.Get(Counter::kBlockCacheInvalidations));
   }

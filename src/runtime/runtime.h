@@ -250,7 +250,8 @@ class Runtime {
   // Rolls pid back to `snap` in place (same pid, slot, ppid, children,
   // captured output): installs only pages whose payload or perms diverged,
   // unmaps stray pages, restores registers/cursors/fds/signal state. The
-  // block cache stays valid when nothing was dirtied (no generation bump).
+  // decode cache stays valid: only exec pages bump the generation, and
+  // decoded blocks are keyed by payload.
   // Does not charge the clock or reset restart accounting — that is the
   // caller's policy (see Supervisor::Restart).
   Status RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap);

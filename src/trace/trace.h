@@ -44,7 +44,7 @@ enum class Counter : uint8_t {
   kFastYields,           // fast direct-yield switches into this sandbox
   kBlockCacheHits,       // decode-cache block entries served from cache
   kBlockCacheMisses,     // block entries that had to decode
-  kBlockCacheInvalidations,  // whole-cache drops (mutation generation)
+  kBlockCacheInvalidations,  // decoded blocks dropped (cache cap)
   kPipeBytesRead,        // bytes moved out of pipes by this sandbox
   kPipeBytesWritten,     // bytes moved into pipes by this sandbox
   kFaults,               // faults that killed this sandbox
@@ -111,7 +111,7 @@ enum class EventKind : uint8_t {
   kFork,            // arg0 = child pid
   kPipeRead,        // arg0 = fd, arg1 = bytes
   kPipeWrite,       // arg0 = fd, arg1 = bytes
-  kBlockInvalidate, // decode cache dropped; arg0 = the sandbox's running
+  kBlockInvalidate, // decoded blocks dropped; arg0 = the sandbox's running
                     // invalidation count (instantiation-path independent)
   kFault,           // sandbox killed; arg0 = 0
   kProcExit,        // arg0 = exit status (as u64)

@@ -60,7 +60,8 @@ struct Runner {
     // Re-pattern the data regions (a previous sample may have stored into
     // them) and install the sample word at the start of an otherwise-zero
     // text page. The text write lands on an exec page, so the mutation
-    // generation bumps and the decode caches invalidate automatically.
+    // generation bumps and the machine decodes the new word
+    // automatically.
     Pattern(kBase, 0x10000);
     Pattern(kData2, 0x10000);
     uint8_t text[8] = {};

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <vector>
+
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
 #include "emu/machine.h"
+#include "trace/trace.h"
 
 namespace lfi::emu {
 namespace {
@@ -158,13 +163,21 @@ TEST(AddressSpace, MapRejectsOverlapUnlessFixed) {
 TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   AddressSpace as;
   uint64_t g = as.mutation_generation();
+  // Nothing an instruction fetch can observe changes while only
+  // non-executable pages are mapped, written, installed, re-protected,
+  // shared or unmapped: none of it may bump the generation.
   ASSERT_TRUE(as.Map(0x4000, kPageSize, kPermRead | kPermWrite).ok());
-  EXPECT_GT(as.mutation_generation(), g);
-  g = as.mutation_generation();
-  // Writes to non-executable pages must not bump the generation.
   ASSERT_TRUE(as.Write(0x4000, 1, 8).ok());
   uint8_t byte = 0;
   ASSERT_TRUE(as.HostWrite(0x4000, {&byte, 1}).ok());
+  auto data = std::make_shared<AddressSpace::PageData>();
+  data->fill(0);
+  ASSERT_TRUE(as.InstallPage(0x8000, data, kPermRead).ok());
+  ASSERT_TRUE(as.InstallPage(0x8000, data, kPermRead | kPermWrite).ok());
+  ASSERT_TRUE(as.Protect(0x8000, kPageSize, kPermRead).ok());
+  ASSERT_TRUE(as.ShareRange(0x4000, 0x10000, kPageSize).ok());
+  ASSERT_TRUE(as.Map(0x10000, kPageSize, kPermRead, MapMode::kFixed).ok());
+  ASSERT_TRUE(as.Unmap(0x8000, kPageSize).ok());
   EXPECT_EQ(as.mutation_generation(), g);
   // Making the page executable bumps; so does every write to it after.
   ASSERT_TRUE(
@@ -176,6 +189,21 @@ TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   g = as.mutation_generation();
   ASSERT_TRUE(as.HostWrite(0x4000, {&byte, 1}).ok());
   EXPECT_GT(as.mutation_generation(), g);
+  // Mapping, installing, sharing, re-protecting and unmapping exec pages
+  // bump, and so does replacing an exec page with a non-exec one.
+  auto bumps = [&](bool ok) {
+    EXPECT_TRUE(ok);
+    EXPECT_GT(as.mutation_generation(), g);
+    g = as.mutation_generation();
+  };
+  bumps(as.Map(0x20000, kPageSize, kPermRead | kPermExec).ok());
+  bumps(as.InstallPage(0x24000, data, kPermRead | kPermExec).ok());
+  bumps(as.InstallPage(0x24000, data, kPermRead).ok());
+  bumps(as.ShareRange(0x20000, 0x30000, kPageSize).ok());
+  bumps(as.Protect(0x30000, kPageSize, kPermRead).ok());
+  bumps(as.Map(0x20000, kPageSize, kPermRead, MapMode::kFixed).ok());
+  bumps(as.Protect(0x20000, kPageSize, kPermRead | kPermExec).ok());
+  bumps(as.Unmap(0x20000, kPageSize).ok());
 }
 
 TEST(Machine, ArithmeticLoop) {
@@ -620,13 +648,24 @@ TEST(Machine, ChainedHostMutationsMatchReferenceAcrossRuns) {
   EXPECT_EQ(block, chained);
 }
 
+void ExpectSameCounters(const trace::ExecCounters& a,
+                        const trace::ExecCounters& b) {
+  EXPECT_EQ(a.retired, b.retired);
+  EXPECT_EQ(a.guards, b.guards);
+  EXPECT_EQ(a.loads, b.loads);
+  EXPECT_EQ(a.stores, b.stores);
+  EXPECT_EQ(a.block_hits, b.block_hits);
+  EXPECT_EQ(a.block_misses, b.block_misses);
+  EXPECT_EQ(a.block_invalidations, b.block_invalidations);
+}
+
 // More distinct blocks than the block cache holds (kMaxCachedBlocks, 32768
 // in machine.cc): nine pages of `b .+4`, each its own one-instruction
-// block, traversed twice. The cache clears at the cap mid-traversal --
-// under kChained inside the FetchBlock that resolves a chain link, where
-// the cache_clears_ guard must keep the link out of the destroyed
-// predecessor -- and both backends must still agree on every result and
-// every counter.
+// block, traversed twice. The cap is reached mid-traversal -- under
+// kChained in the FetchBlock that resolves a chain link, whose
+// predecessor must survive until the flight returns to the dispatch head
+// that clears the cache -- and both backends must still agree on every
+// result and every counter.
 TEST(Machine, BlockCacheCapClearsIdenticallyAcrossBackends) {
   constexpr uint64_t kJumps = 9 * kPageSize / 4;
   std::string src = "  movz x9, #2\nouter:\n";
@@ -653,14 +692,143 @@ TEST(Machine, BlockCacheCapClearsIdenticallyAcrossBackends) {
       continue;
     }
     EXPECT_EQ(vm.machine.timing().Cycles(), want_cycles);
-    EXPECT_EQ(c.retired, want.retired);
-    EXPECT_EQ(c.guards, want.guards);
-    EXPECT_EQ(c.loads, want.loads);
-    EXPECT_EQ(c.stores, want.stores);
-    EXPECT_EQ(c.block_hits, want.block_hits);
-    EXPECT_EQ(c.block_misses, want.block_misses);
-    EXPECT_EQ(c.block_invalidations, want.block_invalidations);
+    ExpectSameCounters(c, want);
   }
+}
+
+// --- Decoded code shared across sandboxes (docs/DISPATCH.md) ---
+
+using PagePtr = std::shared_ptr<AddressSpace::PageData>;
+
+// Assembles `src` (text at kCode) into `n` zero-padded page payloads.
+std::vector<PagePtr> CodePages(const std::string& src, size_t n) {
+  const asmtext::Image img = AssembleAt(src);
+  EXPECT_EQ(img.entry, img.text_addr);
+  EXPECT_LE(img.text.size(), n * kPageSize);
+  std::vector<PagePtr> pages;
+  for (size_t p = 0; p < n; ++p) {
+    auto d = std::make_shared<AddressSpace::PageData>();
+    d->fill(0);
+    for (size_t k = 0; k < kPageSize && p * kPageSize + k < img.text.size();
+         ++k) {
+      (*d)[k] = img.text[p * kPageSize + k];
+    }
+    pages.push_back(std::move(d));
+  }
+  return pages;
+}
+
+// Several sandboxes in one address space, one per 4 GiB slot, time-sharing
+// one Machine. Each has its own counters; Run starts at the slot base.
+struct SlotVm {
+  static constexpr uint64_t kSlot = uint64_t{1} << 32;
+  AddressSpace space;
+  Machine machine;
+  std::vector<trace::ExecCounters> counters;
+
+  SlotVm(Dispatch d, size_t slots)
+      : machine(&space, arch::AppleM1LikeParams()), counters(slots) {
+    machine.set_dispatch(d);
+  }
+  void Install(size_t slot, size_t page, PagePtr data, uint8_t perms) {
+    EXPECT_TRUE(
+        space.InstallPage((slot + 1) * kSlot + page * kPageSize, data, perms)
+            .ok());
+  }
+  // Runs `slot` from its base with x2 = arg to a brk; returns x0.
+  uint64_t Run(size_t slot, uint64_t arg = 0) {
+    machine.state() = CpuState{};
+    machine.state().pc = (slot + 1) * kSlot;
+    machine.state().x[2] = arg;
+    machine.set_counters(&counters[slot]);
+    EXPECT_EQ(machine.Run(1000000), StopReason::kBrk);
+    machine.set_counters(nullptr);
+    return machine.state().x[0];
+  }
+};
+
+// Runs `body` on a fresh SlotVm per dispatch mode and checks that every
+// sandbox's counters and the simulated cycles agree across the modes.
+template <typename Body>
+void ForBothBackends(size_t slots, Body body) {
+  std::vector<trace::ExecCounters> want;
+  uint64_t want_cycles = 0;
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    SlotVm vm(d, slots);
+    body(vm);
+    if (d == Dispatch::kChained) {
+      want = vm.counters;
+      want_cycles = vm.machine.timing().Cycles();
+      continue;
+    }
+    EXPECT_EQ(vm.machine.timing().Cycles(), want_cycles);
+    for (size_t k = 0; k < slots; ++k) {
+      SCOPED_TRACE("slot " + std::to_string(k));
+      ExpectSameCounters(vm.counters[k], want[k]);
+    }
+  }
+}
+
+// Sandbox A patches an RWX code page it shares copy-on-write with sandbox
+// B and runs the patched code; B keeps running the original, from the
+// decoded copy it shares with nobody now. With x2 != 0 the program
+// overwrites `site` ("mov x0, #1") with "mov x0, #2" before reaching it.
+TEST(Machine, SelfModifyingStoreNeverReachesSharingSandbox) {
+  const char* src =
+      "  movz x1, #0x0040\n"
+      "  movk x1, #0xd280, lsl #16\n"  // 0xd2800040 = "mov x0, #2"
+      "  adr x3, site\n"
+      "  cbz x2, site\n"
+      "  str w1, [x3]\n"
+      "  b site\n"
+      "site:\n"
+      "  mov x0, #1\n"
+      "  brk #0\n";
+  const PagePtr code = CodePages(src, 1)[0];
+  constexpr uint8_t kRwx = kPermRead | kPermWrite | kPermExec;
+  ForBothBackends(2, [&](SlotVm& vm) {
+    vm.Install(0, 0, code, kRwx);  // A
+    vm.Install(1, 0, code, kRwx);  // B
+    EXPECT_EQ(vm.Run(1), 1u);      // B decodes the shared page
+    const uint64_t b_misses = vm.counters[1].block_misses;
+    EXPECT_EQ(vm.Run(0, 1), 2u);   // A patches and runs its copy
+    EXPECT_EQ(vm.Run(1), 1u);      // B: original code, nothing decoded
+    EXPECT_EQ(vm.counters[1].block_misses, b_misses);
+    EXPECT_EQ(vm.Run(0), 2u);      // A: the patch persists in A only
+    EXPECT_EQ((*code)[24], 0x20);  // the shared payload never changed
+  });
+}
+
+// Two sandboxes map the same first exec page over different second
+// pages. The first page ends in straight-line code that falls through
+// the page boundary, so the cross-page edge must resolve per sandbox,
+// never through a link stored in the shared first page.
+TEST(Machine, CrossPageFallthroughRunsEachSandboxesOwnPage) {
+  std::string head =
+      "  movz x9, #3\n"
+      "loop:\n"
+      "  subs x9, x9, #1\n"
+      "  b.ne loop\n";
+  for (uint64_t k = 3; k < kPageSize / 4; ++k) head += "  nop\n";
+  const std::vector<PagePtr> one =
+      CodePages(head + "  add x0, x0, #1\n  brk #0\n", 2);
+  const std::vector<PagePtr> two =
+      CodePages(head + "  add x0, x0, #2\n  brk #0\n", 2);
+  ASSERT_EQ(*one[0], *two[0]);
+  ForBothBackends(2, [&](SlotVm& vm) {
+    for (size_t slot : {0, 1}) {
+      vm.Install(slot, 0, one[0], kPermRead | kPermExec);
+      vm.Install(slot, 1, (slot == 0 ? one : two)[1],
+                 kPermRead | kPermExec);
+    }
+    for (int round = 0; round < 2; ++round) {
+      EXPECT_EQ(vm.Run(0), 1u);
+      EXPECT_EQ(vm.Run(1), 2u);
+    }
+    // B decoded only its own second page; the first page was A's copy.
+    EXPECT_EQ(vm.counters[1].block_misses, 1u);
+  });
 }
 
 // --- Timing model properties ---

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "runtime/runtime.h"
 #include "runtime/spawn_pool.h"
 #include "snapshot/snapshot.h"
+#include "trace/trace.h"
 
 namespace lfi::snapshot {
 namespace {
@@ -565,6 +567,98 @@ TEST(Snapshot, SpawnPoolServesWarmThenColdSpawns) {
     EXPECT_EQ(t.rt.proc(pid)->exit_status, 42);
     EXPECT_EQ(t.rt.proc(pid)->out, "hi");
   }
+}
+
+// ---- Decoded code shared across sandboxes (docs/DISPATCH.md) --------------
+
+// Runs `body` once per dispatch mode with a trace sink attached and checks
+// that every per-sandbox counter agrees across the two modes.
+template <typename Body>
+void ForBothBackends(Body body) {
+  std::map<int, trace::Metrics> want;
+  for (emu::Dispatch d : {emu::Dispatch::kChained, emu::Dispatch::kBlock}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    RuntimeConfig cfg = TestConfig();
+    cfg.dispatch = d;
+    Runtime rt(cfg);
+    trace::TraceSink sink;
+    rt.set_trace_sink(&sink);
+    body(rt, sink);
+    if (d == emu::Dispatch::kChained) {
+      want = sink.all_metrics();
+      continue;
+    }
+    ASSERT_EQ(sink.all_metrics().size(), want.size());
+    for (const auto& [pid, m] : sink.all_metrics()) {
+      EXPECT_EQ(m.c, want[pid].c) << "pid " << pid;
+    }
+  }
+}
+
+// Two sandboxes spawned from one image share one decoded copy of its
+// code: the second decodes nothing.
+TEST(Snapshot, SecondSpawnFromOneImageDecodesNothing) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  ForBothBackends([&](Runtime& rt, trace::TraceSink& sink) {
+    auto first = rt.SpawnFromSnapshot(snap);
+    ASSERT_TRUE(first.ok()) << first.error();
+    auto second = rt.SpawnFromSnapshot(snap, /*start=*/false);
+    ASSERT_TRUE(second.ok()) << second.error();
+    EXPECT_NE(rt.proc(*first)->base, rt.proc(*second)->base);
+    rt.RunUntilIdle();
+    ASSERT_TRUE(rt.Activate(*second).ok());
+    rt.RunUntilIdle();
+    for (int pid : {*first, *second}) {
+      EXPECT_EQ(rt.proc(pid)->exit_status, 42);
+      EXPECT_EQ(rt.proc(pid)->out, "hi");
+    }
+    using trace::Counter;
+    EXPECT_GT(sink.metrics(*first).Get(Counter::kBlockCacheMisses), 0u);
+    EXPECT_EQ(sink.metrics(*second).Get(Counter::kBlockCacheMisses), 0u);
+    EXPECT_GT(sink.metrics(*second).Get(Counter::kBlockCacheHits), 0u);
+    EXPECT_EQ(sink.metrics(*second).Get(Counter::kBlockCacheInvalidations),
+              0u);
+  });
+}
+
+// A killed sandbox's slot reused by a different image runs the new
+// image's code, never the old image's decoded blocks. Both programs put
+// their first instructions at the same slot offsets.
+TEST(Snapshot, SlotReusedByAnotherImageRunsItsOwnCode) {
+  const char* kSpin = R"(
+    mov x0, #1
+  spin:
+    b spin
+  )";
+  const char* kExit7 = R"(
+    mov x0, #7
+    rtcall #0
+  )";
+  Loaded spin(kSpin);
+  Loaded exit7(kExit7);
+  ASSERT_GE(spin.pid, 0);
+  ASSERT_GE(exit7.pid, 0);
+  auto spin_snap = Capture(spin.rt, spin.pid);
+  auto exit7_snap = Capture(exit7.rt, exit7.pid);
+  ASSERT_NE(spin_snap, nullptr);
+  ASSERT_NE(exit7_snap, nullptr);
+  ForBothBackends([&](Runtime& rt, trace::TraceSink&) {
+    auto a = rt.SpawnFromSnapshot(spin_snap);
+    ASSERT_TRUE(a.ok()) << a.error();
+    rt.RunUntilIdle(10000);
+    EXPECT_EQ(rt.proc(*a)->exit_kind, ExitKind::kRunning);
+    const uint64_t slot = rt.proc(*a)->slot;
+    ASSERT_TRUE(rt.Kill(*a, "test").ok());
+    auto b = rt.SpawnFromSnapshot(exit7_snap);
+    ASSERT_TRUE(b.ok()) << b.error();
+    ASSERT_EQ(rt.proc(*b)->slot, slot);
+    rt.RunUntilIdle(10000);
+    EXPECT_EQ(rt.proc(*b)->exit_kind, ExitKind::kExited);
+    EXPECT_EQ(rt.proc(*b)->exit_status, 7);
+  });
 }
 
 }  // namespace
