@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "arch/inst.h"
 
@@ -121,39 +120,12 @@ VerifyResult Verify(std::span<const uint8_t> text,
 // register writes), with lookahead into `insts` for the x30 and sp
 // context rules. Returns kNone when the instruction passes. This is the
 // exact per-instruction body of Verify()'s check pass, exposed so the
-// sharded driver and the verify_model enumerator classify single
-// instructions without re-running the whole pipeline. `reason` (optional)
-// receives the human-oriented explanation only on failure.
+// verify_model enumerator classifies single instructions without
+// re-running the whole pipeline. `reason` (optional) receives the
+// human-oriented explanation only on failure.
 FailKind CheckInst(std::span<const arch::Inst> insts, size_t k,
                    const VerifyOptions& opts = {},
                    std::string* reason = nullptr);
-
-// Sharded verification of one text: decodes and checks the instruction
-// stream across up to `nthreads` worker threads (0 = hardware
-// concurrency). The verdict is bit-identical to Verify() — same ok flag,
-// fail_offset (first offending instruction, stable regardless of shard
-// count), kind, reason, and insts_checked — because both passes reduce
-// per-shard failures to the minimum offset. Deterministic VerifyStats
-// fields (calls, fail_counts, insts_checked) also match serial exactly;
-// the *_seconds fields remain host wall-clock and are not comparable.
-// The check pass shards over instructions but every worker sees the full
-// decoded array, so the unbounded sp lookahead crosses shard boundaries
-// without special cases.
-VerifyResult VerifyParallel(std::span<const uint8_t> text,
-                            const VerifyOptions& opts = {},
-                            unsigned nthreads = 0,
-                            VerifyStats* stats = nullptr);
-
-// Batch ingest: verifies `texts` as independent modules over a worker
-// pool (0 = hardware concurrency). results[i] is bit-identical to
-// Verify(texts[i], opts). When `stats` is non-null, per-module stats are
-// accumulated and then merged in module order, so every deterministic
-// field — and even the floating-point time sums — is independent of
-// thread count and scheduling.
-std::vector<VerifyResult> VerifyBatch(
-    std::span<const std::span<const uint8_t>> texts,
-    const VerifyOptions& opts = {}, unsigned nthreads = 0,
-    VerifyStats* stats = nullptr);
 
 }  // namespace lfi::verifier
 

@@ -232,6 +232,15 @@ TEST(VerifyOptionsMatrix, CheckLoadsAndLlscInteraction) {
   EXPECT_TRUE(Check("ldar x0, [x1]\n", strict).ok);
   // stlr is a store: still checked even with check_loads=false.
   EXPECT_FALSE(Check("stlr x0, [x1]\n", strict).ok);
+
+  // All four options shrunk at once compose: an unchecked load, the last
+  // legal guard offset and the last legal table entry are all accepted.
+  VerifyOptions shrunk = strict;
+  shrunk.guard_bytes = 4096;
+  shrunk.table_bytes = 32;
+  auto all = Check("ldr x0, [x1]\nldr x1, [x21, #4088]\n"
+                   "ldr x30, [x21, #24]\nblr x30\n", shrunk);
+  EXPECT_TRUE(all.ok) << all.reason;
 }
 
 TEST(VerifyOptionsMatrix, UncheckedLoadsStillEnforceRegisterInvariants) {
@@ -260,23 +269,6 @@ TEST(VerifyOptionsMatrix, UncheckedLoadsStillEnforceRegisterInvariants) {
   EXPECT_EQ(lr.kind, FailKind::kLinkRegProtocol);
   EXPECT_TRUE(
       Check("ldr x30, [x1], #8\nadd x30, x21, w30, uxtw\n", relaxed).ok);
-}
-
-TEST(VerifyOptionsMatrix, ShrunkenOptionsComposeWithParallel) {
-  // The option set must thread through the sharded driver unchanged.
-  VerifyOptions opts;
-  opts.check_loads = false;
-  opts.allow_llsc = false;
-  opts.guard_bytes = 4096;
-  opts.table_bytes = 32;
-  auto text = AssembleRaw("ldr x0, [x1]\nldr x1, [x21, #4088]\n"
-                          "ldr x30, [x21, #24]\nblr x30\n");
-  const VerifyResult serial = Verify(text, opts);
-  EXPECT_TRUE(serial.ok) << serial.reason;
-  for (unsigned n : {2u, 8u}) {
-    const VerifyResult par = VerifyParallel(text, opts, n);
-    EXPECT_EQ(par.ok, serial.ok);
-  }
 }
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+
 #include "arch/encode.h"
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
@@ -226,6 +229,68 @@ TEST(Verifier, SpAdjustFollowedByWritebackAccessIsAccepted) {
   // The access proves sp is in bounds regardless of which sp-based form
   // it uses.
   EXPECT_TRUE(Check("sub sp, sp, #64\nstr x0, [sp, #-16]!\n").ok);
+}
+
+// A 4096-instruction nop module with a few stamped lines: pins which
+// violation wins when there are several, and the context rules far from
+// the start of the text.
+struct StampCase {
+  std::string name;
+  std::vector<std::pair<size_t, std::string>> lines;  // index -> asm line
+  std::vector<std::pair<size_t, uint32_t>> words;     // index -> raw word
+  FailKind kind;             // kNone: accepted
+  uint64_t fail_offset = 0;
+  std::vector<uint8_t> text = {};  // when non-empty, replaces the module
+};
+
+std::vector<uint8_t> StampedModule(const StampCase& c) {
+  if (!c.text.empty()) return c.text;
+  constexpr uint32_t kNop = 0xD503201F;
+  std::vector<uint8_t> text(4096 * 4);
+  for (size_t i = 0; i < 4096; ++i) std::memcpy(&text[i * 4], &kNop, 4);
+  for (const auto& [idx, line] : c.lines) {
+    const auto word = AssembleRaw(line + "\n");
+    EXPECT_EQ(word.size(), 4u) << line;
+    if (word.size() == 4) std::memcpy(&text[idx * 4], word.data(), 4);
+  }
+  for (const auto& [idx, word] : c.words) {
+    std::memcpy(&text[idx * 4], &word, 4);
+  }
+  return text;
+}
+
+TEST(Verifier, StampedModuleVerdicts) {
+  const std::vector<StampCase> cases = {
+      {"first of two violations wins",
+       {{100, "ldr x0, [x1]"}, {3000, "svc #0"}}, {},
+       FailKind::kBadAddressingMode, 100 * 4},
+      // The decode pass runs over the whole text before any check, so a
+      // later undecodable word takes precedence over an earlier check
+      // failure.
+      {"undecodable word beats earlier check failure",
+       {{100, "ldr x0, [x1]"}}, {{3000, 0}},
+       FailKind::kUndecodable, 3000 * 4},
+      {"sp adjust discharged by the next access",
+       {{2047, "sub sp, sp, #32"}, {2048, "str x0, [sp, #8]"}}, {},
+       FailKind::kNone},
+      {"sp adjust followed by ret",
+       {{2047, "sub sp, sp, #32"}, {2048, "ret"}}, {},
+       FailKind::kSpProtocol, 2047 * 4},
+      {"call-table load as the last instruction",
+       {{4095, "ldr x30, [x21, #24]"}}, {},
+       FailKind::kLinkRegProtocol, 4095 * 4},
+      {"3-byte text", {}, {}, FailKind::kTextSize, 0, {1, 2, 3}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const auto text = StampedModule(c);
+    const auto r = Verify({text.data(), text.size()});
+    EXPECT_EQ(r.ok, c.kind == FailKind::kNone) << r.reason;
+    EXPECT_EQ(r.kind, c.kind) << FailKindName(r.kind);
+    if (!r.ok) {
+      EXPECT_EQ(r.fail_offset, c.fail_offset);
+    }
+  }
 }
 
 TEST(Verifier, FuzzNeverCrashesAndAcceptedStreamsAreClean) {

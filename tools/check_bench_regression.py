@@ -13,7 +13,7 @@ noise. Usage:
 Only `.cycles`, `.bytes`, and `.exact` metrics gate. The first two are
 exact under the deterministic simulator but tolerate small drift (a
 changed workload mix legitimately moves them); `.exact` metrics are
-pass/fail facts (e.g. "sharded verify was bit-identical to serial") and
+pass/fail facts (e.g. "the warm pool decoded its handler once") and
 gate with ZERO tolerance, ignoring --tolerance. Derived metrics like
 overhead_pct, ns, and Minsts/s rates are reported but never fail the
 check, since they either amplify small cycle deltas or depend on the

@@ -3,15 +3,13 @@
 // Reads an LFI ELF executable, runs the single-linear-pass verifier over
 // every executable segment, and reports accept/reject plus throughput.
 //
-// Usage: lfi-verify [--no-loads] [--threads=N] prog.elf
+// Usage: lfi-verify [--no-loads] prog.elf
 //
-// --threads=N shards the verification of each segment over N worker
-// threads (0 = hardware concurrency) via VerifyParallel; the verdict is
-// bit-identical to the serial pass.
+// Exit status: 0 accepted, 1 rejected, 2 usage or input error. An
+// unknown option or a second operand is a usage error, never a path.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -19,27 +17,32 @@
 #include "elf/elf.h"
 #include "verifier/verifier.h"
 
+namespace {
+
+int Usage() {
+  std::fprintf(stderr, "usage: lfi-verify [--no-loads] prog.elf\n");
+  return 2;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   lfi::verifier::VerifyOptions opts;
   const char* path = nullptr;
-  bool parallel = false;
-  unsigned nthreads = 0;
   for (int k = 1; k < argc; ++k) {
     if (std::strcmp(argv[k], "--no-loads") == 0) {
       opts.check_loads = false;
-    } else if (std::strncmp(argv[k], "--threads=", 10) == 0) {
-      parallel = true;
-      nthreads = static_cast<unsigned>(
-          std::strtoul(argv[k] + 10, nullptr, 10));
+    } else if (argv[k][0] == '-') {
+      std::fprintf(stderr, "lfi-verify: unknown option %s\n", argv[k]);
+      return Usage();
+    } else if (path != nullptr) {
+      std::fprintf(stderr, "lfi-verify: unexpected operand %s\n", argv[k]);
+      return Usage();
     } else {
       path = argv[k];
     }
   }
-  if (path == nullptr) {
-    std::fprintf(stderr,
-                 "usage: lfi-verify [--no-loads] [--threads=N] prog.elf\n");
-    return 2;
-  }
+  if (path == nullptr) return Usage();
   std::ifstream f(path, std::ios::binary);
   if (!f) {
     std::fprintf(stderr, "lfi-verify: cannot open %s\n", path);
@@ -57,11 +60,7 @@ int main(int argc, char** argv) {
   for (const auto& seg : img->segments) {
     if (!seg.exec) continue;
     total_bytes += seg.data.size();
-    auto r = parallel
-                 ? lfi::verifier::VerifyParallel(
-                       {seg.data.data(), seg.data.size()}, opts, nthreads)
-                 : lfi::verifier::Verify({seg.data.data(), seg.data.size()},
-                                         opts);
+    auto r = lfi::verifier::Verify({seg.data.data(), seg.data.size()}, opts);
     if (!r.ok) {
       std::printf("REJECT (%s) at text offset 0x%llx: %s\n",
                   lfi::verifier::FailKindName(r.kind),
