@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <utility>
 
@@ -233,7 +234,7 @@ TEST(Verifier, SpAdjustFollowedByWritebackAccessIsAccepted) {
 
 // A 4096-instruction nop module with a few stamped lines: pins which
 // violation wins when there are several, and the context rules far from
-// the start of the text.
+// the start of the text. One gtest per case.
 struct StampCase {
   std::string name;
   std::vector<std::pair<size_t, std::string>> lines;  // index -> asm line
@@ -241,6 +242,7 @@ struct StampCase {
   FailKind kind;             // kNone: accepted
   uint64_t fail_offset = 0;
   std::vector<uint8_t> text = {};  // when non-empty, replaces the module
+  VerifyOptions opts = {};
 };
 
 std::vector<uint8_t> StampedModule(const StampCase& c) {
@@ -259,38 +261,96 @@ std::vector<uint8_t> StampedModule(const StampCase& c) {
   return text;
 }
 
-TEST(Verifier, StampedModuleVerdicts) {
-  const std::vector<StampCase> cases = {
-      {"first of two violations wins",
+VerifyOptions ShrunkenOptions() {
+  VerifyOptions opts;
+  opts.check_loads = false;
+  opts.allow_llsc = false;
+  opts.guard_bytes = 4096;
+  opts.table_bytes = 32;
+  return opts;
+}
+
+const std::vector<StampCase>& StampCases() {
+  static const std::vector<StampCase> cases = {
+      {"all_nops_accepted", {}, {}, FailKind::kNone},
+      {"first_of_two_violations_wins",
        {{100, "ldr x0, [x1]"}, {3000, "svc #0"}}, {},
        FailKind::kBadAddressingMode, 100 * 4},
+      {"first_of_two_undecodable_words_wins",
+       {}, {{2500, 0}, {2100, 0}},
+       FailKind::kUndecodable, 2100 * 4},
       // The decode pass runs over the whole text before any check, so a
       // later undecodable word takes precedence over an earlier check
       // failure.
-      {"undecodable word beats earlier check failure",
+      {"undecodable_word_beats_earlier_check_failure",
        {{100, "ldr x0, [x1]"}}, {{3000, 0}},
        FailKind::kUndecodable, 3000 * 4},
-      {"sp adjust discharged by the next access",
+      {"sp_adjust_discharged_by_next_access",
        {{2047, "sub sp, sp, #32"}, {2048, "str x0, [sp, #8]"}}, {},
        FailKind::kNone},
-      {"sp adjust followed by ret",
+      {"sp_adjust_followed_by_ret",
        {{2047, "sub sp, sp, #32"}, {2048, "ret"}}, {},
        FailKind::kSpProtocol, 2047 * 4},
-      {"call-table load as the last instruction",
+      {"call_table_load_followed_by_blr",
+       {{2047, "ldr x30, [x21, #24]"}, {2048, "blr x30"}}, {},
+       FailKind::kNone},
+      {"call_table_load_without_blr",
+       {{2047, "ldr x30, [x21, #24]"}}, {},
+       FailKind::kLinkRegProtocol, 2047 * 4},
+      {"call_table_load_as_last_instruction",
        {{4095, "ldr x30, [x21, #24]"}}, {},
        FailKind::kLinkRegProtocol, 4095 * 4},
-      {"3-byte text", {}, {}, FailKind::kTextSize, 0, {1, 2, 3}},
+      {"text_of_three_bytes", {}, {}, FailKind::kTextSize, 0, {1, 2, 3}},
+      // Shrunken options: the unchecked load at 10 passes, the llsc at
+      // 3000 does not.
+      {"llsc_rejected_under_shrunken_options",
+       {{10, "ldr x0, [x1]"}, {3000, "ldxr x2, [x18]"}}, {},
+       FailKind::kLlscDisallowed, 3000 * 4, {}, ShrunkenOptions()},
   };
-  for (const auto& c : cases) {
-    SCOPED_TRACE(c.name);
-    const auto text = StampedModule(c);
-    const auto r = Verify({text.data(), text.size()});
-    EXPECT_EQ(r.ok, c.kind == FailKind::kNone) << r.reason;
-    EXPECT_EQ(r.kind, c.kind) << FailKindName(r.kind);
-    if (!r.ok) {
-      EXPECT_EQ(r.fail_offset, c.fail_offset);
-    }
+  return cases;
+}
+
+class StampedModuleVerdicts : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(StampedModuleVerdicts, Verdict) {
+  const StampCase& c = StampCases()[GetParam()];
+  const auto text = StampedModule(c);
+  const auto r = Verify({text.data(), text.size()}, c.opts);
+  EXPECT_EQ(r.ok, c.kind == FailKind::kNone) << r.reason;
+  EXPECT_EQ(r.kind, c.kind) << FailKindName(r.kind);
+  if (r.ok) {
+    EXPECT_EQ(r.insts_checked, text.size() / 4);
+  } else {
+    EXPECT_EQ(r.fail_offset, c.fail_offset);
   }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Verifier, StampedModuleVerdicts,
+    ::testing::Range<size_t>(0, StampCases().size()),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return StampCases()[info.param].name;
+    });
+
+TEST(Verifier, StatsAccumulateAcrossCalls) {
+  // One VerifyStats shared by several calls: a call count, the
+  // instructions of accepted texts only, and one histogram bin per verdict.
+  std::vector<std::vector<uint8_t>> texts;
+  texts.push_back(AssembleRaw("add x18, x21, w1, uxtw\nldr x0, [x18]\nret\n"));
+  texts.push_back(AssembleRaw("svc #0\n"));
+  texts.push_back(AssembleRaw("nop\n"));
+  texts.push_back({1, 2, 3});
+  texts.push_back(AssembleRaw("br x1\n"));
+  VerifyStats st;
+  for (const auto& t : texts) Verify({t.data(), t.size()}, {}, &st);
+  EXPECT_EQ(st.calls, texts.size());
+  EXPECT_EQ(st.insts_checked, 4u);
+  std::array<uint64_t, static_cast<size_t>(FailKind::kCount)> want{};
+  want[static_cast<size_t>(FailKind::kNone)] = 2;
+  want[static_cast<size_t>(FailKind::kTextSize)] = 1;
+  want[static_cast<size_t>(FailKind::kSystemInstruction)] = 1;
+  want[static_cast<size_t>(FailKind::kUnguardedIndirectBranch)] = 1;
+  EXPECT_EQ(st.fail_counts, want);
 }
 
 TEST(Verifier, FuzzNeverCrashesAndAcceptedStreamsAreClean) {
