@@ -4,12 +4,12 @@
 //   fault-kill      a CpuFault under the kill policy (fault -> zombie)
 //   fault-signal    a full signal round trip: fault -> frame push ->
 //                   handler -> sigreturn -> resume
-//   fault-restart   fault -> reap -> remap image -> re-enter (restart
+//   fault-restart   fault -> snapshot restore -> re-enter (restart
 //                   policy, zero backoff so the path itself is measured)
 //
-// Expected shape: kill is the cheapest (one-way), a signal round trip
-// costs a few hundred cycles (frame push + validate + restore), and a
-// restart is the most expensive (full image remap).
+// Expected shape: kill is the cheapest (one-way), a restart costs one
+// restore of the dirtied pages (about a hundred cycles), and a signal
+// round trip costs a few hundred (frame push + validate + restore).
 
 #include "harness.h"
 

@@ -54,6 +54,165 @@ static_assert(static_cast<int>(snapshot::FdRec::Kind::kFile) ==
 static_assert(static_cast<int>(snapshot::FdRec::Kind::kPipeWrite) ==
               static_cast<int>(FileDesc::Kind::kPipeWrite));
 
+using PageData = emu::AddressSpace::PageData;
+
+// The runtime-call table every slot holds read-only at offset 0: entry n
+// points at runtime entry n; unused entries point at an unmapped page.
+const PageData& CallTablePage() {
+  static const PageData table = [] {
+    PageData page{};
+    for (uint64_t n = 0; n < kPage / 8; ++n) {
+      uint64_t entry = 0x4000;
+      if (n < static_cast<uint64_t>(Rtcall::kCount)) {
+        entry = kRuntimeEntryBase + n * kRuntimeEntryGranule;
+      }
+      std::memcpy(page.data() + n * 8, &entry, 8);
+    }
+    return page;
+  }();
+  return table;
+}
+
+// Lays an ELF image out as the slot-relative snapshot a fresh load
+// installs: the call-table page, the stack, one mapping per segment, the
+// initial register file and the standard descriptors. Pure and
+// slot-independent, so every loader rule is checked before a slot is
+// allocated. Page payloads are fresh (never shared with another image).
+Result<snapshot::Snapshot> SnapshotFromElf(const elf::ElfImage& image) {
+  constexpr uint64_t kLoadEnd = kProgramEnd - kStackSize;
+  if (image.entry >= kSlotSize) {
+    return Error{"entry point outside the sandbox slot"};
+  }
+  snapshot::Snapshot snap;
+  std::map<uint64_t, snapshot::PageRec> pages;
+  snap.mappings[0] = {kPage, kPermRead};
+  pages[0] = {0, kPermRead, std::make_shared<PageData>(CallTablePage())};
+  snap.mappings[kLoadEnd] = {kStackSize, kPermRead | kPermWrite};
+  for (uint64_t po = kLoadEnd; po < kProgramEnd; po += kPage) {
+    pages[po] = {po, kPermRead | kPermWrite, std::make_shared<PageData>()};
+  }
+
+  uint64_t max_data_end = kProgramStart;
+  for (const auto& seg : image.segments) {
+    const uint64_t size = std::max<uint64_t>(seg.memsz, seg.data.size());
+    // kProgramStart <= vaddr && vaddr + size <= kLoadEnd, without
+    // letting vaddr + size wrap.
+    if (seg.vaddr < kProgramStart || seg.vaddr > kLoadEnd ||
+        size > kLoadEnd - seg.vaddr) {
+      return Error{"segment outside the loadable sandbox area"};
+    }
+    const uint64_t end = seg.vaddr + size;
+    if (seg.exec && end > kCodeEnd) {
+      return Error{"executable segment within 128MiB of the slot end"};
+    }
+    if (seg.exec && seg.write) {
+      return Error{"W^X violation: segment is writable and executable"};
+    }
+    const uint64_t page_start = AlignDown(seg.vaddr, kPage);
+    const uint64_t page_end = AlignUp(end, kPage);
+    for (const auto& [off, range] : snap.mappings) {
+      if (off == page_start ||
+          (page_start < off + range.first && off < page_end)) {
+        return Error{"segments share a page"};
+      }
+    }
+    uint8_t perms = 0;
+    if (seg.read) perms |= kPermRead;
+    if (seg.write) perms |= kPermWrite;
+    if (seg.exec) perms |= kPermExec;
+    for (uint64_t po = page_start; po < page_end; po += kPage) {
+      pages[po] = {po, perms, std::make_shared<PageData>()};
+    }
+    for (uint64_t i = 0; i < seg.data.size();) {
+      const uint64_t at = (seg.vaddr + i) % kPage;
+      const uint64_t n = std::min(kPage - at, seg.data.size() - i);
+      std::memcpy(pages[seg.vaddr + i - at].data->data() + at,
+                  seg.data.data() + i, n);
+      i += n;
+    }
+    snap.mappings[page_start] = {page_end - page_start, perms};
+    max_data_end = std::max(max_data_end, page_end);
+  }
+
+  snap.pages.reserve(pages.size());
+  for (auto& [off, rec] : pages) snap.pages.push_back(std::move(rec));
+
+  snap.brk_start = max_data_end;
+  snap.brk = max_data_end;
+  snap.brk_mapped = max_data_end;
+  snap.mmap_cursor = kLoadEnd - (uint64_t{64} << 20);
+  // Initial registers, slot-relative: the reserved base registers are 0
+  // here and become the slot base at install.
+  snap.cpu.pc = image.entry;
+  snap.cpu.x[30] = image.entry;
+  snap.cpu.sp = kProgramEnd - 64;
+  snap.fds.resize(16);
+  snap.fds[0].kind = snapshot::FdRec::Kind::kStdin;
+  snap.fds[1].kind = snapshot::FdRec::Kind::kStdout;
+  snap.fds[2].kind = snapshot::FdRec::Kind::kStderr;
+  return snap;
+}
+
+// The one bounds check on what may enter a slot, applied to every
+// snapshot before InstallSnapshot touches the address space. Offsets are
+// slot-relative and checked without wrapping, so nothing a snapshot says
+// can place a page, a mapping or a cursor outside its own slot.
+Status CheckSnapshot(const snapshot::Snapshot& snap) {
+  constexpr uint8_t kPermAll = kPermRead | kPermWrite | kPermExec;
+  uint64_t prev_end = 0;
+  for (const auto& [off, range] : snap.mappings) {
+    const auto [len, perms] = range;
+    if (off % kPage != 0 || len % kPage != 0 || (perms & ~kPermAll) != 0) {
+      return Status::Fail("snapshot: malformed mapping");
+    }
+    if (len > kProgramEnd || off > kProgramEnd - len ||
+        (off == 0 ? len > kPage : off < kProgramStart)) {
+      return Status::Fail("snapshot: mapping outside the sandbox area");
+    }
+    if (off < prev_end) return Status::Fail("snapshot: mappings overlap");
+    prev_end = off + len;
+  }
+
+  auto m = snap.mappings.begin();
+  for (size_t k = 0; k < snap.pages.size(); ++k) {
+    const snapshot::PageRec& rec = snap.pages[k];
+    if (rec.data == nullptr) {
+      return Status::Fail("snapshot: page has no payload");
+    }
+    if (rec.offset % kPage != 0 || rec.offset > kProgramEnd - kPage ||
+        (rec.offset != 0 && rec.offset < kProgramStart)) {
+      return Status::Fail("snapshot: page outside the sandbox area");
+    }
+    if (k > 0 && rec.offset <= snap.pages[k - 1].offset) {
+      return Status::Fail("snapshot: pages not in ascending order");
+    }
+    if ((rec.perms & kPermExec) != 0 &&
+        ((rec.perms & kPermWrite) != 0 || rec.offset + kPage > kCodeEnd)) {
+      return Status::Fail("snapshot: executable page is writable or within "
+                          "128MiB of the slot end");
+    }
+    while (m != snap.mappings.end() &&
+           m->first + m->second.first <= rec.offset) {
+      ++m;
+    }
+    if (m == snap.mappings.end() || m->first > rec.offset ||
+        (rec.perms & ~m->second.second) != 0) {
+      return Status::Fail("snapshot: page outside its declared mapping");
+    }
+    if (rec.offset == 0 &&
+        (rec.perms != kPermRead || *rec.data != CallTablePage())) {
+      return Status::Fail("snapshot: call-table page altered");
+    }
+  }
+
+  if (snap.brk_start < kProgramStart || snap.brk < snap.brk_start ||
+      snap.brk > kProgramEnd || snap.brk_mapped > kProgramEnd ||
+      snap.mmap_cursor > kProgramEnd || snap.mmap_cursor % kPage != 0) {
+    return Status::Fail("snapshot: heap or mmap cursor outside the slot");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 Runtime::Runtime(RuntimeConfig cfg)
@@ -117,43 +276,12 @@ void Runtime::FreeSlot(Proc* p) {
   --used_slots_;
 }
 
-Status Runtime::MapSlotCommon(Proc* p) {
-  // Call table page at the very base, written then locked read-only.
-  if (auto st = space_.Map(p->base, kPage, kPermRead | kPermWrite); !st.ok()) {
-    return st;
-  }
-  for (uint64_t n = 0; n < kPage / 8; ++n) {
-    uint64_t entry = 0x4000;  // unused entries point at an unmapped page
-    if (n < static_cast<uint64_t>(Rtcall::kCount)) {
-      entry = kRuntimeEntryBase + n * kRuntimeEntryGranule;
-    }
-    uint8_t bytes[8];
-    std::memcpy(bytes, &entry, 8);
-    if (auto st = space_.HostWrite(p->base + n * 8, bytes); !st.ok()) {
-      return st;
-    }
-  }
-  if (auto st = space_.Protect(p->base, kPage, kPermRead); !st.ok()) {
-    return st;
-  }
-  p->mappings[0] = {kPage, kPermRead};
-
-  // Stack at the top of the usable area.
-  const uint64_t stack_base = kProgramEnd - kStackSize;
-  if (auto st = space_.Map(p->base + stack_base, kStackSize,
-                           kPermRead | kPermWrite);
-      !st.ok()) {
-    return st;
-  }
-  p->mappings[stack_base] = {kStackSize, kPermRead | kPermWrite};
-  return Status::Ok();
-}
-
-void Runtime::InitFds(Proc* p) {
-  p->fds.resize(16);
-  p->fds[0].kind = FileDesc::Kind::kStdin;
-  p->fds[1].kind = FileDesc::Kind::kStdout;
-  p->fds[2].kind = FileDesc::Kind::kStderr;
+void Runtime::Retire(Proc* p) {
+  FreeSlot(p);
+  p->state = ProcState::kDead;
+  // A dead proc is never restored again; holding its checkpoint would
+  // keep every page payload it ever had alive for the Runtime's lifetime.
+  p->snapshot.reset();
 }
 
 Result<int> Runtime::Load(std::span<const uint8_t> elf_bytes) {
@@ -180,102 +308,112 @@ Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
     }
   }
 
-  auto slot = AllocSlot();
-  if (!slot) return Error{slot.error()};
+  auto built = SnapshotFromElf(image);
+  if (!built) return Error{built.error()};
+  // The built image is also the post-load checkpoint: what the restart
+  // policy rolls back to and what spawn pools clone.
+  auto snap =
+      std::make_shared<const snapshot::Snapshot>(std::move(built).value());
+  auto p = Instantiate(*snap);
+  if (!p) return Error{p.error()};
+  (*p)->policy = cfg_.default_policy;
+  (*p)->fds = RestoreFds(snap->fds);
+  (*p)->snapshot = snap;
 
-  auto p = std::make_unique<Proc>();
-  p->pid = AllocPid();
-  p->slot = *slot;
-  p->base = SlotBase(*slot);
-  p->policy = cfg_.default_policy;
-
-  if (auto st = MapSlotCommon(p.get()); !st.ok()) return Error{st.error()};
-  if (auto st = MapImage(p.get(), image); !st.ok()) return Error{st.error()};
-  // Keep a copy of the (verified) image so the legacy reload-restart path
-  // stays benchmarkable without re-reading or re-verifying.
-  p->image = std::make_shared<const elf::ElfImage>(image);
-  InitFds(p.get());
-
-  uint64_t pages = 0;
-  for (const auto& [off, range] : p->mappings) pages += range.first / kPage;
+  const uint64_t pages = snap->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kElfLoad,
                          cfg_.elf_load_base_cycles +
                              cfg_.elf_load_page_cycles * pages,
                          pages, 0, 0};
-
-  // Post-load checkpoint: what the restart policy rolls back to, and what
-  // spawn pools clone. Capture is O(pages) shared_ptr copies, no memory.
-  auto snap = std::make_shared<snapshot::Snapshot>();
-  if (CaptureInto(p.get(), snap.get()).ok()) p->snapshot = std::move(snap);
-
-  const int pid = p->pid;
-  procs_[pid] = std::move(p);
+  const int pid = (*p)->pid;
+  procs_[pid] = std::move(*p);
   Enqueue(pid);
   return pid;
 }
 
-Status Runtime::MapImage(Proc* p, const elf::ElfImage& image) {
-  uint64_t max_data_end = kProgramStart;
-  for (const auto& seg : image.segments) {
-    const uint64_t start = seg.vaddr;
-    const uint64_t end = seg.vaddr + std::max<uint64_t>(seg.memsz,
-                                                        seg.data.size());
-    if (start < kProgramStart || end > kProgramEnd - kStackSize) {
-      return Status::Fail("segment outside the loadable sandbox area");
-    }
-    if (seg.exec && end > kCodeEnd) {
-      return Status::Fail("executable segment within 128MiB of the slot end");
-    }
-    if (seg.exec && seg.write) {
-      return Status::Fail("W^X violation: segment is writable and executable");
-    }
-    const uint64_t page_start = AlignDown(start, kPage);
-    const uint64_t page_end = AlignUp(end, kPage);
+Result<std::unique_ptr<Proc>> Runtime::Instantiate(
+    const snapshot::Snapshot& snap) {
+  auto slot = AllocSlot();
+  if (!slot) return Error{slot.error()};
+  auto p = std::make_unique<Proc>();
+  p->slot = *slot;
+  p->base = SlotBase(*slot);
+  if (auto st = InstallSnapshot(p.get(), snap); !st.ok()) {
+    FreeSlot(p.get());
+    return Error{st.error()};
+  }
+  p->pid = AllocPid();
+  return p;
+}
+
+Status Runtime::InstallSnapshot(Proc* p, const snapshot::Snapshot& snap,
+                                InstantiationStats* diff) {
+  if (auto st = CheckSnapshot(snap); !st.ok()) return st;
+
+  // Unmap pages the snapshot does not contain (post-capture brk growth,
+  // mmaps); install only pages whose payload or perms diverged. A clean
+  // page is pointer-identical to its captured payload — nothing to do.
+  // Re-installing diverged data pages leaves the mutation generation
+  // alone (only exec pages bump it), and decoded blocks are keyed by
+  // payload, so the decode cache survives a restore intact. A fresh slot
+  // has no mappings, so every page is installed.
+  uint64_t unmapped = 0, installed = 0;
+  if (!p->mappings.empty()) {
+    std::unordered_set<uint64_t> keep;
+    keep.reserve(snap.pages.size());
+    for (const auto& rec : snap.pages) keep.insert(rec.offset);
     for (const auto& [off, range] : p->mappings) {
-      if (page_start < off + range.first && off < page_end) {
-        return Status::Fail("segments share a page");
+      for (uint64_t po = off; po < off + range.first; po += kPage) {
+        if (keep.count(po) == 0) {
+          (void)space_.Unmap(p->base + po, kPage);
+          ++unmapped;
+        }
       }
     }
-    uint8_t perms = 0;
-    if (seg.read) perms |= kPermRead;
-    if (seg.write) perms |= kPermWrite;
-    if (seg.exec) perms |= kPermExec;
-    // Map writable first to install contents, then drop to final perms.
-    if (auto st = space_.Map(p->base + page_start, page_end - page_start,
-                             kPermRead | kPermWrite);
+  }
+  for (const auto& rec : snap.pages) {
+    uint8_t cur_perms = 0;
+    const auto* cur = space_.PagePayload(p->base + rec.offset, &cur_perms);
+    if (cur == rec.data.get() && cur_perms == rec.perms) continue;
+    if (auto st = space_.InstallPage(p->base + rec.offset, rec.data,
+                                     rec.perms);
         !st.ok()) {
-      return st;
-    }
-    if (!seg.data.empty()) {
-      if (auto st = space_.HostWrite(p->base + start,
-                                     {seg.data.data(), seg.data.size()});
-          !st.ok()) {
-        return st;
+      // Unreachable after CheckSnapshot; fail closed with an empty slot
+      // rather than a half-installed one.
+      for (const auto& r : snap.pages) {
+        (void)space_.Unmap(p->base + r.offset, kPage);
       }
-    }
-    if (auto st = space_.Protect(p->base + page_start,
-                                 page_end - page_start, perms);
-        !st.ok()) {
+      for (const auto& [off, range] : p->mappings) {
+        (void)space_.Unmap(p->base + off, range.first);
+      }
+      p->mappings.clear();
       return st;
     }
-    p->mappings[page_start] = {page_end - page_start, perms};
-    max_data_end = std::max(max_data_end, page_end);
+    ++installed;
   }
 
-  p->brk_start = max_data_end;
-  p->brk = max_data_end;
-  p->brk_mapped = max_data_end;
-  p->mmap_cursor = kProgramEnd - kStackSize - (uint64_t{64} << 20);
-
-  // Initial CPU state: all reserved registers satisfy their invariants.
-  p->cpu = emu::CpuState{};
-  p->cpu.pc = p->base + image.entry;
-  p->cpu.sp = p->base + kProgramEnd - 64;
-  p->cpu.x[21] = p->base;
-  p->cpu.x[18] = p->base;
-  p->cpu.x[23] = p->base;
-  p->cpu.x[24] = p->base;
-  p->cpu.x[30] = p->base + image.entry;
+  p->mappings = snap.mappings;
+  p->brk_start = snap.brk_start;
+  p->brk = snap.brk;
+  p->brk_mapped = snap.brk_mapped;
+  p->mmap_cursor = snap.mmap_cursor;
+  p->mmap_bytes = snap.mmap_bytes;
+  // Reserved pointer registers, handlers and the frame address are rebased
+  // base | low32, the guard arithmetic, so none can leave the slot.
+  p->cpu = RebaseCpu(snap.cpu, p->base);
+  for (size_t s = 0; s < snap.sig_handlers.size(); ++s) {
+    const uint64_t h = snap.sig_handlers[s];
+    p->sig.handlers[s] = h == 0 ? 0 : Canon(p, h);
+  }
+  p->sig.in_handler = snap.sig_in_handler;
+  p->sig.cookie = snap.sig_cookie;
+  p->sig.frame_addr =
+      snap.sig_frame_addr == 0 ? 0 : Canon(p, snap.sig_frame_addr);
+  p->sig.delivered = snap.sig_delivered;
+  if (diff != nullptr) {
+    diff->dirty_pages = installed;
+    diff->unmapped_pages = unmapped;
+  }
   return Status::Ok();
 }
 
@@ -422,49 +560,20 @@ std::vector<FileDesc> Runtime::RestoreFds(
 Result<int> Runtime::SpawnFromSnapshot(
     std::shared_ptr<const snapshot::Snapshot> snap, bool start) {
   if (snap == nullptr) return Error{"spawn: null snapshot"};
-  auto slot = AllocSlot();
-  if (!slot) return Error{slot.error()};
+  auto p = Instantiate(*snap);
+  if (!p) return Error{p.error()};
+  (*p)->policy = cfg_.default_policy;
+  (*p)->parked = !start;
+  (*p)->fds = RestoreFds(snap->fds);
+  (*p)->snapshot = std::move(snap);
 
-  auto p = std::make_unique<Proc>();
-  p->pid = AllocPid();
-  p->slot = *slot;
-  p->base = SlotBase(*slot);
-  p->policy = cfg_.default_policy;
-  p->parked = !start;
-
-  for (const auto& rec : snap->pages) {
-    if (auto st = space_.InstallPage(p->base + rec.offset, rec.data,
-                                     rec.perms);
-        !st.ok()) {
-      return Error{st.error()};
-    }
-  }
-  p->mappings = snap->mappings;
-  p->brk_start = snap->brk_start;
-  p->brk = snap->brk;
-  p->brk_mapped = snap->brk_mapped;
-  p->mmap_cursor = snap->mmap_cursor;
-  p->mmap_bytes = snap->mmap_bytes;
-  p->cpu = RebaseCpu(snap->cpu, p->base);
-  for (size_t s = 0; s < snap->sig_handlers.size(); ++s) {
-    const uint64_t h = snap->sig_handlers[s];
-    p->sig.handlers[s] = h == 0 ? 0 : p->base | h;
-  }
-  p->sig.in_handler = snap->sig_in_handler;
-  p->sig.cookie = snap->sig_cookie;
-  p->sig.frame_addr =
-      snap->sig_frame_addr == 0 ? 0 : p->base | snap->sig_frame_addr;
-  p->sig.delivered = snap->sig_delivered;
-  p->fds = RestoreFds(snap->fds);
-  p->snapshot = std::move(snap);
-
-  const uint64_t pages = p->snapshot->pages.size();
+  const uint64_t pages = (*p)->snapshot->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kSnapshotSpawn,
                          cfg_.snapshot_spawn_base_cycles +
                              cfg_.snapshot_spawn_page_cycles * pages,
                          pages, 0, 0};
-  const int pid = p->pid;
-  procs_[pid] = std::move(p);
+  const int pid = (*p)->pid;
+  procs_[pid] = std::move(*p);
   // Counter only, no ring event: spawn must not perturb the trace stream
   // (a spawned sandbox replays byte-identically against a loaded one).
   if (sink_ != nullptr) {
@@ -500,8 +609,7 @@ Status Runtime::Kill(int pid, const std::string& why) {
     if (proc(p->ppid) != nullptr) {
       return Status::Fail("kill: zombie awaiting reap");
     }
-    FreeSlot(p);
-    p->state = ProcState::kDead;
+    Retire(p);
     return Status::Ok();
   }
   p->retain_on_exit = false;  // forced kills always tear down the slot
@@ -556,57 +664,12 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
   stats.method = InstantiationStats::Method::kSnapshotRestore;
   stats.pages = snap.pages.size();
 
-  // Descriptors first: pipe endpoint counts must drop so peers in other
-  // sandboxes observe EOF/EPIPE before the rebuilt table appears.
+  if (auto st = InstallSnapshot(p, snap, &stats); !st.ok()) return st;
+  // Close the old descriptors before rebuilding the table: pipe endpoint
+  // counts must drop so peers in other sandboxes observe EOF/EPIPE.
   for (uint64_t fd = 0; fd < p->fds.size(); ++fd) {
     if (p->fds[fd].kind != FileDesc::Kind::kFree) SysClose(p, fd);
   }
-
-  // Unmap pages the snapshot does not contain (post-capture brk growth,
-  // mmaps); install only pages whose payload or perms diverged. A clean
-  // page is pointer-identical to its captured payload — nothing to do.
-  // Re-installing diverged data pages leaves the mutation generation
-  // alone (only exec pages bump it), and decoded blocks are keyed by
-  // payload, so the decode cache survives the restore intact.
-  std::unordered_set<uint64_t> keep;
-  keep.reserve(snap.pages.size());
-  for (const auto& rec : snap.pages) keep.insert(rec.offset);
-  for (const auto& [off, range] : p->mappings) {
-    for (uint64_t po = off; po < off + range.first; po += kPage) {
-      if (keep.count(po) == 0) {
-        (void)space_.Unmap(p->base + po, kPage);
-        ++stats.unmapped_pages;
-      }
-    }
-  }
-  for (const auto& rec : snap.pages) {
-    uint8_t cur_perms = 0;
-    const auto* cur = space_.PagePayload(p->base + rec.offset, &cur_perms);
-    if (cur == rec.data.get() && cur_perms == rec.perms) continue;
-    if (auto st = space_.InstallPage(p->base + rec.offset, rec.data,
-                                     rec.perms);
-        !st.ok()) {
-      return st;
-    }
-    ++stats.dirty_pages;
-  }
-
-  p->mappings = snap.mappings;
-  p->brk_start = snap.brk_start;
-  p->brk = snap.brk;
-  p->brk_mapped = snap.brk_mapped;
-  p->mmap_cursor = snap.mmap_cursor;
-  p->mmap_bytes = snap.mmap_bytes;
-  p->cpu = RebaseCpu(snap.cpu, p->base);
-  for (size_t s = 0; s < snap.sig_handlers.size(); ++s) {
-    const uint64_t h = snap.sig_handlers[s];
-    p->sig.handlers[s] = h == 0 ? 0 : p->base | h;
-  }
-  p->sig.in_handler = snap.sig_in_handler;
-  p->sig.cookie = snap.sig_cookie;
-  p->sig.frame_addr =
-      snap.sig_frame_addr == 0 ? 0 : p->base | snap.sig_frame_addr;
-  p->sig.delivered = snap.sig_delivered;
   p->fds = RestoreFds(snap.fds);
 
   stats.cycles = cfg_.snapshot_restore_base_cycles +
@@ -1291,8 +1354,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
 }
 
 void Runtime::ReapChild(Proc* parent, Proc* child) {
-  FreeSlot(child);
-  child->state = ProcState::kDead;
+  Retire(child);
   (void)parent;
 }
 
@@ -1315,8 +1377,7 @@ void Runtime::DoExit(Proc* p, int status) {
   }
   Proc* parent = proc(p->ppid);
   if (parent == nullptr && !p->retain_on_exit) {
-    FreeSlot(p);
-    p->state = ProcState::kDead;
+    Retire(p);
   } else {
     // Zombie: reapable by the parent, or (retain_on_exit) held with its
     // slot mapped so the serving layer can Recycle() it.
@@ -1552,7 +1613,12 @@ uint64_t Runtime::SysMmap(Proc* p, uint64_t len) {
     NoteLimit(p, LimitKind::kMmap, p->mmap_bytes + len);
     return kEnomem;
   }
-  if (len > p->mmap_cursor - AlignUp(p->brk, kPage)) return kEnomem;
+  // An image whose data ends above the mmap cursor has no room at all;
+  // the subtraction must not wrap into a cursor outside the slot.
+  const uint64_t heap_end = AlignUp(p->brk, kPage);
+  if (heap_end > p->mmap_cursor || len > p->mmap_cursor - heap_end) {
+    return kEnomem;
+  }
   p->mmap_cursor -= len;
   if (!space_.Map(p->base + p->mmap_cursor, len, kPermRead | kPermWrite)
            .ok()) {
@@ -1579,71 +1645,35 @@ uint64_t Runtime::SysMunmap(Proc* p, uint64_t addr, uint64_t len) {
 uint64_t Runtime::SysFork(Proc* p) {
   // Fork is capture + spawn fused: freeze the parent (with the child's
   // return value patched in) and instantiate the image in the child's
-  // slot. Installing the captured shared payloads is the same
-  // copy-on-write duplication the ShareRange path performed (the memfd
-  // trick from Section 5.3), and stashing the snapshot makes forked
-  // children restartable — the legacy image path never could (children
-  // have no ELF image).
+  // slot. Installing the captured shared payloads is the copy-on-write
+  // duplication of Section 5.3's memfd trick, and rebasing every
+  // pointer-holding reserved register by replacing its top 32 bits is
+  // exactly what the guards do on each access, which is why fork in a
+  // single address space works. The stashed snapshot makes forked
+  // children restartable.
   auto snap = std::make_shared<snapshot::Snapshot>();
   if (!CaptureInto(p, snap.get()).ok()) return kEnomem;
   snap->cpu.x[0] = 0;  // fork returns 0 in the child
 
-  auto slot = AllocSlot();
-  if (!slot) return kEnomem;
-  auto child = std::make_unique<Proc>();
-  child->pid = AllocPid();
-  child->ppid = p->pid;
-  child->slot = *slot;
-  child->base = SlotBase(*slot);
-  child->state = ProcState::kReady;
-  child->policy = p->policy;  // fault policy and limits are inherited
-  child->brk_start = snap->brk_start;
-  child->brk = snap->brk;
-  child->brk_mapped = snap->brk_mapped;
-  child->mmap_cursor = snap->mmap_cursor;
-  child->mmap_bytes = snap->mmap_bytes;
-  child->mappings = snap->mappings;
-
+  auto child = Instantiate(*snap);
+  if (!child) return kEnomem;
+  (*child)->ppid = p->pid;
+  (*child)->policy = p->policy;  // fault policy and limits are inherited
   // Descriptors duplicate LIVE from the parent, not from the fd records:
   // the child must share the parent's pipe objects (a rehydrated pipe is
   // a private copy and would sever parent<->child pipelines).
-  child->fds = p->fds;
-  for (auto& d : child->fds) {
+  (*child)->fds = p->fds;
+  for (auto& d : (*child)->fds) {
     if (d.kind == FileDesc::Kind::kPipeRead) ++d.pipe->readers;
     if (d.kind == FileDesc::Kind::kPipeWrite) ++d.pipe->writers;
   }
-
-  for (const auto& rec : snap->pages) {
-    if (!space_.InstallPage(child->base + rec.offset, rec.data, rec.perms)
-             .ok()) {
-      return kEnomem;
-    }
-  }
-
-  // Register state: identical, except every pointer-holding reserved
-  // register is rebased by replacing its top 32 bits - exactly what the
-  // guards do on each access, which is why fork in a single address space
-  // works (Section 5.3).
-  child->cpu = RebaseCpu(snap->cpu, child->base);
-
-  // Handlers (and any live frame) are inherited rebased, consistent with
-  // the stashed checkpoint a restart rolls the child back to.
-  for (size_t s = 0; s < snap->sig_handlers.size(); ++s) {
-    const uint64_t h = snap->sig_handlers[s];
-    child->sig.handlers[s] = h == 0 ? 0 : child->base | h;
-  }
-  child->sig.in_handler = snap->sig_in_handler;
-  child->sig.cookie = snap->sig_cookie;
-  child->sig.frame_addr =
-      snap->sig_frame_addr == 0 ? 0 : child->base | snap->sig_frame_addr;
-  child->sig.delivered = snap->sig_delivered;
-  child->snapshot = std::move(snap);
+  (*child)->snapshot = std::move(snap);
 
   machine_.timing().ChargeFlat(400 + 30 * p->mappings.size());
 
-  const int child_pid = child->pid;
+  const int child_pid = (*child)->pid;
   p->children.push_back(child_pid);
-  procs_[child_pid] = std::move(child);
+  procs_[child_pid] = std::move(*child);
   Enqueue(child_pid);
   return static_cast<uint64_t>(child_pid);
 }

@@ -92,14 +92,10 @@ struct Proc {
   uint64_t cpu_cycles = 0;        // cycles spent executing in the sandbox
   uint64_t insts_retired = 0;     // instructions retired by the sandbox
   uint64_t mmap_bytes = 0;        // live bytes from SysMmap (limit basis)
-  // Legacy restart image: retained so the ELF-reload restart path can be
-  // benchmarked against snapshot restore (set_restart_snapshot(pid,
-  // nullptr) forces it). Null for forked children.
-  std::shared_ptr<const elf::ElfImage> image;
-  // Post-instantiation checkpoint: captured at Load, at fork (so forked
-  // children are restartable, unlike the image path), and at
-  // SpawnFromSnapshot. The restart policy restores from this, touching
-  // only dirtied pages.
+  // Post-instantiation checkpoint: the snapshot Load built and installed,
+  // the one SpawnFromSnapshot installed, or the one captured at fork. The
+  // restart policy and Recycle restore from this, touching only dirtied
+  // pages. Released when the proc dies.
   std::shared_ptr<const snapshot::Snapshot> snapshot;
 
   uint64_t brk_start = 0, brk = 0;   // heap bounds
@@ -197,8 +193,11 @@ class Runtime {
   explicit Runtime(RuntimeConfig cfg);
 
   // Loads an ELF executable into a fresh sandbox slot. Verifies every
-  // executable segment first (unless disabled for experiments). Returns
-  // the new pid.
+  // executable segment first (unless disabled for experiments), lays the
+  // image out as a snapshot (segment bounds, W^X, the 128MiB code rule),
+  // and installs that like any other snapshot; it also becomes the
+  // proc's restart checkpoint. A rejected image allocates nothing.
+  // Returns the new pid.
   Result<int> Load(std::span<const uint8_t> elf_bytes);
 
   // Convenience: load an already-parsed image.
@@ -213,7 +212,9 @@ class Runtime {
 
   // Instantiates a fresh sandbox from a snapshot: allocates a pid and
   // slot, installs every page COW (all spawns share payloads until one
-  // writes), rebases the register file, and rehydrates the fd table.
+  // writes), rebases the register file, and rehydrates the fd table. A
+  // snapshot that fails the slot bounds check leaves the slot count and
+  // the address space unchanged.
   // Costs no simulated cycles (see RuntimeConfig's cost-model comment);
   // the modeled cost lands in last_instantiation(). With start == false
   // the proc is created parked (not enqueued) — the spawn pool's warm
@@ -248,10 +249,12 @@ class Runtime {
   Status Kill(int pid, const std::string& why);
 
   // Rolls pid back to `snap` in place (same pid, slot, ppid, children,
-  // captured output): installs only pages whose payload or perms diverged,
-  // unmaps stray pages, restores registers/cursors/fds/signal state. The
-  // decode cache stays valid: only exec pages bump the generation, and
-  // decoded blocks are keyed by payload.
+  // captured output) through the same checked install every instantiation
+  // uses: installs only pages whose payload or perms diverged, unmaps
+  // stray pages, restores registers/cursors/signal state, then rebuilds
+  // the fd table. A snapshot that fails the slot bounds check is rejected
+  // before anything changes. The decode cache stays valid: only exec
+  // pages bump the generation, and decoded blocks are keyed by payload.
   // Does not charge the clock or reset restart accounting — that is the
   // caller's policy (see Supervisor::Restart).
   Status RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap);
@@ -263,8 +266,7 @@ class Runtime {
   }
 
   // Replaces (or clears) the checkpoint the restart policy restores from.
-  // Clearing forces the legacy ELF-reload restart path, which only works
-  // for procs with a retained image.
+  // A proc without one is not restartable: the restart policy kills it.
   void set_restart_snapshot(int pid,
                             std::shared_ptr<const snapshot::Snapshot> snap) {
     if (Proc* p = proc(pid)) p->snapshot = std::move(snap);
@@ -397,11 +399,21 @@ class Runtime {
   Result<uint64_t> AllocSlot();
   void FreeSlot(Proc* p);
 
-  Status MapSlotCommon(Proc* p);  // call table + stack
-  // Maps an image's segments into p's slot and resets heap/mmap bounds
-  // and initial CPU state (shared by LoadImage and the restart policy).
-  Status MapImage(Proc* p, const elf::ElfImage& image);
-  void InitFds(Proc* p);
+  // Frees p's slot, marks it dead and drops its checkpoint.
+  void Retire(Proc* p);
+
+  // The only way pages enter a slot. Bounds-checks every mapping, page
+  // record and cursor of `snap` against the slot layout (nothing happens
+  // if the check fails), unmaps pages of p's current mappings that `snap`
+  // lacks, installs the pages whose payload or perms differ from what is
+  // mapped (all of them in a fresh slot), and sets mappings, cursors,
+  // rebased registers and signal state. The fd table is the caller's.
+  // With `diff`, records the installed and unmapped page counts.
+  Status InstallSnapshot(Proc* p, const snapshot::Snapshot& snap,
+                         InstantiationStats* diff = nullptr);
+  // Allocates a slot and installs `snap` into it as a new proc with a
+  // fresh pid; on failure the slot is freed again, untouched.
+  Result<std::unique_ptr<Proc>> Instantiate(const snapshot::Snapshot& snap);
 
   // Snapshot plumbing. CaptureInto freezes p into *out (slot-relative).
   // RebaseCpu/RelativizeCpu convert the reserved pointer registers

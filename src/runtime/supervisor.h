@@ -8,8 +8,9 @@
 //   signal   deliver a Unix-style signal (SIGSEGV/SIGILL/SIGBUS) to a
 //            handler the sandbox registered via the sigaction runtime call;
 //            a fault while the handler runs (double fault) kills
-//   restart  reap the proc, keep its pid and 4GiB slot, re-load the image
-//            from scratch with capped exponential backoff, up to a budget
+//   restart  keep the proc's pid and 4GiB slot and restore its stashed
+//            post-instantiation snapshot, with capped exponential backoff,
+//            up to a budget
 //
 // The signal ABI: on delivery the supervisor pushes a 320-byte frame onto
 // the sandbox stack (16-byte aligned, below sp), then enters the handler

@@ -3,17 +3,25 @@
 // foreign files with distinct errors; capture is copy-on-write (the image
 // stays frozen while the live sandbox keeps running); restore touches only
 // diverged pages and is bit-exact against a fresh ELF load; fd state
-// (open files, pipes with buffered bytes) survives capture/spawn; and the
-// warm spawn pool hands out parked sandboxes before cold-spawning.
+// (open files, pipes with buffered bytes) survives capture/spawn; the
+// warm spawn pool hands out parked sandboxes before cold-spawning; and
+// the one install path every instantiation shares keeps each page,
+// mapping and cursor inside its own slot, or rejects the image with no
+// side effect.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <memory>
+#include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "elf/elf.h"
 #include "pipeline_util.h"
 #include "runtime/runtime.h"
 #include "runtime/spawn_pool.h"
@@ -659,6 +667,572 @@ TEST(Snapshot, SlotReusedByAnotherImageRunsItsOwnCode) {
     EXPECT_EQ(rt.proc(*b)->exit_kind, ExitKind::kExited);
     EXPECT_EQ(rt.proc(*b)->exit_status, 7);
   });
+}
+
+// ---- The install boundary (docs/SNAPSHOTS.md "One install path") --------
+//
+// Load, spawn, restore, recycle, fork and restart all put pages into a
+// slot through one bounds-checked install. These tests pin the holes the
+// scattered per-path page loops used to leave open.
+
+using runtime::kCodeEnd;
+using runtime::kGuardSize;
+using runtime::kProgramEnd;
+using runtime::kProgramStart;
+using runtime::kSlotSize;
+using runtime::kStackSize;
+using runtime::SlotBase;
+
+elf::ElfImage HelloImage() {
+  auto bytes = test::BuildElf(kHelloProg);
+  EXPECT_TRUE(bytes.ok());
+  auto img = elf::Read({bytes->data(), bytes->size()});
+  EXPECT_TRUE(img.ok());
+  return *std::move(img);
+}
+
+// Byte position of the serialized record of the page at `offset`
+// ({u64 offset, u8 perms, u8 kind}), or npos.
+size_t FindPageRecord(const std::vector<uint8_t>& bytes, uint64_t offset,
+                      uint8_t perms, uint8_t kind) {
+  uint8_t pat[10];
+  std::memcpy(pat, &offset, 8);
+  pat[8] = perms;
+  pat[9] = kind;
+  auto it = std::search(bytes.begin(), bytes.end(), pat, pat + 10);
+  return it == bytes.end() ? std::string::npos
+                           : static_cast<size_t>(it - bytes.begin());
+}
+
+// Every page of p's mappings as (address, payload, perms); a page the
+// mappings declare but the address space lacks shows a null payload.
+using SlotView = std::vector<std::tuple<uint64_t, const void*, uint8_t>>;
+SlotView ViewSlot(Runtime& rt, const Proc* p) {
+  SlotView v;
+  for (const auto& [off, range] : p->mappings) {
+    for (uint64_t po = off; po < off + range.first; po += kPage) {
+      uint8_t perms = 0;
+      const void* data = rt.space().PagePayload(p->base + po, &perms);
+      v.emplace_back(po, data, perms);
+    }
+  }
+  return v;
+}
+
+size_t MappedIn(const SlotView& v) {
+  return static_cast<size_t>(std::count_if(
+      v.begin(), v.end(), [](const auto& t) { return std::get<1>(t); }));
+}
+
+// A successful instantiation stayed in its own slot: its mappings lie in
+// the slot, the address space gained exactly the pages those mappings
+// hold (so nothing landed anywhere else), and pc/sp point into the slot.
+void ExpectConfined(Runtime& rt, int pid, size_t others_mapped) {
+  const Proc* p = rt.proc(pid);
+  ASSERT_NE(p, nullptr);
+  for (const auto& [off, range] : p->mappings) {
+    ASSERT_LE(off, kSlotSize);
+    ASSERT_LE(range.first, kSlotSize - off);
+  }
+  EXPECT_EQ(rt.space().MappedPages(),
+            others_mapped + MappedIn(ViewSlot(rt, p)));
+  EXPECT_EQ(p->cpu.pc >> 32, p->base >> 32);
+  EXPECT_EQ(p->cpu.sp >> 32, p->base >> 32);
+  for (uint64_t h : p->sig.handlers) {
+    if (h != 0) {
+      EXPECT_EQ(h >> 32, p->base >> 32);
+    }
+  }
+}
+
+TEST(SlotInstall, LoadCheckpointIsTheInstalledImage) {
+  // The snapshot Load builds is byte- and payload-identical to a capture
+  // taken right after the load, so restore's pointer diff sees every page
+  // clean.
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto cap = Capture(t.rt, t.pid);
+  ASSERT_NE(cap, nullptr);
+  const Snapshot& built = *t.P()->snapshot;
+  EXPECT_EQ(Serialize(built), Serialize(*cap));
+  ASSERT_EQ(built.pages.size(), cap->pages.size());
+  for (size_t k = 0; k < built.pages.size(); ++k) {
+    EXPECT_EQ(built.pages[k].data, cap->pages[k].data) << "page " << k;
+  }
+  ASSERT_TRUE(t.rt.RestoreFromSnapshot(t.pid, built).ok());
+  EXPECT_EQ(t.rt.last_instantiation().dirty_pages, 0u);
+}
+
+TEST(SlotInstall, LoadRejectsSegmentWrappingIntoPreviousSlot) {
+  // vaddr + memsz wraps 2^64. Loaded into slot 2, the segment would land
+  // three attacker-filled RW pages in slot 1's trailing guard region.
+  Loaded first(kHelloProg);
+  ASSERT_GE(first.pid, 0);
+  elf::ElfImage img = HelloImage();
+  elf::Segment evil;
+  evil.vaddr = 0 - kGuardSize;
+  evil.data.assign(kGuardSize, 0x41);
+  evil.memsz = kGuardSize;
+  evil.write = true;
+  img.segments.push_back(evil);
+  const size_t mapped = first.rt.space().MappedPages();
+  auto pid = first.rt.LoadImage(img);
+  ASSERT_FALSE(pid.ok());
+  EXPECT_NE(pid.error().find("outside the loadable sandbox area"),
+            std::string::npos)
+      << pid.error();
+  EXPECT_EQ(first.rt.slots_in_use(), 1u);
+  EXPECT_EQ(first.rt.space().MappedPages(), mapped);
+  EXPECT_EQ(first.rt.space().PagePayload(SlotBase(2) - kGuardSize, nullptr),
+            nullptr);
+}
+
+TEST(SlotInstall, LoadRejectsEntryPointOutsideTheSlot) {
+  // pc = base + entry would start execution in the next slot.
+  Runtime rt(TestConfig());
+  elf::ElfImage img = HelloImage();
+  img.entry = kSlotSize + kProgramStart;
+  auto pid = rt.LoadImage(img);
+  ASSERT_FALSE(pid.ok());
+  EXPECT_EQ(rt.slots_in_use(), 0u);
+  EXPECT_EQ(rt.space().MappedPages(), 0u);
+}
+
+TEST(SlotInstall, RejectedElfAllocatesNothing) {
+  // The text segment comes first; a later segment past the loadable area
+  // must not leave the slot allocated or the text page mapped.
+  Runtime rt(TestConfig());
+  elf::ElfImage img = HelloImage();
+  elf::Segment far;
+  far.vaddr = kProgramEnd;
+  far.memsz = kPage;
+  far.write = true;
+  img.segments.push_back(far);
+  auto pid = rt.LoadImage(img);
+  ASSERT_FALSE(pid.ok());
+  EXPECT_NE(pid.error().find("outside the loadable sandbox area"),
+            std::string::npos)
+      << pid.error();
+  EXPECT_EQ(rt.slots_in_use(), 0u);
+  EXPECT_EQ(rt.space().MappedPages(), 0u);
+}
+
+TEST(SlotInstall, SpawnWithBadSecondPageAllocatesNothing) {
+  // The call-table page is first and valid; the second record (the text
+  // page) is resealed at an unaligned offset.
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  std::vector<uint8_t> bytes = Serialize(*snap);
+  const size_t at = FindPageRecord(bytes, kProgramStart,
+                                   emu::kPermRead | emu::kPermExec, 1);
+  ASSERT_NE(at, std::string::npos);
+  const uint64_t unaligned = kProgramStart + 8;
+  std::memcpy(bytes.data() + at, &unaligned, 8);
+  Reseal(&bytes);
+  auto bad = Deserialize({bytes.data(), bytes.size()});
+  ASSERT_TRUE(bad.ok()) << bad.error();
+  ASSERT_EQ(bad->pages[1].offset, unaligned);
+
+  const uint64_t slots = t.rt.slots_in_use();
+  const size_t mapped = t.rt.space().MappedPages();
+  auto spawned =
+      t.rt.SpawnFromSnapshot(std::make_shared<Snapshot>(*std::move(bad)));
+  EXPECT_FALSE(spawned.ok());
+  EXPECT_EQ(t.rt.slots_in_use(), slots);
+  EXPECT_EQ(t.rt.space().MappedPages(), mapped);
+}
+
+TEST(SlotInstall, SpawnRejectsPageOffsetWrappingIntoPreviousSlot) {
+  // One page record whose offset wraps modulo 2^64 back into the previous
+  // slot, resealed so it parses. Spawned into slot 2 it would replace
+  // slot 1's code page with attacker bytes, mapped RWX.
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  std::vector<uint8_t> bytes = Serialize(*snap);
+  const size_t at = FindPageRecord(bytes, kProgramStart,
+                                   emu::kPermRead | emu::kPermExec, 1);
+  ASSERT_NE(at, std::string::npos);
+  const uint64_t wrapped = kProgramStart - kSlotSize;
+  std::memcpy(bytes.data() + at, &wrapped, 8);
+  bytes[at + 8] = emu::kPermRead | emu::kPermWrite | emu::kPermExec;
+  std::fill_n(bytes.begin() + static_cast<std::ptrdiff_t>(at + 10), kPage,
+              0x41);
+  Reseal(&bytes);
+  auto evil = Deserialize({bytes.data(), bytes.size()});
+  ASSERT_TRUE(evil.ok()) << evil.error();
+
+  uint8_t perms = 0;
+  const auto* code =
+      t.rt.space().PagePayload(t.P()->base + kProgramStart, &perms);
+  const size_t mapped = t.rt.space().MappedPages();
+  auto spawned =
+      t.rt.SpawnFromSnapshot(std::make_shared<Snapshot>(*std::move(evil)));
+  ASSERT_FALSE(spawned.ok());
+  EXPECT_NE(spawned.error().find("outside the sandbox area"),
+            std::string::npos)
+      << spawned.error();
+  EXPECT_EQ(t.rt.slots_in_use(), 1u);
+  EXPECT_EQ(t.rt.space().MappedPages(), mapped);
+  uint8_t now = 0;
+  EXPECT_EQ(t.rt.space().PagePayload(t.P()->base + kProgramStart, &now),
+            code);
+  EXPECT_EQ(now, perms);
+}
+
+TEST(SlotInstall, FailedForkFreesTheChildSlot) {
+  // The parent holds a page in its leading guard region, so its capture
+  // fails the install check in the child's slot: fork returns ENOMEM and
+  // leaves no child, no slot and no page behind.
+  Loaded t(R"(
+    rtcall #8
+    rtcall #0
+  )");
+  ASSERT_GE(t.pid, 0);
+  ASSERT_TRUE(t.rt.space()
+                  .Map(t.P()->base + kPage, kPage,
+                       emu::kPermRead | emu::kPermWrite)
+                  .ok());
+  t.P()->mappings[kPage] = {kPage, emu::kPermRead | emu::kPermWrite};
+  const size_t mapped = t.rt.space().MappedPages();
+  t.rt.RunUntilIdle();
+  EXPECT_EQ(t.P()->exit_status, -12);  // ENOMEM
+  EXPECT_EQ(t.rt.proc(t.pid + 1), nullptr);
+  EXPECT_EQ(t.rt.slots_in_use(), 0u);
+  EXPECT_EQ(t.rt.space().MappedPages(), 0u);
+  EXPECT_GT(mapped, 0u);
+}
+
+TEST(SlotInstall, EachRuleRejectsWithoutSideEffects) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto good = Capture(t.rt, t.pid);
+  ASSERT_NE(good, nullptr);
+  constexpr uint8_t R = emu::kPermRead, W = emu::kPermWrite,
+                    X = emu::kPermExec;
+  // Index of the text page and of the first RW (data) page.
+  size_t text = 0, data = 0;
+  for (size_t k = 0; k < good->pages.size(); ++k) {
+    if (good->pages[k].perms == (R | X)) text = k;
+    if (data == 0 && good->pages[k].perms == (R | W)) data = k;
+  }
+  ASSERT_NE(text, 0u);
+  ASSERT_NE(data, 0u);
+  const uint64_t text_off = good->pages[text].offset;
+
+  // Moves page k (and a one-page mapping for it) to `off`, keeping the
+  // page list sorted so the bounds rule, not the order rule, decides.
+  auto move_page = [](Snapshot& s, size_t k, uint64_t off) {
+    const uint8_t perms = s.pages[k].perms;
+    s.mappings.erase(s.pages[k].offset);
+    s.pages[k].offset = off;
+    s.mappings[off] = {kPage, perms};
+    std::sort(s.pages.begin(), s.pages.end(),
+              [](const PageRec& a, const PageRec& b) {
+                return a.offset < b.offset;
+              });
+  };
+  const std::vector<std::pair<const char*, std::function<void(Snapshot&)>>>
+      rules = {
+          {"call-table bytes", [](Snapshot& s) {
+             auto copy = *s.pages[0].data;
+             copy[8] ^= 1;
+             s.pages[0].data =
+                 std::make_shared<emu::AddressSpace::PageData>(copy);
+           }},
+          {"call-table writable", [](Snapshot& s) {
+             s.pages[0].perms = R | W;
+             s.mappings[0].second = R | W;
+           }},
+          {"exec page writable", [&](Snapshot& s) {
+             s.pages[text].perms = R | W | X;
+             s.mappings[text_off].second = R | W | X;
+           }},
+          {"exec page past kCodeEnd",
+           [&](Snapshot& s) { move_page(s, text, kCodeEnd); }},
+          {"page in leading guard",
+           [&](Snapshot& s) { move_page(s, data, kPage); }},
+          {"page in trailing guard",
+           [&](Snapshot& s) { move_page(s, data, kProgramEnd); }},
+          {"page past the slot",
+           [&](Snapshot& s) { move_page(s, data, kSlotSize + kProgramStart); }},
+          {"unaligned page",
+           [&](Snapshot& s) { s.pages[data].offset += 8; }},
+          {"duplicate page", [&](Snapshot& s) {
+             s.pages[data].offset = s.pages[data - 1].offset;
+           }},
+          {"null payload", [&](Snapshot& s) { s.pages[data].data = nullptr; }},
+          {"page outside mappings",
+           [&](Snapshot& s) { s.mappings.erase(text_off); }},
+          {"perms beyond mapping",
+           [&](Snapshot& s) { s.mappings[text_off].second = R; }},
+          {"mapping wraps", [&](Snapshot& s) {
+             s.mappings[text_off].first = 0 - text_off + kPage;
+           }},
+          {"mapping overlaps", [&](Snapshot& s) {
+             s.mappings[text_off].first = s.mappings.rbegin()->first;
+           }},
+          {"mmap cursor past the slot",
+           [](Snapshot& s) { s.mmap_cursor = kSlotSize; }},
+          {"brk below the program area", [](Snapshot& s) {
+             s.brk_start = 0;
+             s.brk = 0;
+           }},
+      };
+  for (const auto& [name, mutate] : rules) {
+    SCOPED_TRACE(name);
+    Snapshot bad = *good;
+    mutate(bad);
+    const SlotView before = ViewSlot(t.rt, t.P());
+    const uint64_t slots = t.rt.slots_in_use();
+    const size_t mapped = t.rt.space().MappedPages();
+    EXPECT_FALSE(t.rt.SpawnFromSnapshot(std::make_shared<Snapshot>(bad)).ok());
+    EXPECT_FALSE(t.rt.RestoreFromSnapshot(t.pid, bad).ok());
+    EXPECT_EQ(t.rt.slots_in_use(), slots);
+    EXPECT_EQ(t.rt.space().MappedPages(), mapped);
+    EXPECT_EQ(ViewSlot(t.rt, t.P()), before);
+  }
+  // The unmodified image still installs both ways.
+  EXPECT_TRUE(t.rt.SpawnFromSnapshot(good).ok());
+  EXPECT_TRUE(t.rt.RestoreFromSnapshot(t.pid, *good).ok());
+}
+
+TEST(SlotInstall, SignalStateIsRebasedInsideTheSlot) {
+  // A handler or frame address with high bits set rebases base | low32,
+  // like the reserved registers, never into another slot.
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  Snapshot odd = *snap;
+  odd.sig_handlers[11] = kSlotSize + kProgramStart;
+  odd.sig_frame_addr = 3 * kSlotSize + kProgramEnd - kPage;
+  auto pid = t.rt.SpawnFromSnapshot(std::make_shared<Snapshot>(odd));
+  ASSERT_TRUE(pid.ok()) << pid.error();
+  const Proc* p = t.rt.proc(*pid);
+  EXPECT_EQ(p->sig.handlers[11], p->base + kProgramStart);
+  EXPECT_EQ(p->sig.frame_addr, p->base + kProgramEnd - kPage);
+}
+
+TEST(SlotInstall, DeadProcReleasesItsCheckpoint) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  std::weak_ptr<emu::AddressSpace::PageData> data_page;
+  for (const auto& rec : t.P()->snapshot->pages) {
+    if (rec.perms == (emu::kPermRead | emu::kPermWrite)) {
+      data_page = rec.data;
+      break;
+    }
+  }
+  ASSERT_FALSE(data_page.expired());
+  ASSERT_TRUE(t.rt.Kill(t.pid, "test").ok());
+  EXPECT_EQ(t.P()->state, ProcState::kDead);
+  EXPECT_EQ(t.P()->snapshot, nullptr);
+  EXPECT_TRUE(data_page.expired());
+}
+
+TEST(SlotInstall, KilledParkedProcCannotBeRecycledIntoItsOldSlot) {
+  // A parked sandbox killed while waiting gives its slot back; recycling
+  // it afterwards must not restore into the slot's next tenant.
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  auto parked = t.rt.SpawnFromSnapshot(snap, /*start=*/false);
+  ASSERT_TRUE(parked.ok()) << parked.error();
+  ASSERT_TRUE(t.rt.Kill(*parked, "test").ok());
+  auto tenant = t.rt.SpawnFromSnapshot(snap, /*start=*/false);
+  ASSERT_TRUE(tenant.ok()) << tenant.error();
+  ASSERT_EQ(t.rt.proc(*tenant)->slot, t.rt.proc(*parked)->slot);
+  const SlotView view = ViewSlot(t.rt, t.rt.proc(*tenant));
+  EXPECT_FALSE(t.rt.Recycle(*parked).ok());
+  EXPECT_EQ(t.rt.proc(*parked)->state, ProcState::kDead);
+  EXPECT_TRUE(t.rt.proc(*parked)->mappings.empty());
+  EXPECT_EQ(ViewSlot(t.rt, t.rt.proc(*tenant)), view);
+}
+
+// ---- Property: every install either fails cleanly or stays in its slot --
+
+// Values around every layout boundary, plus wrapping and random ones.
+uint64_t Interesting(std::mt19937_64& rng) {
+  static const uint64_t kVals[] = {
+      0, 8, kPage, kPage + 8, kProgramStart - kPage, kProgramStart,
+      kProgramStart + 8, kProgramStart + 4 * kPage, kCodeEnd - kPage,
+      kCodeEnd, kProgramEnd - kStackSize - kPage, kProgramEnd - kStackSize,
+      kProgramEnd - kPage, kProgramEnd, kSlotSize - kPage, kSlotSize,
+      kSlotSize + kProgramStart, 0 - kGuardSize, kProgramStart - kSlotSize,
+      0 - kPage, ~uint64_t{0}, uint64_t{1} << 63};
+  switch (rng() % 4) {
+    case 0: return rng();
+    case 1: return (rng() & 0xffffffffu) & ~(kPage - 1);
+    default: return kVals[rng() % std::size(kVals)];
+  }
+}
+
+// Segment and page sizes: small, or large enough to wrap or overrun. No
+// accepted image gets more than a few pages, which keeps the test small.
+uint64_t InterestingSize(std::mt19937_64& rng, uint64_t at) {
+  const uint64_t kVals[] = {0,         1,          kPage - 1,   kPage,
+                            3 * kPage, 0 - at,     0 - at + kPage,
+                            kSlotSize, ~uint64_t{0}, uint64_t{1} << 63};
+  return kVals[rng() % std::size(kVals)];
+}
+
+// Sandboxes in slots 1 and 3 around a free slot 2, which every trial
+// instantiates into and frees again.
+struct Neighbours {
+  Runtime rt;
+  int a = -1, c = -1;
+  SlotView view_a, view_c;
+  explicit Neighbours(RuntimeConfig cfg) : rt(cfg) {
+    auto bytes = test::BuildElf(kHelloProg);
+    EXPECT_TRUE(bytes.ok());
+    a = *rt.Load({bytes->data(), bytes->size()});
+    const int b = *rt.Load({bytes->data(), bytes->size()});
+    c = *rt.Load({bytes->data(), bytes->size()});
+    EXPECT_TRUE(rt.Kill(b, "make room").ok());
+    view_a = ViewSlot(rt, rt.proc(a));
+    view_c = ViewSlot(rt, rt.proc(c));
+  }
+  void ExpectUntouched() {
+    EXPECT_EQ(ViewSlot(rt, rt.proc(a)), view_a);
+    EXPECT_EQ(ViewSlot(rt, rt.proc(c)), view_c);
+  }
+};
+
+TEST(SlotInstall, PropertyMutatedElfLoadsStayInTheirSlot) {
+  RuntimeConfig cfg = TestConfig();
+  cfg.enforce_verification = false;  // the layout rules are under test
+  Neighbours n(cfg);
+  const elf::ElfImage base = HelloImage();
+  std::mt19937_64 rng(0x5107);
+  int accepted = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    elf::ElfImage img = base;
+    for (int m = 1 + static_cast<int>(rng() % 3); m > 0; --m) {
+      elf::Segment& seg = img.segments[rng() % img.segments.size()];
+      switch (rng() % 4) {
+        case 0: seg.vaddr = Interesting(rng); break;
+        case 1: seg.memsz = InterestingSize(rng, seg.vaddr); break;
+        case 2:
+          seg.read = rng() & 1;
+          seg.write = rng() & 1;
+          seg.exec = rng() & 1;
+          break;
+        case 3: img.entry = Interesting(rng); break;
+      }
+    }
+    const uint64_t slots = n.rt.slots_in_use();
+    const size_t mapped = n.rt.space().MappedPages();
+    auto pid = n.rt.LoadImage(img);
+    if (!pid.ok()) {
+      EXPECT_EQ(n.rt.slots_in_use(), slots);
+      EXPECT_EQ(n.rt.space().MappedPages(), mapped);
+    } else {
+      ++accepted;
+      EXPECT_EQ(n.rt.proc(*pid)->slot, 2u);
+      ExpectConfined(n.rt, *pid, mapped);
+      ASSERT_TRUE(n.rt.Kill(*pid, "trial done").ok());
+      EXPECT_EQ(n.rt.space().MappedPages(), mapped);
+    }
+    n.ExpectUntouched();
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 1000);
+}
+
+TEST(SlotInstall, PropertyMutatedSnapshotsStayInTheirSlot) {
+  Neighbours n(TestConfig());
+  auto base = Capture(n.rt, n.a);
+  ASSERT_NE(base, nullptr);
+  std::mt19937_64 rng(0x5108);
+  int accepted = 0;
+  for (int trial = 0; trial < 1000; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    Snapshot s = *base;
+    for (int m = 1 + static_cast<int>(rng() % 3); m > 0; --m) {
+      PageRec& rec = s.pages[rng() % s.pages.size()];
+      auto map_it = std::next(s.mappings.begin(),
+                              static_cast<std::ptrdiff_t>(
+                                  rng() % s.mappings.size()));
+      switch (rng() % 7) {
+        case 0: rec.offset = Interesting(rng); break;
+        case 1: rec.perms = static_cast<uint8_t>(rng() % 8); break;
+        case 2:
+          map_it->second.first = InterestingSize(rng, map_it->first);
+          break;
+        case 3: map_it->second.second = static_cast<uint8_t>(rng() % 8); break;
+        case 4: {
+          const auto range = map_it->second;
+          s.mappings.erase(map_it);
+          s.mappings[Interesting(rng)] = range;
+          break;
+        }
+        case 5:
+          s.mappings[Interesting(rng)] = {InterestingSize(rng, 0),
+                                          static_cast<uint8_t>(rng() % 8)};
+          break;
+        case 6: s.mmap_cursor = Interesting(rng); break;
+      }
+      if (rng() & 1) {
+        std::sort(s.pages.begin(), s.pages.end(),
+                  [](const PageRec& a, const PageRec& b) {
+                    return a.offset < b.offset;
+                  });
+      }
+    }
+    // Through the file format, as a snapshot from disk would arrive.
+    auto sealed = Deserialize(Serialize(s));
+    ASSERT_TRUE(sealed.ok()) << sealed.error();
+    auto snap = std::make_shared<Snapshot>(*std::move(sealed));
+
+    // Even trials spawn into the free slot; odd ones restore a sandbox
+    // freshly spawned there.
+    int victim = -1;
+    if (trial % 2 == 1) {
+      auto v = n.rt.SpawnFromSnapshot(base, /*start=*/false);
+      ASSERT_TRUE(v.ok()) << v.error();
+      victim = *v;
+    }
+    const SlotView victim_view =
+        victim < 0 ? SlotView{} : ViewSlot(n.rt, n.rt.proc(victim));
+    const uint64_t slots = n.rt.slots_in_use();
+    const size_t mapped = n.rt.space().MappedPages();
+    const size_t others = mapped - MappedIn(victim_view);
+    int pid = victim;
+    bool ok = false;
+    if (victim < 0) {
+      auto r = n.rt.SpawnFromSnapshot(snap);
+      ok = r.ok();
+      if (ok) pid = *r;
+    } else {
+      ok = n.rt.RestoreFromSnapshot(victim, *snap).ok();
+    }
+    if (!ok) {
+      EXPECT_EQ(n.rt.slots_in_use(), slots);
+      EXPECT_EQ(n.rt.space().MappedPages(), mapped);
+      if (victim >= 0) {
+        EXPECT_EQ(ViewSlot(n.rt, n.rt.proc(victim)), victim_view);
+      }
+    } else {
+      ++accepted;
+      EXPECT_EQ(n.rt.proc(pid)->slot, 2u);
+      ExpectConfined(n.rt, pid, others);
+    }
+    n.ExpectUntouched();
+    if (pid >= 0) {
+      ASSERT_TRUE(n.rt.Kill(pid, "trial done").ok());
+      EXPECT_EQ(n.rt.space().MappedPages(), others);
+    }
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_LT(accepted, 1000);
 }
 
 }  // namespace

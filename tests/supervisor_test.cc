@@ -294,6 +294,27 @@ TEST(Supervisor, RestartPolicyReloadsUntilBudgetExhausted) {
       << t.P()->fault_detail;
 }
 
+TEST(Supervisor, RestartWithoutCheckpointKills) {
+  // Restore is the only restart path: a proc whose checkpoint was cleared
+  // is killed on its first fault instead of being reloaded.
+  TestRun t(R"(
+    movz x1, #0x4000
+    add x18, x21, w1, uxtw
+    ldr x0, [x18]
+  )",
+            /*rewrite=*/false);
+  ASSERT_GE(t.pid, 0);
+  SupervisorPolicy pol;
+  pol.on_fault = FaultAction::kRestart;
+  pol.restart_budget = 2;
+  t.rt.set_policy(t.pid, pol);
+  t.rt.set_restart_snapshot(t.pid, nullptr);
+  t.rt.RunUntilIdle();
+  EXPECT_EQ(t.P()->restarts, 0u);
+  EXPECT_EQ(t.P()->exit_kind, ExitKind::kKilled);
+  EXPECT_EQ(t.P()->disposition, Disposition::kKilled);
+}
+
 TEST(Supervisor, RestartBackoffGrowsAndIsCapped) {
   // Each successive restart charges (base << restarts), capped. Watch the
   // global clock across a two-restart run with a large base.
