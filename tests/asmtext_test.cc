@@ -2,10 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <sstream>
+
 #include "arch/decode.h"
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
 #include "asmtext/printer.h"
+#include "fuzz/gen.h"
+#include "fuzz/rng.h"
+#include "workloads/workloads.h"
+
+#ifndef LFI_PARSER_GOLDEN
+#error "build must define LFI_PARSER_GOLDEN (path to the golden file)"
+#endif
 
 namespace lfi::asmtext {
 namespace {
@@ -319,6 +332,452 @@ TEST(Assemble, ErrorsOnDataInText) {
   auto f = Parse(".data\nnop\n");
   ASSERT_TRUE(f.ok());
   EXPECT_FALSE(Assemble(*f, LayoutSpec{}).ok());
+}
+
+// --- Golden corpus: the parser's exact output on a few thousand lines. ---
+//
+// Every distinct statement shape the fuzz grammar and the 15 workload
+// generators emit, every mnemonic and directive the parser knows, and
+// seeded mutations of all of them (punctuation, case, whitespace,
+// comments, labels, truncation, out-of-range numbers). Each input is
+// recorded with a field-complete dump of its statements or its exact
+// error text, so any change to what the parser accepts or builds shows
+// up as a golden diff. Regenerate with LFI_UPDATE_GOLDEN=1.
+
+std::string Escape(std::string_view s) {
+  std::string out;
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '\\') {
+      out += "\\\\";
+    } else if (u >= 0x20 && u < 0x7f) {
+      out += c;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof buf, "\\x%02x", u);
+      out += buf;
+    }
+  }
+  return out;
+}
+
+// Fields that differ from a default-constructed Inst, so the dump stays
+// short yet determines the value completely.
+std::string DumpInst(const arch::Inst& i) {
+  const arch::Inst d;
+  std::ostringstream os;
+  os << "mn=" << int(i.mn);
+  auto num = [&](const char* name, int64_t v, int64_t dv) {
+    if (v != dv) os << " " << name << "=" << v;
+  };
+  auto reg = [&](const char* name, arch::Reg v, arch::Reg dv) {
+    num(name, v.id(), dv.id());
+  };
+  auto vreg = [&](const char* name, arch::VReg v, arch::VReg dv) {
+    num(name, v.id(), dv.id());
+  };
+  num("width", int(i.width), int(d.width));
+  reg("rd", i.rd, d.rd);
+  reg("rn", i.rn, d.rn);
+  reg("rm", i.rm, d.rm);
+  reg("ra", i.ra, d.ra);
+  vreg("vd", i.vd, d.vd);
+  vreg("vn", i.vn, d.vn);
+  vreg("vm", i.vm, d.vm);
+  vreg("va", i.va, d.va);
+  num("fsize", int(i.fsize), int(d.fsize));
+  num("imm", i.imm, d.imm);
+  num("shift", int(i.shift), int(d.shift));
+  num("ext", int(i.ext), int(d.ext));
+  num("shamt", i.shift_amount, d.shift_amount);
+  num("cond", int(i.cond), int(d.cond));
+  num("immr", i.immr, d.immr);
+  num("imms", i.imms, d.imms);
+  reg("base", i.mem.base, d.mem.base);
+  num("mode", int(i.mem.mode), int(d.mem.mode));
+  num("mimm", i.mem.imm, d.mem.imm);
+  reg("index", i.mem.index, d.mem.index);
+  num("mshift", i.mem.shift, d.mem.shift);
+  num("msize", i.msize, d.msize);
+  num("msigned", i.msigned, d.msigned);
+  reg("rt", i.rt, d.rt);
+  reg("rt2", i.rt2, d.rt2);
+  reg("rs", i.rs, d.rs);
+  vreg("vt", i.vt, d.vt);
+  num("bit", i.bit, d.bit);
+  num("nzcv", i.nzcv, d.nzcv);
+  return os.str();
+}
+
+std::string DumpStmt(const AsmStmt& s) {
+  std::ostringstream os;
+  os << "L" << s.line << " kind=" << int(s.kind);
+  if (!s.label.empty()) os << " label=\"" << Escape(s.label) << "\"";
+  const Directive& d = s.dir;
+  const Directive dd;
+  if (d.kind != dd.kind || d.section != dd.section || !d.values.empty() ||
+      !d.syms.empty() || !d.text.empty()) {
+    os << " dir=" << int(d.kind) << " section=" << int(d.section)
+       << " values=[";
+    for (size_t k = 0; k < d.values.size(); ++k) {
+      os << (k ? "," : "") << d.values[k];
+    }
+    os << "] syms=[";
+    for (size_t k = 0; k < d.syms.size(); ++k) {
+      os << (k ? "," : "") << "\"" << Escape(d.syms[k]) << "\"";
+    }
+    os << "] text=\"" << Escape(d.text) << "\"";
+  }
+  if (s.kind != AsmStmt::Kind::kLabel && s.kind != AsmStmt::Kind::kDirective) {
+    os << " " << DumpInst(s.inst);
+  } else if (!(s.inst == arch::Inst{})) {
+    os << " inst: " << DumpInst(s.inst);
+  }
+  if (s.reloc != Reloc::kNone) os << " reloc=" << int(s.reloc);
+  if (!s.target.empty()) os << " target=\"" << Escape(s.target) << "\"";
+  return os.str();
+}
+
+// A random position where `pred(s, k)` holds, or npos if there is none.
+template <typename Pred>
+size_t PickPos(fuzz::Rng& rng, const std::string& s, Pred pred) {
+  std::vector<size_t> pos;
+  for (size_t k = 0; k < s.size(); ++k) {
+    if (pred(s, k)) pos.push_back(k);
+  }
+  return pos.empty() ? std::string::npos : pos[rng.Below(pos.size())];
+}
+
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+// One seeded mutation of `line`.
+std::string Mutate(fuzz::Rng& rng, std::string line) {
+  static const char* const kRegNums[] = {"31", "32", "99", "4294967297",
+                                         "4294967298", "4294967299",
+                                         "00000000000000000000003"};
+  static const char* const kHuge[] = {
+      "18446744073709551617", "18446744073709551615", "9223372036854775808",
+      "9223372036854775807",  "0xffffffffffffffff",   "0x10000000000000000",
+      "-9223372036854775808", "-18446744073709551617", "99999999999999999999",
+      "0x8000000000000000",   "4294967296",           "0x"};
+  static const char kPunct[] = {'[', ']', '!'};
+  static const char* const kLineEnds[] = {"\r", "\v", "\f", " \r"};
+  static const char kFlips[] = {':', '!', '-',    '+',    '.', ' ',
+                                '"', '\x80', '\xff', '\0', '#'};
+  auto at = [&](char c) {
+    return PickPos(rng, line, [c](const std::string& s, size_t k) {
+      return s[k] == c;
+    });
+  };
+  switch (rng.Below(16)) {
+    case 0: {  // delete a comma
+      const size_t p = at(',');
+      if (p != std::string::npos) line.erase(p, 1);
+      break;
+    }
+    case 1: {  // duplicate a comma
+      const size_t p = at(',');
+      if (p != std::string::npos) line.insert(p, ",");
+      break;
+    }
+    case 2: {  // delete a bracket
+      const size_t p = at(rng.Chance(50) ? '[' : ']');
+      if (p != std::string::npos) line.erase(p, 1);
+      break;
+    }
+    case 3: {  // duplicate a bracket or `!`
+      const size_t p = at(rng.Pick(kPunct));
+      if (p != std::string::npos) line.insert(p, 1, line[p]);
+      break;
+    }
+    case 4:  // uppercase the whole line
+      for (char& c : line) {
+        if (c >= 'a' && c <= 'z') c = static_cast<char>(c - 32);
+      }
+      break;
+    case 5:  // uppercase some letters
+      for (char& c : line) {
+        if (c >= 'a' && c <= 'z' && rng.Chance(40)) {
+          c = static_cast<char>(c - 32);
+        }
+      }
+      break;
+    case 6: {  // extra tabs and spaces
+      const int n = 1 + static_cast<int>(rng.Below(3));
+      for (int k = 0; k < n; ++k) {
+        const size_t p = rng.Below(line.size() + 1);
+        line.insert(p, rng.Chance(50) ? "\t" : "  ");
+      }
+      break;
+    }
+    case 7:  // trailing or mid-line comment
+      if (rng.Chance(50) || line.empty()) {
+        line += rng.Chance(50) ? " // note, [x1]" : "//";
+      } else {
+        line.insert(rng.Below(line.size()), "// cut");
+      }
+      break;
+    case 8:  // several labels on one line
+      line = (rng.Chance(50) ? "a: b:\t" : ".L1:c$d:") + line;
+      break;
+    case 9:  // truncation
+      line.resize(rng.Below(line.size() + 1));
+      break;
+    case 10: {  // register number out of range
+      const size_t p = PickPos(rng, line, [](const std::string& s, size_t k) {
+        return k > 0 && IsDigit(s[k]) && !IsDigit(s[k - 1]) &&
+               std::string_view("xXwWsSdDqQvV").find(s[k - 1]) !=
+                   std::string_view::npos;
+      });
+      if (p != std::string::npos) {
+        size_t e = p;
+        while (e < line.size() && IsDigit(line[e])) ++e;
+        line.replace(p, e - p, rng.Pick(kRegNums));
+      }
+      break;
+    }
+    case 11: {  // huge literal
+      const size_t p = at('#');
+      if (p != std::string::npos) {
+        size_t e = p + 1;
+        while (e < line.size() &&
+               (IsDigit(line[e]) || line[e] == '-' || line[e] == 'x')) {
+          ++e;
+        }
+        line.replace(p + 1, e - p - 1, rng.Pick(kHuge));
+      } else {
+        line += ", #";
+        line += rng.Pick(kHuge);
+      }
+      break;
+    }
+    case 12:  // CRLF line ending, or other ASCII whitespace
+      line += rng.Pick(kLineEnds);
+      break;
+    case 13: {  // drop or add the space after the mnemonic
+      const size_t p = line.find_first_of(" \t");
+      if (p != std::string::npos) {
+        line.erase(p, 1);
+      } else {
+        line += " ";
+      }
+      break;
+    }
+    case 14: {  // delete or duplicate a `#`
+      const size_t p = at('#');
+      if (p != std::string::npos) {
+        if (rng.Chance(50)) {
+          line.erase(p, 1);
+        } else {
+          line.insert(p, "#");
+        }
+      }
+      break;
+    }
+    default: {  // flip one byte to a punctuation or high byte
+      if (line.empty()) break;
+      line[rng.Below(line.size())] = rng.Pick(kFlips);
+      break;
+    }
+  }
+  return line;
+}
+
+// Lines covering every mnemonic and directive the parser knows, including
+// the forms the generators never emit.
+const char* const kHandLines[] = {
+    "add v0.4s, v1.4s, v2.4s", "add v3.2d, v4.2d, v5.2d",
+    "add v0.4s, v1.2d", "add v0.8b, v1.8b, v2.8b", "adds x0, x1, #-4",
+    "subs w0, w1, #-4", "sub x0, x1, #-9223372036854775807",
+    "add x0, x1, w2, sxtw #2", "adds x0, x1, w2, uxtw", "add x0, x1, x2, asr #63",
+    "add x0, x1, x2, lsl", "add x0, x1, x2, lsl #3, lsl #3", "add x0, x1, :lo12:s",
+    "sub x0, x1, :lo12:s", "add x0, x1, :lo12:", "cmp w1, w2", "cmn x1, #3",
+    "cmp x1", "cmp", "cmn w1, w2, uxtb", "and x0, x1, #255", "ands w0, w1, #0xff00ff00",
+    "orr x0, x1, #-1", "eor w0, w1, #-1", "bic x0, x1, #1", "bic x0, x1, x2, ror #7",
+    "orr x0, x1, x2, uxtw", "tst x0, #1", "tst w1, w2", "tst", "neg x0, x1",
+    "neg w0, w1, lsl #2", "mov sp, x0", "mov wsp, w0", "mov x0, #65535",
+    "mov x0, #65536", "mov x0, #-65536", "mov x0, #-65537", "mov x0, :lo12:s",
+    "mov x0", "mov #1, x0", "movz w0, #1, lsl #16", "movn x0, #7", "movk x0, #1, lsl #48",
+    "movz x0, #1, lsr #16", "movz x0, #1, lsl", "movz x0", "lsl x0, x1, #63",
+    "lsl w0, w1, #32", "lsr w0, w1, #31", "asr x0, x1, #0", "lsl x0, x1, x2",
+    "sxtw x0, w1", "sxtb w0, w1", "sxth x0, w1", "uxtb w0, w1", "uxth w0, w1",
+    "uxtw x0, w1", "ubfm x0, x1, #4, #60", "sbfm w0, w1, #1, #2", "ubfm x0, x1, #4",
+    "mul w0, w1, w2", "madd x0, x1, x2, x3", "msub x0, x1, x2, x3", "mneg x0, x1, x2",
+    "mul x0, x1, #2", "sdiv x0, x1, x2", "udiv w0, w1, w2", "umulh x0, x1, x2",
+    "smulh x0, x1, x2", "sdiv x0, x1", "sdiv x0, #1, x2", "ccmp x0, x1, #4, ne",
+    "ccmn w0, #31, #15, hs", "ccmp x0, #1, #0, cs", "ccmp x0, x1, #0, zz",
+    "ccmp x0, [x1], #0, eq", "ccmp x0, x1, #0, #1", "extr x0, x1, x2, #5",
+    "ror w0, w1, #3", "extr x0, x1, #5", "ror x0, x1, x2", "csel w0, w1, w2, AL",
+    "csinc x0, x1, x2, Lo", "csinv x0, x1, x2, cc", "csneg x0, x1, x2, vs",
+    "csel x0, x1, x2, nv", "csel x0, x1, x2, eqq", "cset x0, mi", "cset x0, al",
+    "cset x0, pl, vc", "clz x0, x1", "rbit w0, w1", "rev x0, x1", "clz x0",
+    "adr x0, lab", "adrp x1, sym", "adr w0, lab", "adr x0, #8", "ldrsb w0, [x1]",
+    "ldrsh x0, [x1, #2]", "ldrsw x0, [x1]", "ldrsw w0, [x1]", "ldrh x0, [x1]",
+    "strb w0, [x1, #1]!", "strh w0, [x1], #2", "ldur x0, [x1, #-8]",
+    "stur w0, [x1, #-4]", "ldr s0, [x1]", "str d0, [x1, #8]", "ldr q0, [x1], #16",
+    "ldrb s0, [x1]", "ldr v0.4s, [x1]", "ldr x0, [x1, x2]", "ldr x0, [x1, w2]",
+    "ldr x0, [x1, w2, sxtx]", "ldr x0, [x1, x2, uxtw]", "ldr x0, [x1, w2, uxtb]",
+    "ldr x0, [x1, x2, lsr #3]", "ldr x0, [x1, x2, lsl #3]!", "ldr x0, [x1, :lo12:s]",
+    "ldr x0, [x1, #8], #8", "ldr x0, [x1], x2", "ldr x0, [x1], #-8", "ldr x0, [xzr]",
+    "ldr x0, [sp]", "ldr x0, [wsp]", "ldr x0, [x1, #1, #2, #3]", "ldr x0, []",
+    "ldr x0, [x1, lsl #3]", "ldr x0, x1", "ldr x0, [x1] !", "ldr x0, [ x1 , #8 ]",
+    "ldp w0, w1, [x2, #8]!", "stp x0, x1, [x2], #-16", "ldp x0, [x2]",
+    "ldxr w0, [x1]", "ldar x0, [x1]", "stlr w0, [x1]", "ldxr x0, [x1, #8]",
+    "stxr w0, x1, [x2]", "stxr w0, w1, [x2], #4", "b lab", "bl lab", "b.eq lab",
+    "b.al lab", "b.nv lab", "b.EQ lab", "b.hs lab, x0", "b", "b #8", "cbz x0",
+    "cbnz w0, lab", "tbz w0, #3, lab", "tbnz x0, #63, lab", "tbz x0, x1, lab",
+    "br x0", "blr x30", "br sp", "br #1", "ret", "ret x1", "ret #1", "ret x0, x1",
+    "fadd s0, s1, s2", "fsub d0, d1, d2", "fmul v0.2d, v1.2d, v2.2d",
+    "fdiv d0, d1, d2", "fsub v0.4s, v1.4s, v2.4s", "fadd d0, d1, x2",
+    "fsqrt d0, d1", "fsqrt s0, x1", "fmadd d0, d1, d2, d3", "fmadd d0, x1, d2, d3",
+    "fmadd d0, d1, d2", "fcmp d0, d1", "fcmp d0, #0", "scvtf d0, x1",
+    "scvtf s0, w1", "fcvtzs w0, d1", "fcvtzs x0, s1", "fmov d0, d1", "fmov x0, d1",
+    "fmov d0, x1", "fmov x0, x1", "fmov d0, #1", "nop", "nop x0", "svc #0",
+    "brk #1000", "svc", "brk x0", "rtcall #3", "rtcall", "rtcall x0",
+    "hostcall #2", "hostcall #-1", "frob x0", "", "   ", "x0", ":", "::",
+    "lab:", "lab: nop", "a:b:c: ret", "1: nop", "$x.y_z: nop", "lab :",
+    "v32.4s", "add v32.4s, v1.4s, v2.4s", "fadd s32, s1, s2", "fadd s31, s1, s2",
+    "add x31, x0, x1", "add x30, xzr, x1", "add w0, wzr, #1", "add x01, x02, #03",
+    "add x0, x1, #0x10", "add x0, x1, #0X1f", "add x0, x1, #+5", "add x0, x1, #-",
+    "add x0, x1, #", "add x0, x1, 16", "add x0, x1, -16", "add x0, x1, #1f",
+    "add x0, x1, #0x", ".text", ".data", ".rodata", ".bss", ".section .rodata",
+    ".section .data.rel", ".section .bss.foo", ".section .text.hot",
+    ".section .RODATA", ".section", ".globl _start", ".global main",
+    ".globl", ".balign 16", ".align 3", ".p2align 4", ".balign 0",
+    ".balign -4", ".balign", ".p2align 63", ".p2align 64", ".byte 1, 2, 0xff",
+    ".word 1, sym, -1", ".quad sym, 0x10, lab", ".xword 7", ".byte", ".quad ,",
+    ".word 1,,2", ".asciz \"hi\\n\"", ".string \"a\\tb\\0c\\\\d\\\"e\\q\"",
+    ".asciz \"unterminated", ".asciz hi", ".asciz \"\"", ".asciz \"\\\"",
+    ".zero 64", ".space 8", ".skip 0", ".zero -1", ".zero", ".type f, %function",
+    ".size f, .-f", ".file \"a.c\"", ".ident \"gcc\"", ".arch armv8-a",
+    ".cfi_startproc", ".cfi_endproc", ".cfi_def_cfa_offset 16",
+    ".cfi_offset 29, -16", ".cfi_restore 30", ".weak f", ".TEXT", ".Text",
+    ".", ".text junk", "\t.text\t", ".quad 18446744073709551617",
+    ".zero 18446744073709551617", ".balign 4294967297",
+    "add x4294967297, x0, #1", "ldr x0, [x4294967298]",
+    "fadd d4294967299, d0, d1", "mov x0, #18446744073709551617",
+    "add x0, x1, #0x8000000000000000", "mov x0, #-9223372036854775808",
+    "mov x0, #0xffffffffffffffff", "add x0, x1, #-18446744073709551615",
+};
+
+// Distinct statement shapes (digit runs collapsed) from the fuzz grammar
+// and the workload generators, in first-seen order.
+std::vector<std::string> ShapeLines() {
+  std::vector<std::string> sources = fuzz::SeedCorpusAsm();
+  for (uint64_t k = 0; k < 64; ++k) {
+    fuzz::Rng rng(fuzz::DeriveSeed(0x9a55, k));
+    sources.push_back(fuzz::GenAsmProgram(rng));
+  }
+  for (const auto& w : workloads::AllWorkloads()) {
+    sources.push_back(workloads::Generate(w.name, 2000));
+  }
+  std::vector<std::string> out;
+  std::map<std::string, bool> seen;
+  for (const std::string& src : sources) {
+    std::istringstream in(src);
+    for (std::string line; std::getline(in, line);) {
+      std::string key;
+      for (size_t k = 0; k < line.size(); ++k) {
+        if (IsDigit(line[k])) {
+          if (k == 0 || !IsDigit(line[k - 1])) key += '0';
+        } else {
+          key += line[k];
+        }
+      }
+      if (!seen[key]) {
+        seen[key] = true;
+        out.push_back(line);
+      }
+    }
+  }
+  return out;
+}
+
+std::string ParseDump(std::string_view src) {
+  std::string out;
+  auto f = Parse(src);
+  if (!f.ok()) return "  err: " + Escape(f.error()) + "\n";
+  for (const auto& s : f->stmts) out += "  " + DumpStmt(s) + "\n";
+  // ParseInst on the same text: recorded in full only where it is not
+  // the single instruction statement Parse built.
+  auto pi = ParseInst(src);
+  if (!pi.ok()) {
+    out += "  inst err: " + Escape(pi.error()) + "\n";
+  } else {
+    AsmStmt same = *pi;
+    same.line = 1;
+    if (f->stmts.size() != 1 || DumpStmt(same) != DumpStmt(f->stmts[0])) {
+      out += "  inst: " + DumpStmt(*pi) + "\n";
+    }
+  }
+  return out;
+}
+
+std::string GoldenSnapshot() {
+  std::vector<std::string> inputs;
+  for (const char* l : kHandLines) inputs.push_back(l);
+  for (const std::string& l : ShapeLines()) inputs.push_back(l);
+  const size_t bases = inputs.size();
+  for (size_t k = 0; k < bases; ++k) {
+    fuzz::Rng rng(fuzz::DeriveSeed(0x90d, k));
+    for (int m = 0; m < 4; ++m) {
+      std::string line = Mutate(rng, inputs[k]);
+      if (rng.Chance(25)) line = Mutate(rng, line);
+      inputs.push_back(line);
+    }
+  }
+  std::string out =
+      "# asmtext parser golden: `> input` then its statements "
+      "(L<line> kind=...) or `err:`\n";
+  for (const std::string& in : inputs) {
+    out += "> " + Escape(in) + "\n" + ParseDump(in);
+  }
+  // Whole files: line numbers, blank and comment-only lines, labels
+  // sharing a line with a statement, a last line without a newline.
+  const std::string files[] = {
+      fuzz::SeedCorpusAsm()[0],
+      "\n// head\n.text\n_start: a:\tnop // tail\n\n  ret\r\n.data\nv: .quad 1",
+      "nop\nnop\nfrob x0\nnop\n",
+  };
+  for (const std::string& f : files) {
+    out += ">> " + Escape(f) + "\n" + ParseDump(f);
+  }
+  return out;
+}
+
+TEST(Parser, GoldenCorpus) {
+  const std::string snapshot = GoldenSnapshot();
+  const char* golden_path = LFI_PARSER_GOLDEN;
+  if (std::getenv("LFI_UPDATE_GOLDEN") != nullptr) {
+    std::ofstream out(golden_path, std::ios::binary);
+    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
+    out << snapshot;
+    std::printf("updated %s (%zu bytes)\n", golden_path, snapshot.size());
+    return;
+  }
+  std::ifstream in(golden_path, std::ios::binary);
+  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
+                         << "; regenerate with LFI_UPDATE_GOLDEN=1";
+  std::stringstream buf;
+  buf << in.rdbuf();
+  const std::string golden = buf.str();
+  if (snapshot == golden) return;
+  std::istringstream a(golden), b(snapshot);
+  std::string la, lb, input;
+  int shown = 0;
+  for (size_t n = 1; shown < 20; ++n) {
+    const bool ha = static_cast<bool>(std::getline(a, la));
+    const bool hb = static_cast<bool>(std::getline(b, lb));
+    if (!ha && !hb) break;
+    if (hb && lb.rfind(">", 0) == 0) input = lb;
+    if (ha != hb || la != lb) {
+      ADD_FAILURE() << "golden line " << n << " (" << input << "):\n  golden: "
+                    << (ha ? la : "<eof>") << "\n  now:    "
+                    << (hb ? lb : "<eof>");
+      ++shown;
+    }
+  }
+  FAIL() << "parser output diverged from " << golden_path;
 }
 
 }  // namespace
