@@ -1,5 +1,6 @@
 #include "asmtext/parser.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <map>
@@ -104,6 +105,20 @@ Cond Invert(Cond c) {
   return static_cast<Cond>(static_cast<uint8_t>(c) ^ 1);
 }
 
+// std::atoi, except that values past 1000 saturate instead of wrapping, so
+// x4294967297 stays out of range rather than aliasing x1.
+int RegNumber(std::string_view s) {
+  size_t k = 0;
+  while (k < s.size() && std::isspace(static_cast<unsigned char>(s[k]))) ++k;
+  const bool neg = k < s.size() && s[k] == '-';
+  if (k < s.size() && (s[k] == '-' || s[k] == '+')) ++k;
+  int n = 0;
+  for (; k < s.size() && std::isdigit(static_cast<unsigned char>(s[k])); ++k) {
+    n = std::min(n * 10 + (s[k] - '0'), 1000);
+  }
+  return neg ? -n : n;
+}
+
 // Parses a register name. Returns nullopt if `s` is not a register.
 std::optional<std::pair<Reg, Width>> ParseGpr(std::string_view s) {
   const std::string l = Lower(s);
@@ -115,7 +130,7 @@ std::optional<std::pair<Reg, Width>> ParseGpr(std::string_view s) {
   for (size_t k = 1; k < l.size(); ++k) {
     if (!std::isdigit(static_cast<unsigned char>(l[k]))) return std::nullopt;
   }
-  const int n = std::atoi(l.c_str() + 1);
+  const int n = RegNumber(std::string_view(l).substr(1));
   if (n < 0 || n > 30) return std::nullopt;
   return {{Reg::X(static_cast<uint8_t>(n)), l[0] == 'x' ? Width::kX
                                                         : Width::kW}};
@@ -128,7 +143,7 @@ std::optional<std::pair<VReg, FpSize>> ParseVReg(std::string_view s) {
   if (c == 'v') {
     const auto dot = l.find('.');
     if (dot == std::string::npos) return std::nullopt;
-    const int n = std::atoi(l.substr(1, dot - 1).c_str());
+    const int n = RegNumber(std::string_view(l).substr(1, dot - 1));
     if (n < 0 || n > 31) return std::nullopt;
     const std::string arr = l.substr(dot + 1);
     if (arr == "4s") return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV4S}};
@@ -139,7 +154,7 @@ std::optional<std::pair<VReg, FpSize>> ParseVReg(std::string_view s) {
   for (size_t k = 1; k < l.size(); ++k) {
     if (!std::isdigit(static_cast<unsigned char>(l[k]))) return std::nullopt;
   }
-  const int n = std::atoi(l.c_str() + 1);
+  const int n = RegNumber(std::string_view(l).substr(1));
   if (n < 0 || n > 31) return std::nullopt;
   const FpSize fs =
       c == 's' ? FpSize::kS : (c == 'd' ? FpSize::kD : FpSize::kQ);
@@ -162,6 +177,7 @@ std::optional<int64_t> ParseNumber(std::string_view s) {
   if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
     for (char c : s.substr(2)) {
       if (!std::isxdigit(static_cast<unsigned char>(c))) return std::nullopt;
+      if (v >> 60 != 0) return std::nullopt;  // does not fit in 64 bits
       v = v * 16 + static_cast<uint64_t>(
                        std::isdigit(static_cast<unsigned char>(c))
                            ? c - '0'
@@ -170,10 +186,15 @@ std::optional<int64_t> ParseNumber(std::string_view s) {
   } else {
     for (char c : s) {
       if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-      v = v * 10 + static_cast<uint64_t>(c - '0');
+      const auto d = static_cast<uint64_t>(c - '0');
+      if (v > (UINT64_MAX - d) / 10) return std::nullopt;
+      v = v * 10 + d;
     }
   }
-  return neg ? -static_cast<int64_t>(v) : static_cast<int64_t>(v);
+  // A literal must fit in 64 bits: [-2^63, 2^64 - 1]. Positive values above
+  // INT64_MAX keep their bit pattern (#0xffffffffffffffff is -1).
+  if (neg && v > (uint64_t{1} << 63)) return std::nullopt;
+  return static_cast<int64_t>(neg ? 0 - v : v);
 }
 
 std::optional<Shift> ParseShiftName(std::string_view s) {
@@ -1154,7 +1175,9 @@ Result<AsmStmt> BuildDirective(const std::string& name,
   } else if (name == ".balign" || name == ".align" || name == ".p2align") {
     d.kind = Directive::Kind::kBalign;
     auto n = ParseNumber(Trim(rest));
-    if (!n || *n <= 0) return Error{"bad alignment"};
+    if (!n || *n <= 0 || (name != ".balign" && *n >= 64)) {
+      return Error{"bad alignment"};
+    }
     // .p2align/.align take a power, .balign takes bytes.
     d.values.push_back(name == ".balign" ? *n : (int64_t{1} << *n));
   } else if (name == ".byte" || name == ".word" || name == ".quad" ||

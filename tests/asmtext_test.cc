@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -179,6 +180,24 @@ TEST(Parser, RejectsBadInput) {
   EXPECT_FALSE(ParseInst("ldr x0, [x99]").ok());
   EXPECT_FALSE(ParseInst("mov x0, #1000000000000").ok());
   EXPECT_FALSE(ParseInst("add x0, x1, w2").ok());  // missing extend
+}
+
+TEST(Parser, RejectsOverflowingNumbers) {
+  // Register numbers and literals past their range used to wrap into
+  // valid ones: x4294967297 parsed as x1 and #2^64+1 as #1.
+  for (const char* line :
+       {"add x4294967297, x0, #1", "ldr x0, [x4294967298]",
+        "fadd d4294967299, d0, d1", "add v4294967296.4s, v1.4s, v2.4s",
+        "mov x0, #18446744073709551617", "mov x0, #0x10000000000000000",
+        "add x0, x1, #-9223372036854775809", "ldr x0, [x1, #99999999999999999999]"}) {
+    EXPECT_FALSE(ParseInst(line).ok()) << line;
+  }
+  EXPECT_FALSE(Parse(".p2align 64\n").ok());
+  // The extremes that do fit keep their 64-bit pattern.
+  EXPECT_EQ(MustParse("orr x0, x1, #0xffffffffffffffff").imm, -1);
+  EXPECT_EQ(MustParse("orr x0, x1, #18446744073709551615").imm, -1);
+  EXPECT_EQ(MustParse("orr x0, x1, #-9223372036854775808").imm, INT64_MIN);
+  EXPECT_EQ(MustParse("add x0, x00000000000000000000030, #1").rn, Reg::X(30));
 }
 
 TEST(Parser, FullFileWithSections) {
@@ -762,18 +781,24 @@ TEST(Parser, GoldenCorpus) {
   buf << in.rdbuf();
   const std::string golden = buf.str();
   if (snapshot == golden) return;
-  std::istringstream a(golden), b(snapshot);
-  std::string la, lb, input;
+  // Entry-level diff: each entry is a `>` input line plus its dump.
+  auto entries = [](const std::string& text) {
+    std::vector<std::string> out;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+      if (line.rfind(">", 0) == 0 || out.empty()) out.emplace_back();
+      out.back() += line + "\n";
+    }
+    return out;
+  };
+  const auto want = entries(golden), got = entries(snapshot);
   int shown = 0;
-  for (size_t n = 1; shown < 20; ++n) {
-    const bool ha = static_cast<bool>(std::getline(a, la));
-    const bool hb = static_cast<bool>(std::getline(b, lb));
-    if (!ha && !hb) break;
-    if (hb && lb.rfind(">", 0) == 0) input = lb;
-    if (ha != hb || la != lb) {
-      ADD_FAILURE() << "golden line " << n << " (" << input << "):\n  golden: "
-                    << (ha ? la : "<eof>") << "\n  now:    "
-                    << (hb ? lb : "<eof>");
+  for (size_t k = 0; k < std::max(want.size(), got.size()) && shown < 20;
+       ++k) {
+    const std::string a = k < want.size() ? want[k] : "<none>\n";
+    const std::string b = k < got.size() ? got[k] : "<none>\n";
+    if (a != b) {
+      ADD_FAILURE() << "golden entry " << k << ":\n" << a << "now:\n" << b;
       ++shown;
     }
   }
