@@ -34,6 +34,9 @@ class Result {
   T&& value() && { assert(ok()); return *std::move(value_); }
   const T& operator*() const& { return value(); }
   T& operator*() & { return value(); }
+  // `*std::move(r)` moves the value out; without this overload it would
+  // bind to `const T&` and copy.
+  T&& operator*() && { return std::move(*this).value(); }
   const T* operator->() const { return &value(); }
   T* operator->() { return &value(); }
 
