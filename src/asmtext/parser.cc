@@ -1,9 +1,6 @@
 #include "asmtext/parser.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdlib>
-#include <map>
 #include <optional>
 
 namespace lfi::asmtext {
@@ -21,401 +18,454 @@ using arch::Shift;
 using arch::VReg;
 using arch::Width;
 
-// ----- Operand-level token model -----
+// ----- Characters (ASCII, as <cctype> classifies them in the C locale) -----
 
-// A parsed operand, classified.
-struct Operand {
-  enum class Kind {
-    kReg,      // x0 / w3 / sp / wsp / xzr / wzr
-    kVReg,     // s0 / d4 / q2 / v1.4s / v1.2d
-    kImm,      // #123 / 123 / #-8 / #0x10
-    kMem,      // [ ... ] possibly with ! ; post-index imm handled by caller
-    kShift,    // lsl #3 / lsr #1 / asr #2 / ror #4
-    kExtend,   // uxtw / sxtw #2 / ...
-    kLo12,     // :lo12:sym
-    kLabel,    // bare identifier
-    kCond,     // eq/ne/... (only in csel-family operand position)
-  };
-  Kind kind;
-  Reg reg;
-  Width reg_width = Width::kX;
-  VReg vreg;
-  FpSize fsize = FpSize::kD;
-  int64_t imm = 0;
-  // Memory sub-operands (flattened; Kind::kMem only).
-  Reg mem_base;
-  enum class OffKind { kNone, kImm, kReg, kLo12 } off_kind = OffKind::kNone;
-  int64_t off_imm = 0;
-  Reg off_reg;
-  Width off_width = Width::kX;
-  std::string off_sym;
-  enum class ExtKind { kNone, kShift, kExtend } ext_kind = ExtKind::kNone;
-  bool writeback = false;
-  // Shift/extend payload.
-  Shift shift = Shift::kLsl;
-  Extend ext = Extend::kUxtx;
-  std::optional<int64_t> amount;
-  // Symbol payload.
-  std::string sym;
-  Cond cond = Cond::kAl;
-};
-
-struct ParsedLine {
-  std::string mnemonic;
-  std::vector<Operand> ops;
-  // Post-index immediate appearing after a memory operand: `[x0], #8`.
-  std::optional<int64_t> post_imm;
-};
-
+constexpr char ToLower(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
 bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_' || c == '.' ||
+  const char l = ToLower(c);
+  return IsDigit(c) || (l >= 'a' && l <= 'z') || c == '_' || c == '.' ||
          c == '$';
 }
 
 std::string_view Trim(std::string_view s) {
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.front()))) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && std::isspace(static_cast<unsigned char>(s.back()))) {
-    s.remove_suffix(1);
-  }
+  while (!s.empty() && IsSpace(s.front())) s.remove_prefix(1);
+  while (!s.empty() && IsSpace(s.back())) s.remove_suffix(1);
   return s;
 }
 
 std::string Lower(std::string_view s) {
   std::string out(s);
-  for (char& c : out) c = static_cast<char>(std::tolower(c));
+  for (char& c : out) c = ToLower(c);
   return out;
 }
 
+// Up to eight lowercased bytes of `s` packed little-endian: the dispatch key
+// for mnemonics, directives and operand keywords. Longer names, and names
+// holding a NUL (which would alias a shorter one), get 0, which no keyword
+// has.
+constexpr uint64_t Key(std::string_view s) {
+  if (s.size() > 8) return 0;
+  uint64_t k = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    if (s[i] == '\0') return 0;
+    k |= uint64_t{static_cast<unsigned char>(ToLower(s[i]))} << (8 * i);
+  }
+  return k;
+}
+
+// The lowercased name a nonzero key was packed from.
+std::string KeyName(uint64_t k) {
+  std::string out;
+  for (; k != 0; k >>= 8) out.push_back(static_cast<char>(k & 0xff));
+  return out;
+}
+
+// Index of the first space or tab in `s`, or s.size().
+size_t WordEnd(std::string_view s) {
+  size_t k = 0;
+  while (k < s.size() && s[k] != ' ' && s[k] != '\t') ++k;
+  return k;
+}
+
+// The top-level comma-separated pieces of an operand list, each trimmed;
+// commas inside [...] do not split, and a trailing empty piece is dropped.
+class Pieces {
+ public:
+  explicit Pieces(std::string_view s) : s_(s) {}
+
+  bool Next(std::string_view* piece) {
+    for (size_t k = pos_; k < s_.size(); ++k) {
+      if (s_[k] == '[') {
+        ++depth_;
+      } else if (s_[k] == ']') {
+        --depth_;
+      } else if (s_[k] == ',' && depth_ == 0) {
+        *piece = Trim(s_.substr(pos_, k - pos_));
+        pos_ = k + 1;
+        return true;
+      }
+    }
+    if (pos_ > s_.size()) return false;
+    *piece = Trim(s_.substr(pos_));
+    pos_ = s_.size() + 1;
+    return !piece->empty();
+  }
+
+ private:
+  std::string_view s_;
+  size_t pos_ = 0;
+  int depth_ = 0;  // a stray `]` takes it below zero, and commas stop splitting
+};
+
+// ----- Operands -----
+
+// A lexed operand. Plain data: a symbol stays a slice of the source line
+// until a builder copies it into the statement.
+struct Operand {
+  enum class Kind : uint8_t {
+    kReg,     // x0 / w3 / sp / wsp / xzr / wzr
+    kVReg,    // s0 / d4 / q2 / v1.4s / v1.2d
+    kImm,     // #123 / 123 / #-8 / #0x10
+    kMem,     // [ ... ] possibly with !; a post-index immediate is the line's
+    kShift,   // lsl #3 / lsr #1 / asr #2 / ror #4
+    kExtend,  // uxtw / sxtw #2 / ...
+    kLo12,    // :lo12:sym
+    kLabel,   // anything else: a label, or a condition where one is expected
+  };
+  enum class OffKind : uint8_t { kNone, kImm, kReg, kLo12 };
+  enum class ExtKind : uint8_t { kNone, kShift, kExtend };
+
+  Kind kind = Kind::kLabel;
+  // Builders read these whatever the kind: lax forms such as `ret` and
+  // `sdiv` take operand registers without checking.
+  Reg reg;
+  Width reg_width = Width::kX;
+  VReg vreg;
+  FpSize fsize = FpSize::kD;
+  int64_t imm = 0;              // kImm; a kMem's immediate offset
+  std::string_view sym;         // kLabel / kLo12; a kMem's :lo12: offset
+  Shift shift = Shift::kLsl;    // kShift; a kMem's shift
+  Extend ext = Extend::kUxtx;   // kExtend; a kMem's extend
+  int64_t amount = 0;           // shift/extend amount, 0 if absent
+  // kMem only.
+  Reg mem_base;
+  Reg off_reg;
+  Width off_width = Width::kX;
+  OffKind off_kind = OffKind::kNone;
+  ExtKind ext_kind = ExtKind::kNone;
+  bool writeback = false;
+};
+
+// A lexed instruction line. Builders read at most four stored operands;
+// any past kMaxOps are still lexed (for their errors) and counted.
+struct Line {
+  static constexpr size_t kMaxOps = 8;
+  std::string_view mnemonic;  // as written
+  uint64_t key = 0;           // Key(mnemonic)
+  Operand ops[kMaxOps];
+  Operand spill;
+  size_t n = 0;                     // operand count
+  std::optional<int64_t> post_imm;  // `[xN], #i`; the last one wins
+
+  Operand* Slot() { return n < kMaxOps ? &ops[n] : &spill; }
+};
+
 std::optional<Cond> ParseCond(std::string_view s) {
-  static const std::map<std::string, Cond, std::less<>> kMap = {
-      {"eq", Cond::kEq}, {"ne", Cond::kNe}, {"hs", Cond::kHs},
-      {"cs", Cond::kHs}, {"lo", Cond::kLo}, {"cc", Cond::kLo},
-      {"mi", Cond::kMi}, {"pl", Cond::kPl}, {"vs", Cond::kVs},
-      {"vc", Cond::kVc}, {"hi", Cond::kHi}, {"ls", Cond::kLs},
-      {"ge", Cond::kGe}, {"lt", Cond::kLt}, {"gt", Cond::kGt},
-      {"le", Cond::kLe}, {"al", Cond::kAl}};
-  auto it = kMap.find(Lower(s));
-  if (it == kMap.end()) return std::nullopt;
-  return it->second;
+  if (s.size() != 2) return std::nullopt;
+  switch (Key(s)) {
+    case Key("eq"): return Cond::kEq;
+    case Key("ne"): return Cond::kNe;
+    case Key("hs"): case Key("cs"): return Cond::kHs;
+    case Key("lo"): case Key("cc"): return Cond::kLo;
+    case Key("mi"): return Cond::kMi;
+    case Key("pl"): return Cond::kPl;
+    case Key("vs"): return Cond::kVs;
+    case Key("vc"): return Cond::kVc;
+    case Key("hi"): return Cond::kHi;
+    case Key("ls"): return Cond::kLs;
+    case Key("ge"): return Cond::kGe;
+    case Key("lt"): return Cond::kLt;
+    case Key("gt"): return Cond::kGt;
+    case Key("le"): return Cond::kLe;
+    case Key("al"): return Cond::kAl;
+    default: return std::nullopt;
+  }
 }
 
 Cond Invert(Cond c) {
   return static_cast<Cond>(static_cast<uint8_t>(c) ^ 1);
 }
 
-// std::atoi, except that values past 1000 saturate instead of wrapping, so
-// x4294967297 stays out of range rather than aliasing x1.
+// The register number spelled by the digits `s`, or -1 if a character is
+// not a digit. Values past 1000 saturate, so x4294967297 stays out of
+// range instead of wrapping to x1.
 int RegNumber(std::string_view s) {
+  int n = 0;
+  for (const char c : s) {
+    if (!IsDigit(c)) return -1;
+    n = std::min(n * 10 + (c - '0'), 1000);
+  }
+  return n;
+}
+
+// std::atoi with the same saturation: the number in v<n>.<T>.
+int AtoiNumber(std::string_view s) {
   size_t k = 0;
-  while (k < s.size() && std::isspace(static_cast<unsigned char>(s[k]))) ++k;
+  while (k < s.size() && IsSpace(s[k])) ++k;
   const bool neg = k < s.size() && s[k] == '-';
   if (k < s.size() && (s[k] == '-' || s[k] == '+')) ++k;
   int n = 0;
-  for (; k < s.size() && std::isdigit(static_cast<unsigned char>(s[k])); ++k) {
+  for (; k < s.size() && IsDigit(s[k]); ++k) {
     n = std::min(n * 10 + (s[k] - '0'), 1000);
   }
   return neg ? -n : n;
 }
 
-// Parses a register name. Returns nullopt if `s` is not a register.
-std::optional<std::pair<Reg, Width>> ParseGpr(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l == "sp") return {{Reg::Sp(), Width::kX}};
-  if (l == "wsp") return {{Reg::Sp(), Width::kW}};
-  if (l == "xzr") return {{Reg::Zr(), Width::kX}};
-  if (l == "wzr") return {{Reg::Zr(), Width::kW}};
-  if (l.size() < 2 || (l[0] != 'x' && l[0] != 'w')) return std::nullopt;
-  for (size_t k = 1; k < l.size(); ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(l[k]))) return std::nullopt;
+bool LexGpr(std::string_view s, Reg* reg, Width* width) {
+  if (s.size() < 2) return false;
+  if (s.size() <= 3) {
+    switch (Key(s)) {
+      case Key("sp"): *reg = Reg::Sp(); *width = Width::kX; return true;
+      case Key("wsp"): *reg = Reg::Sp(); *width = Width::kW; return true;
+      case Key("xzr"): *reg = Reg::Zr(); *width = Width::kX; return true;
+      case Key("wzr"): *reg = Reg::Zr(); *width = Width::kW; return true;
+      default: break;
+    }
   }
-  const int n = RegNumber(std::string_view(l).substr(1));
-  if (n < 0 || n > 30) return std::nullopt;
-  return {{Reg::X(static_cast<uint8_t>(n)), l[0] == 'x' ? Width::kX
-                                                        : Width::kW}};
+  const char c = ToLower(s[0]);
+  if (c != 'x' && c != 'w') return false;
+  const int n = RegNumber(s.substr(1));
+  if (n < 0 || n > 30) return false;
+  *reg = Reg::X(static_cast<uint8_t>(n));
+  *width = c == 'x' ? Width::kX : Width::kW;
+  return true;
 }
 
-std::optional<std::pair<VReg, FpSize>> ParseVReg(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l.size() < 2) return std::nullopt;
-  const char c = l[0];
+bool LexVReg(std::string_view s, VReg* vreg, FpSize* fsize) {
+  if (s.size() < 2) return false;
+  const char c = ToLower(s[0]);
+  int n;
+  FpSize fs;
   if (c == 'v') {
-    const auto dot = l.find('.');
-    if (dot == std::string::npos) return std::nullopt;
-    const int n = RegNumber(std::string_view(l).substr(1, dot - 1));
-    if (n < 0 || n > 31) return std::nullopt;
-    const std::string arr = l.substr(dot + 1);
-    if (arr == "4s") return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV4S}};
-    if (arr == "2d") return {{VReg::V(static_cast<uint8_t>(n)), FpSize::kV2D}};
-    return std::nullopt;
+    const size_t dot = s.find('.');
+    if (dot == std::string_view::npos) return false;
+    n = AtoiNumber(s.substr(1, dot - 1));
+    switch (Key(s.substr(dot + 1))) {
+      case Key("4s"): fs = FpSize::kV4S; break;
+      case Key("2d"): fs = FpSize::kV2D; break;
+      default: return false;
+    }
+  } else {
+    if (c != 's' && c != 'd' && c != 'q') return false;
+    n = RegNumber(s.substr(1));
+    fs = c == 's' ? FpSize::kS : (c == 'd' ? FpSize::kD : FpSize::kQ);
   }
-  if (c != 's' && c != 'd' && c != 'q') return std::nullopt;
-  for (size_t k = 1; k < l.size(); ++k) {
-    if (!std::isdigit(static_cast<unsigned char>(l[k]))) return std::nullopt;
-  }
-  const int n = RegNumber(std::string_view(l).substr(1));
-  if (n < 0 || n > 31) return std::nullopt;
-  const FpSize fs =
-      c == 's' ? FpSize::kS : (c == 'd' ? FpSize::kD : FpSize::kQ);
-  return {{VReg::V(static_cast<uint8_t>(n)), fs}};
+  if (n < 0 || n > 31) return false;
+  *vreg = VReg::V(static_cast<uint8_t>(n));
+  *fsize = fs;
+  return true;
 }
 
+// A literal `#n`, `n`, `#-n`, `#0x...` (`s` is trimmed). It must fit in 64
+// bits, i.e. lie in [-2^63, 2^64 - 1]; values above INT64_MAX keep their
+// bit pattern (#0xffffffffffffffff is -1).
 std::optional<int64_t> ParseNumber(std::string_view s) {
-  s = Trim(s);
   if (!s.empty() && s.front() == '#') s.remove_prefix(1);
   if (s.empty()) return std::nullopt;
-  bool neg = false;
-  if (s.front() == '-') {
-    neg = true;
-    s.remove_prefix(1);
-  } else if (s.front() == '+') {
-    s.remove_prefix(1);
-  }
+  const bool neg = s.front() == '-';
+  if (neg || s.front() == '+') s.remove_prefix(1);
   if (s.empty()) return std::nullopt;
   uint64_t v = 0;
   if (s.size() > 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
-    for (char c : s.substr(2)) {
-      if (!std::isxdigit(static_cast<unsigned char>(c))) return std::nullopt;
-      if (v >> 60 != 0) return std::nullopt;  // does not fit in 64 bits
-      v = v * 16 + static_cast<uint64_t>(
-                       std::isdigit(static_cast<unsigned char>(c))
-                           ? c - '0'
-                           : std::tolower(c) - 'a' + 10);
+    for (const char c : s.substr(2)) {
+      const char l = ToLower(c);
+      const int d = IsDigit(c) ? c - '0'
+                               : (l >= 'a' && l <= 'f' ? l - 'a' + 10 : -1);
+      if (d < 0 || v >> 60 != 0) return std::nullopt;
+      v = v * 16 + static_cast<uint64_t>(d);
     }
   } else {
-    for (char c : s) {
-      if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
+    for (const char c : s) {
+      if (!IsDigit(c)) return std::nullopt;
       const auto d = static_cast<uint64_t>(c - '0');
       if (v > (UINT64_MAX - d) / 10) return std::nullopt;
       v = v * 10 + d;
     }
   }
-  // A literal must fit in 64 bits: [-2^63, 2^64 - 1]. Positive values above
-  // INT64_MAX keep their bit pattern (#0xffffffffffffffff is -1).
   if (neg && v > (uint64_t{1} << 63)) return std::nullopt;
   return static_cast<int64_t>(neg ? 0 - v : v);
 }
 
-std::optional<Shift> ParseShiftName(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l == "lsl") return Shift::kLsl;
-  if (l == "lsr") return Shift::kLsr;
-  if (l == "asr") return Shift::kAsr;
-  if (l == "ror") return Shift::kRor;
-  return std::nullopt;
+bool StartsNumber(std::string_view tok) {
+  return !tok.empty() &&
+         (tok.front() == '#' || IsDigit(tok.front()) || tok.front() == '-');
 }
 
-std::optional<Extend> ParseExtendName(std::string_view s) {
-  const std::string l = Lower(s);
-  if (l == "uxtb") return Extend::kUxtb;
-  if (l == "uxth") return Extend::kUxth;
-  if (l == "uxtw") return Extend::kUxtw;
-  if (l == "uxtx") return Extend::kUxtx;
-  if (l == "sxtb") return Extend::kSxtb;
-  if (l == "sxth") return Extend::kSxth;
-  if (l == "sxtw") return Extend::kSxtw;
-  if (l == "sxtx") return Extend::kSxtx;
-  return std::nullopt;
-}
-
-// Splits `s` on top-level commas (commas inside [...] don't split).
-std::vector<std::string_view> SplitOperands(std::string_view s) {
-  std::vector<std::string_view> out;
-  int depth = 0;
-  size_t start = 0;
-  for (size_t k = 0; k < s.size(); ++k) {
-    if (s[k] == '[') ++depth;
-    else if (s[k] == ']') --depth;
-    else if (s[k] == ',' && depth == 0) {
-      out.push_back(Trim(s.substr(start, k - start)));
-      start = k + 1;
-    }
+// Lexes a non-memory operand (`tok` is trimmed) into `op`, a fresh Operand.
+Status LexSimple(std::string_view tok, Operand* op) {
+  if (tok.empty()) return Status::Fail("empty operand");
+  if (LexGpr(tok, &op->reg, &op->reg_width)) {
+    op->kind = Operand::Kind::kReg;
+    return Status::Ok();
   }
-  const auto last = Trim(s.substr(start));
-  if (!last.empty()) out.push_back(last);
-  return out;
-}
-
-// Parses a non-memory operand token.
-Result<Operand> ParseSimpleOperand(std::string_view tok) {
-  Operand op;
-  tok = Trim(tok);
-  if (tok.empty()) return Error{"empty operand"};
-  if (auto g = ParseGpr(tok)) {
-    op.kind = Operand::Kind::kReg;
-    op.reg = g->first;
-    op.reg_width = g->second;
-    return op;
+  if (LexVReg(tok, &op->vreg, &op->fsize)) {
+    op->kind = Operand::Kind::kVReg;
+    return Status::Ok();
   }
-  if (auto v = ParseVReg(tok)) {
-    op.kind = Operand::Kind::kVReg;
-    op.vreg = v->first;
-    op.fsize = v->second;
-    return op;
-  }
-  if (tok.front() == '#' || std::isdigit(static_cast<unsigned char>(tok[0])) ||
-      tok.front() == '-') {
-    if (auto n = ParseNumber(tok)) {
-      op.kind = Operand::Kind::kImm;
-      op.imm = *n;
-      return op;
-    }
-    return Error{"bad immediate: " + std::string(tok)};
+  if (StartsNumber(tok)) {
+    const auto n = ParseNumber(tok);
+    if (!n) return Status::Fail("bad immediate: " + std::string(tok));
+    op->kind = Operand::Kind::kImm;
+    op->imm = *n;
+    return Status::Ok();
   }
   if (tok.substr(0, 6) == ":lo12:") {
-    op.kind = Operand::Kind::kLo12;
-    op.sym = std::string(tok.substr(6));
-    return op;
+    op->kind = Operand::Kind::kLo12;
+    op->sym = tok.substr(6);
+    return Status::Ok();
   }
   // shift/extend with optional amount: "lsl #3", "uxtw", "sxtw #2"
-  {
-    const auto space = tok.find_first_of(" \t");
-    const std::string_view head =
-        space == std::string_view::npos ? tok : tok.substr(0, space);
-    const std::string_view rest =
-        space == std::string_view::npos ? std::string_view{}
-                                        : Trim(tok.substr(space));
-    if (auto sh = ParseShiftName(head)) {
-      auto n = ParseNumber(rest);
-      if (!n) return Error{"shift needs amount: " + std::string(tok)};
-      op.kind = Operand::Kind::kShift;
-      op.shift = *sh;
-      op.amount = *n;
-      return op;
-    }
-    if (auto ex = ParseExtendName(head)) {
-      op.kind = Operand::Kind::kExtend;
-      op.ext = *ex;
-      if (!rest.empty()) {
-        auto n = ParseNumber(rest);
-        if (!n) return Error{"bad extend amount: " + std::string(tok)};
-        op.amount = *n;
-      }
-      return op;
-    }
+  const size_t space = WordEnd(tok);
+  switch (Key(tok.substr(0, space))) {
+    case Key("lsl"): op->shift = Shift::kLsl; break;
+    case Key("lsr"): op->shift = Shift::kLsr; break;
+    case Key("asr"): op->shift = Shift::kAsr; break;
+    case Key("ror"): op->shift = Shift::kRor; break;
+    case Key("uxtb"): op->ext = Extend::kUxtb; break;
+    case Key("uxth"): op->ext = Extend::kUxth; break;
+    case Key("uxtw"): op->ext = Extend::kUxtw; break;
+    case Key("uxtx"): op->ext = Extend::kUxtx; break;
+    case Key("sxtb"): op->ext = Extend::kSxtb; break;
+    case Key("sxth"): op->ext = Extend::kSxth; break;
+    case Key("sxtw"): op->ext = Extend::kSxtw; break;
+    case Key("sxtx"): op->ext = Extend::kSxtx; break;
+    default:
+      // Condition code or label: context decides; report a label and let
+      // the mnemonic's builder reinterpret it where it expects a condition.
+      op->sym = tok;
+      return Status::Ok();
   }
-  // Condition code or label: context decides; report as label and let the
-  // mnemonic handler reinterpret when it expects a condition.
-  op.kind = Operand::Kind::kLabel;
-  op.sym = std::string(tok);
-  return op;
+  const std::string_view rest = Trim(tok.substr(space));
+  if (space == 3) {  // the shift names have three letters, extends four
+    const auto n = ParseNumber(rest);
+    if (!n) return Status::Fail("shift needs amount: " + std::string(tok));
+    op->kind = Operand::Kind::kShift;
+    op->amount = *n;
+    return Status::Ok();
+  }
+  op->kind = Operand::Kind::kExtend;
+  if (!rest.empty()) {
+    const auto n = ParseNumber(rest);
+    if (!n) return Status::Fail("bad extend amount: " + std::string(tok));
+    op->amount = *n;
+  }
+  return Status::Ok();
 }
 
-// Parses a [ ... ] memory operand (without any post-index part).
-Result<Operand> ParseMemOperand(std::string_view tok) {
-  Operand op;
-  op.kind = Operand::Kind::kMem;
-  tok = Trim(tok);
+// Lexes a [ ... ] memory operand (without any post-index part).
+Status LexMem(std::string_view tok, Operand* op) {
+  op->kind = Operand::Kind::kMem;
   if (tok.back() == '!') {
-    op.writeback = true;
+    op->writeback = true;
     tok = Trim(tok.substr(0, tok.size() - 1));
   }
   if (tok.size() < 2 || tok.front() != '[' || tok.back() != ']') {
-    return Error{"bad memory operand: " + std::string(tok)};
+    return Status::Fail("bad memory operand: " + std::string(tok));
   }
-  const auto inner = Trim(tok.substr(1, tok.size() - 2));
-  auto parts = SplitOperands(inner);
-  if (parts.empty() || parts.size() > 3) {
-    return Error{"bad memory operand arity"};
+  Pieces pieces(Trim(tok.substr(1, tok.size() - 2)));
+  std::string_view parts[4];
+  size_t np = 0;
+  while (np < 4 && pieces.Next(&parts[np])) ++np;
+  if (np == 0 || np > 3) return Status::Fail("bad memory operand arity");
+  Width base_width;
+  if (!LexGpr(parts[0], &op->mem_base, &base_width) || op->mem_base.IsZr()) {
+    return Status::Fail("bad base register: " + std::string(parts[0]));
   }
-  auto base = ParseGpr(parts[0]);
-  if (!base || base->first.IsZr()) {
-    return Error{"bad base register: " + std::string(parts[0])};
-  }
-  op.mem_base = base->first;
-  if (parts.size() >= 2) {
-    auto sub = ParseSimpleOperand(parts[1]);
-    if (!sub) return Error{sub.error()};
-    switch (sub->kind) {
+  if (np >= 2) {
+    Operand sub;
+    if (Status st = LexSimple(parts[1], &sub); !st.ok()) return st;
+    switch (sub.kind) {
       case Operand::Kind::kImm:
-        op.off_kind = Operand::OffKind::kImm;
-        op.off_imm = sub->imm;
+        op->off_kind = Operand::OffKind::kImm;
+        op->imm = sub.imm;
         break;
       case Operand::Kind::kReg:
-        op.off_kind = Operand::OffKind::kReg;
-        op.off_reg = sub->reg;
-        op.off_width = sub->reg_width;
+        op->off_kind = Operand::OffKind::kReg;
+        op->off_reg = sub.reg;
+        op->off_width = sub.reg_width;
         break;
       case Operand::Kind::kLo12:
-        op.off_kind = Operand::OffKind::kLo12;
-        op.off_sym = sub->sym;
+        op->off_kind = Operand::OffKind::kLo12;
+        op->sym = sub.sym;
         break;
       default:
-        return Error{"bad memory offset"};
+        return Status::Fail("bad memory offset");
     }
   }
-  if (parts.size() == 3) {
-    auto sub = ParseSimpleOperand(parts[2]);
-    if (!sub) return Error{sub.error()};
-    if (sub->kind == Operand::Kind::kShift) {
-      op.ext_kind = Operand::ExtKind::kShift;
-      op.shift = sub->shift;
-      op.amount = sub->amount;
-    } else if (sub->kind == Operand::Kind::kExtend) {
-      op.ext_kind = Operand::ExtKind::kExtend;
-      op.ext = sub->ext;
-      op.amount = sub->amount;
+  if (np == 3) {
+    Operand sub;
+    if (Status st = LexSimple(parts[2], &sub); !st.ok()) return st;
+    if (sub.kind == Operand::Kind::kShift) {
+      op->ext_kind = Operand::ExtKind::kShift;
+      op->shift = sub.shift;
+    } else if (sub.kind == Operand::Kind::kExtend) {
+      op->ext_kind = Operand::ExtKind::kExtend;
+      op->ext = sub.ext;
     } else {
-      return Error{"bad memory extend"};
+      return Status::Fail("bad memory extend");
     }
+    op->amount = sub.amount;
   }
-  return op;
+  return Status::Ok();
 }
 
-Result<ParsedLine> Tokenize(std::string_view line) {
-  ParsedLine out;
-  line = Trim(line);
-  const auto sp = line.find_first_of(" \t");
-  out.mnemonic = Lower(sp == std::string_view::npos ? line
-                                                    : line.substr(0, sp));
-  if (sp == std::string_view::npos) return out;
-  auto toks = SplitOperands(Trim(line.substr(sp)));
-  for (size_t k = 0; k < toks.size(); ++k) {
-    if (!toks[k].empty() && toks[k].front() == '[') {
-      auto mem = ParseMemOperand(toks[k]);
-      if (!mem) return Error{mem.error()};
-      // Post-index: `[xN], #i` arrives as a following immediate token.
-      if (k + 1 < toks.size() && !mem->writeback &&
-          mem->off_kind == Operand::OffKind::kNone &&
-          (toks[k + 1].front() == '#' ||
-           std::isdigit(static_cast<unsigned char>(toks[k + 1][0])) ||
-           toks[k + 1].front() == '-')) {
-        auto n = ParseNumber(toks[k + 1]);
-        if (!n) return Error{"bad post-index immediate"};
-        out.post_imm = *n;
-        ++k;
-      }
-      out.ops.push_back(*mem);
+// Lexes `line` (trimmed) into `l`: the mnemonic and its key, then every
+// operand in one forward pass over the pieces.
+Status LexLine(std::string_view line, Line* l) {
+  const size_t sp = WordEnd(line);
+  l->mnemonic = line.substr(0, sp);
+  l->key = Key(l->mnemonic);
+  l->n = 0;
+  l->post_imm.reset();
+  Pieces pieces(Trim(line.substr(sp)));
+  std::string_view tok;
+  bool more = pieces.Next(&tok);
+  while (more) {
+    Operand* op = l->Slot();
+    *op = Operand{};
+    ++l->n;
+    if (tok.empty() || tok.front() != '[') {
+      if (Status st = LexSimple(tok, op); !st.ok()) return st;
+      more = pieces.Next(&tok);
       continue;
     }
-    auto op = ParseSimpleOperand(toks[k]);
-    if (!op) return Error{op.error()};
-    out.ops.push_back(*op);
+    if (Status st = LexMem(tok, op); !st.ok()) return st;
+    more = pieces.Next(&tok);
+    // Post-index: `[xN], #i` arrives as the following piece.
+    if (more && !op->writeback && op->off_kind == Operand::OffKind::kNone &&
+        StartsNumber(tok)) {
+      l->post_imm = ParseNumber(tok);
+      if (!l->post_imm) return Status::Fail("bad post-index immediate");
+      more = pieces.Next(&tok);
+    }
   }
-  return out;
+  return Status::Ok();
 }
 
-// ----- Mnemonic assembly: build Inst values from operand lists -----
+// ----- Mnemonic assembly: fill a statement from an operand list -----
 
-Error ErrLine(const std::string& m) { return Error{m}; }
+bool IsReg(const Operand& o) { return o.kind == Operand::Kind::kReg; }
+bool IsImm(const Operand& o) { return o.kind == Operand::Kind::kImm; }
+bool IsMem(const Operand& o) { return o.kind == Operand::Kind::kMem; }
+bool IsVReg(const Operand& o) { return o.kind == Operand::Kind::kVReg; }
+bool IsLabel(const Operand& o) { return o.kind == Operand::Kind::kLabel; }
 
-// Fills `inst.mem` from a kMem operand plus optional post-index immediate.
-Status FillMem(const Operand& m, std::optional<int64_t> post, Inst* inst) {
+// The zr destination cmp/cmn/tst imply, as wide as their first operand.
+Operand ImplicitZr(const Line& l) {
+  Operand zr;
+  zr.kind = Operand::Kind::kReg;
+  zr.reg = Reg::Zr();
+  zr.reg_width = l.n == 0 ? Width::kX : l.ops[0].reg_width;
+  return zr;
+}
+
+// Fills `inst->mem` from a kMem operand plus the line's post-index
+// immediate, if any.
+Status FillMem(const Operand& m, const Line& l, Inst* inst) {
   inst->mem.base = m.mem_base;
-  if (post.has_value()) {
+  if (l.post_imm) {
     inst->mem.mode = AddrMode::kPostIndex;
-    inst->mem.imm = *post;
+    inst->mem.imm = *l.post_imm;
     return Status::Ok();
   }
-  if (m.off_kind == Operand::OffKind::kNone) {
+  if (m.off_kind == Operand::OffKind::kNone ||
+      m.off_kind == Operand::OffKind::kImm) {
     inst->mem.mode = m.writeback ? AddrMode::kPreIndex : AddrMode::kImm;
-    inst->mem.imm = 0;
-    return Status::Ok();
-  }
-  if (m.off_kind == Operand::OffKind::kImm) {
-    inst->mem.mode = m.writeback ? AddrMode::kPreIndex : AddrMode::kImm;
-    inst->mem.imm = m.off_imm;
+    inst->mem.imm = m.imm;
     return Status::Ok();
   }
   if (m.off_kind == Operand::OffKind::kLo12) {
@@ -425,7 +475,6 @@ Status FillMem(const Operand& m, std::optional<int64_t> post, Inst* inst) {
   // Register offset.
   if (m.writeback) return Status::Fail("writeback with register offset");
   inst->mem.index = m.off_reg;
-  uint8_t shift = 0;
   AddrMode mode;
   if (m.ext_kind == Operand::ExtKind::kNone) {
     if (m.off_width != Width::kX) {
@@ -437,7 +486,6 @@ Status FillMem(const Operand& m, std::optional<int64_t> post, Inst* inst) {
       return Status::Fail("only lsl shifts in addressing modes");
     }
     mode = AddrMode::kRegLsl;
-    shift = static_cast<uint8_t>(m.amount.value_or(0));
   } else {
     switch (m.ext) {
       case Extend::kUxtw: mode = AddrMode::kRegUxtw; break;
@@ -448,856 +496,774 @@ Status FillMem(const Operand& m, std::optional<int64_t> post, Inst* inst) {
     if (mode != AddrMode::kRegLsl && m.off_width != Width::kW) {
       return Status::Fail("uxtw/sxtw offset must be a w register");
     }
-    shift = static_cast<uint8_t>(m.amount.value_or(0));
   }
   inst->mem.mode = mode;
-  inst->mem.shift = shift;
+  inst->mem.shift = static_cast<uint8_t>(m.amount);
   return Status::Ok();
 }
 
-bool IsReg(const Operand& o) { return o.kind == Operand::Kind::kReg; }
-bool IsImm(const Operand& o) { return o.kind == Operand::Kind::kImm; }
-bool IsMem(const Operand& o) { return o.kind == Operand::Kind::kMem; }
-bool IsVReg(const Operand& o) { return o.kind == Operand::Kind::kVReg; }
-
 // Builds an add/sub-family instruction from `rd, rn, <imm|reg>` operands
-// with optional shift/extend. Handles the imm/shifted/extended split.
-Result<AsmStmt> BuildAddSub(bool sub, bool setflags, const ParsedLine& l,
-                            size_t opbase = 0) {
-  if (l.ops.size() < opbase + 3) return ErrLine("add/sub needs 3 operands");
-  const Operand& rd = l.ops[opbase];
-  const Operand& rn = l.ops[opbase + 1];
-  const Operand& src = l.ops[opbase + 2];
-  if (!IsReg(rd) || !IsReg(rn)) return ErrLine("add/sub operand types");
-  Inst i;
+// with optional shift/extend. `rest` follows `rd` and `total` counts `rd`
+// too, so cmp/cmn pass their implicit zr without copying the line.
+Status BuildAddSub(bool sub, bool setflags, const Operand& rd,
+                   const Operand* rest, size_t total, AsmStmt* s) {
+  if (total < 3) return Status::Fail("add/sub needs 3 operands");
+  const Operand& rn = rest[0];
+  const Operand& src = rest[1];
+  if (!IsReg(rd) || !IsReg(rn)) return Status::Fail("add/sub operand types");
+  Inst& i = s->inst;
   i.width = rd.reg_width;
   i.rd = rd.reg;
   i.rn = rn.reg;
   if (IsImm(src)) {
+    if (total > 3) return Status::Fail("junk after add imm");
+    // Negative immediates flip add<->sub (without overflow on INT64_MIN).
+    if (src.imm < 0) sub = !sub;
     i.mn = sub ? (setflags ? Mn::kSubsImm : Mn::kSubImm)
                : (setflags ? Mn::kAddsImm : Mn::kAddImm);
-    i.imm = src.imm;
-    if (l.ops.size() > opbase + 3) return ErrLine("junk after add imm");
-    // Negative immediates flip add<->sub.
-    if (i.imm < 0) {
-      i.imm = -i.imm;
-      i.mn = sub ? (setflags ? Mn::kAddsImm : Mn::kAddImm)
-                 : (setflags ? Mn::kSubsImm : Mn::kSubImm);
-    }
-    return AsmStmt::OfInst(i);
+    i.imm = src.imm < 0 ? static_cast<int64_t>(0 - uint64_t(src.imm))
+                        : src.imm;
+    return Status::Ok();
   }
   if (src.kind == Operand::Kind::kLo12) {
-    if (sub || setflags) return ErrLine(":lo12: only valid on add");
+    if (sub || setflags) return Status::Fail(":lo12: only valid on add");
     i.mn = Mn::kAddImm;
-    AsmStmt s = AsmStmt::OfInst(i);
-    s.reloc = Reloc::kLo12;
-    s.target = src.sym;
-    return s;
+    s->reloc = Reloc::kLo12;
+    s->target = src.sym;
+    return Status::Ok();
   }
-  if (!IsReg(src)) return ErrLine("add/sub source");
+  if (!IsReg(src)) return Status::Fail("add/sub source");
   i.rm = src.reg;
-  const bool has_mod = l.ops.size() > opbase + 3;
-  if (has_mod && l.ops[opbase + 3].kind == Operand::Kind::kExtend) {
-    const Operand& e = l.ops[opbase + 3];
-    if (setflags) return ErrLine("adds/subs ext unsupported");
+  const bool has_mod = total > 3;
+  if (has_mod && rest[2].kind == Operand::Kind::kExtend) {
+    if (setflags) return Status::Fail("adds/subs ext unsupported");
     i.mn = sub ? Mn::kSubExt : Mn::kAddExt;
-    i.ext = e.ext;
-    i.shift_amount = static_cast<uint8_t>(e.amount.value_or(0));
-    return AsmStmt::OfInst(i);
+    i.ext = rest[2].ext;
+    i.shift_amount = static_cast<uint8_t>(rest[2].amount);
+    return Status::Ok();
   }
   // Mixed register widths (add xD, xN, wM, uxtw) imply the extended form
   // even without a trailing modifier token.
   if (rd.reg_width == Width::kX && src.reg_width == Width::kW) {
-    return ErrLine("w source in x add requires an extend specifier");
+    return Status::Fail("w source in x add requires an extend specifier");
   }
   // SP in rd/rn requires extended or immediate form; the encoder handles
   // the uxtx conversion for plain adds.
   i.mn = sub ? (setflags ? Mn::kSubsReg : Mn::kSubReg)
              : (setflags ? Mn::kAddsReg : Mn::kAddReg);
   if (has_mod) {
-    const Operand& sh = l.ops[opbase + 3];
-    if (sh.kind != Operand::Kind::kShift) return ErrLine("bad add modifier");
-    i.shift = sh.shift;
-    i.shift_amount = static_cast<uint8_t>(sh.amount.value_or(0));
-    if (l.ops.size() > opbase + 4) return ErrLine("junk after add");
+    if (rest[2].kind != Operand::Kind::kShift) {
+      return Status::Fail("bad add modifier");
+    }
+    i.shift = rest[2].shift;
+    i.shift_amount = static_cast<uint8_t>(rest[2].amount);
+    if (total > 4) return Status::Fail("junk after add");
   }
-  return AsmStmt::OfInst(i);
+  return Status::Ok();
 }
 
-Result<AsmStmt> BuildLogical(Mn mn, const ParsedLine& l) {
-  if (l.ops.size() < 3) return ErrLine("logical needs 3 operands");
-  if (!IsReg(l.ops[0]) || !IsReg(l.ops[1])) return ErrLine("logical operands");
-  if (IsImm(l.ops[2])) {
+// Logical ops; `rd`, `rest` and `total` as for BuildAddSub (tst passes zr).
+Status BuildLogical(Mn mn, const Operand& rd, const Operand* rest,
+                    size_t total, Inst* i) {
+  if (total < 3) return Status::Fail("logical needs 3 operands");
+  if (!IsReg(rd) || !IsReg(rest[0])) return Status::Fail("logical operands");
+  i->width = rd.reg_width;
+  i->rd = rd.reg;
+  i->rn = rest[0].reg;
+  if (IsImm(rest[1])) {
     // Bitmask-immediate form.
-    Inst i;
     switch (mn) {
-      case Mn::kAndReg: i.mn = Mn::kAndImm; break;
-      case Mn::kAndsReg: i.mn = Mn::kAndsImm; break;
-      case Mn::kOrrReg: i.mn = Mn::kOrrImm; break;
-      case Mn::kEorReg: i.mn = Mn::kEorImm; break;
-      default: return ErrLine("no immediate form for this logical op");
+      case Mn::kAndReg: i->mn = Mn::kAndImm; break;
+      case Mn::kAndsReg: i->mn = Mn::kAndsImm; break;
+      case Mn::kOrrReg: i->mn = Mn::kOrrImm; break;
+      case Mn::kEorReg: i->mn = Mn::kEorImm; break;
+      default: return Status::Fail("no immediate form for this logical op");
     }
-    i.width = l.ops[0].reg_width;
-    i.rd = l.ops[0].reg;
-    i.rn = l.ops[1].reg;
-    i.imm = l.ops[2].imm;
-    if (i.width == Width::kW) i.imm &= 0xffffffff;
-    return AsmStmt::OfInst(i);
+    i->imm = rest[1].imm;
+    if (i->width == Width::kW) i->imm &= 0xffffffff;
+    return Status::Ok();
   }
-  if (!IsReg(l.ops[2])) {
-    return ErrLine("logical operand types");
+  if (!IsReg(rest[1])) return Status::Fail("logical operand types");
+  i->mn = mn;
+  i->rm = rest[1].reg;
+  if (total == 4) {
+    if (rest[2].kind != Operand::Kind::kShift) {
+      return Status::Fail("bad shift");
+    }
+    i->shift = rest[2].shift;
+    i->shift_amount = static_cast<uint8_t>(rest[2].amount);
   }
-  Inst i;
-  i.mn = mn;
-  i.width = l.ops[0].reg_width;
-  i.rd = l.ops[0].reg;
-  i.rn = l.ops[1].reg;
-  i.rm = l.ops[2].reg;
-  if (l.ops.size() == 4) {
-    if (l.ops[3].kind != Operand::Kind::kShift) return ErrLine("bad shift");
-    i.shift = l.ops[3].shift;
-    i.shift_amount = static_cast<uint8_t>(l.ops[3].amount.value_or(0));
-  }
-  return AsmStmt::OfInst(i);
+  return Status::Ok();
 }
 
-Result<AsmStmt> BuildLoadStore(const std::string& mn, const ParsedLine& l) {
-  Inst i;
-  bool load = mn[0] == 'l';
-  if (mn == "ldr" || mn == "str" || mn == "ldur" || mn == "stur") {
-    i.msize = 0;  // from register width below
-  } else if (mn == "ldrb" || mn == "strb") {
-    i.msize = 1;
-  } else if (mn == "ldrh" || mn == "strh") {
-    i.msize = 2;
-  } else if (mn == "ldrsb") {
-    i.msize = 1;
-    i.msigned = true;
-  } else if (mn == "ldrsh") {
-    i.msize = 2;
-    i.msigned = true;
-  } else if (mn == "ldrsw") {
-    i.msize = 4;
-    i.msigned = true;
-  } else {
-    return ErrLine("bad load/store mnemonic");
+Status BuildLoadStore(const Line& l, Inst* i) {
+  const Operand* ops = l.ops;
+  switch (l.key) {
+    case Key("ldrb"): case Key("strb"): i->msize = 1; break;
+    case Key("ldrh"): case Key("strh"): i->msize = 2; break;
+    case Key("ldrsb"): i->msize = 1; i->msigned = true; break;
+    case Key("ldrsh"): i->msize = 2; i->msigned = true; break;
+    case Key("ldrsw"): i->msize = 4; i->msigned = true; break;
+    default: i->msize = 0; break;  // ldr/str/ldur/stur: from the register
   }
-  if (l.ops.size() != 2 || !IsMem(l.ops[1])) {
-    return ErrLine(mn + " needs `rt, [mem]`");
+  if (l.n != 2 || !IsMem(ops[1])) {
+    return Status::Fail(KeyName(l.key) + " needs `rt, [mem]`");
   }
-  if (IsVReg(l.ops[0])) {
-    if (i.msize != 0 || i.msigned) return ErrLine("fp ld/st variant");
-    i.mn = load ? Mn::kLdrF : Mn::kStrF;
-    i.vt = l.ops[0].vreg;
-    i.fsize = l.ops[0].fsize;
-    switch (i.fsize) {
-      case FpSize::kS: i.msize = 4; break;
-      case FpSize::kD: i.msize = 8; break;
-      case FpSize::kQ: i.msize = 16; break;
-      default: return ErrLine("bad fp transfer register");
+  const bool load = (l.key & 0xff) == 'l';
+  if (IsVReg(ops[0])) {
+    if (i->msize != 0 || i->msigned) return Status::Fail("fp ld/st variant");
+    i->mn = load ? Mn::kLdrF : Mn::kStrF;
+    i->vt = ops[0].vreg;
+    i->fsize = ops[0].fsize;
+    switch (i->fsize) {
+      case FpSize::kS: i->msize = 4; break;
+      case FpSize::kD: i->msize = 8; break;
+      case FpSize::kQ: i->msize = 16; break;
+      default: return Status::Fail("bad fp transfer register");
     }
-  } else if (IsReg(l.ops[0])) {
-    i.mn = load ? Mn::kLdr : Mn::kStr;
-    i.rt = l.ops[0].reg;
-    i.width = l.ops[0].reg_width;
-    if (i.msize == 0) i.msize = i.width == Width::kX ? 8 : 4;
-    if (i.msigned && i.msize == 4 && i.width != Width::kX) {
-      return ErrLine("ldrsw must target an x register");
+  } else if (IsReg(ops[0])) {
+    i->mn = load ? Mn::kLdr : Mn::kStr;
+    i->rt = ops[0].reg;
+    i->width = ops[0].reg_width;
+    if (i->msize == 0) i->msize = i->width == Width::kX ? 8 : 4;
+    if (i->msigned && i->msize == 4 && i->width != Width::kX) {
+      return Status::Fail("ldrsw must target an x register");
     }
-    if (!i.msigned && i.msize < 4 && i.width != Width::kW) {
-      return ErrLine("ldrb/ldrh target must be a w register");
+    if (!i->msigned && i->msize < 4 && i->width != Width::kW) {
+      return Status::Fail("ldrb/ldrh target must be a w register");
     }
   } else {
-    return ErrLine("bad transfer register");
+    return Status::Fail("bad transfer register");
   }
-  auto st = FillMem(l.ops[1], l.post_imm, &i);
-  if (!st.ok()) return Error{st.error()};
-  return AsmStmt::OfInst(i);
+  return FillMem(ops[1], l, i);
 }
 
-Result<AsmStmt> BuildPair(bool load, const ParsedLine& l) {
-  if (l.ops.size() != 3 || !IsReg(l.ops[0]) || !IsReg(l.ops[1]) ||
-      !IsMem(l.ops[2])) {
-    return ErrLine("ldp/stp needs `rt, rt2, [mem]`");
+Status BuildFp2(Mn mn, const Line& l, Inst* i) {
+  const Operand* ops = l.ops;
+  if (l.n != 3 || !IsVReg(ops[0]) || !IsVReg(ops[1]) || !IsVReg(ops[2])) {
+    return Status::Fail("fp op needs 3 fp registers");
   }
-  Inst i;
-  i.mn = load ? Mn::kLdp : Mn::kStp;
-  i.rt = l.ops[0].reg;
-  i.rt2 = l.ops[1].reg;
-  i.width = l.ops[0].reg_width;
-  i.msize = i.width == Width::kX ? 8 : 4;
-  auto st = FillMem(l.ops[2], l.post_imm, &i);
-  if (!st.ok()) return Error{st.error()};
-  return AsmStmt::OfInst(i);
-}
-
-Result<AsmStmt> BuildFp2(Mn mn, const ParsedLine& l) {
-  if (l.ops.size() != 3 || !IsVReg(l.ops[0]) || !IsVReg(l.ops[1]) ||
-      !IsVReg(l.ops[2])) {
-    return ErrLine("fp op needs 3 fp registers");
-  }
-  Inst i;
-  i.fsize = l.ops[0].fsize;
-  if (i.fsize == FpSize::kV4S || i.fsize == FpSize::kV2D) {
+  i->fsize = ops[0].fsize;
+  if (i->fsize == FpSize::kV4S || i->fsize == FpSize::kV2D) {
     switch (mn) {
-      case Mn::kFadd: i.mn = Mn::kVFadd; break;
-      case Mn::kFmul: i.mn = Mn::kVFmul; break;
-      default: return ErrLine("vector op unsupported");
+      case Mn::kFadd: mn = Mn::kVFadd; break;
+      case Mn::kFmul: mn = Mn::kVFmul; break;
+      default: return Status::Fail("vector op unsupported");
     }
-  } else {
-    i.mn = mn;
   }
-  i.vd = l.ops[0].vreg;
-  i.vn = l.ops[1].vreg;
-  i.vm = l.ops[2].vreg;
-  return AsmStmt::OfInst(i);
+  i->mn = mn;
+  i->vd = ops[0].vreg;
+  i->vn = ops[1].vreg;
+  i->vm = ops[2].vreg;
+  return Status::Ok();
 }
 
-Result<AsmStmt> BuildBranch(Mn mn, const ParsedLine& l, Cond cond) {
-  Inst i;
+Status BuildBranch(Mn mn, const Line& l, Cond cond, AsmStmt* s) {
+  const Operand* ops = l.ops;
+  Inst& i = s->inst;
   i.mn = mn;
   i.cond = cond;
   size_t lab = 0;
   if (mn == Mn::kCbz || mn == Mn::kCbnz) {
-    if (l.ops.size() != 2 || !IsReg(l.ops[0])) return ErrLine("cbz operands");
-    i.rt = l.ops[0].reg;
-    i.width = l.ops[0].reg_width;
+    if (l.n != 2 || !IsReg(ops[0])) return Status::Fail("cbz operands");
+    i.rt = ops[0].reg;
+    i.width = ops[0].reg_width;
     lab = 1;
   } else if (mn == Mn::kTbz || mn == Mn::kTbnz) {
-    if (l.ops.size() != 3 || !IsReg(l.ops[0]) || !IsImm(l.ops[1])) {
-      return ErrLine("tbz operands");
+    if (l.n != 3 || !IsReg(ops[0]) || !IsImm(ops[1])) {
+      return Status::Fail("tbz operands");
     }
-    i.rt = l.ops[0].reg;
-    i.bit = static_cast<uint8_t>(l.ops[1].imm);
+    i.rt = ops[0].reg;
+    i.bit = static_cast<uint8_t>(ops[1].imm);
     i.width = i.bit >= 32 ? Width::kX : Width::kW;
     lab = 2;
-  } else if (l.ops.size() != 1) {
-    return ErrLine("branch needs a target");
+  } else if (l.n != 1) {
+    return Status::Fail("branch needs a target");
   }
-  if (l.ops[lab].kind != Operand::Kind::kLabel) return ErrLine("bad target");
-  return AsmStmt::Branch(i, l.ops[lab].sym);
+  if (!IsLabel(ops[lab])) return Status::Fail("bad target");
+  s->reloc = Reloc::kBranch;
+  s->target = ops[lab].sym;
+  return Status::Ok();
 }
 
-Result<AsmStmt> BuildInst(const ParsedLine& l) {
-  const std::string& m = l.mnemonic;
-  const auto& ops = l.ops;
+// Fills `s`, a fresh kInst statement, from a lexed line: one switch on the
+// mnemonic's key.
+Status BuildInst(const Line& l, AsmStmt* s) {
+  const Operand* ops = l.ops;
+  const size_t n = l.n;
+  const uint64_t m = l.key;
+  Inst& i = s->inst;
 
   // b.cond
-  if (m.size() > 2 && m[0] == 'b' && m[1] == '.') {
-    auto c = ParseCond(m.substr(2));
-    if (!c || *c == Cond::kAl) return ErrLine("bad branch condition");
-    return BuildBranch(Mn::kBCond, l, *c);
+  if (l.mnemonic.size() > 2 && ToLower(l.mnemonic[0]) == 'b' &&
+      l.mnemonic[1] == '.') {
+    const auto c = ParseCond(l.mnemonic.substr(2));
+    if (!c || *c == Cond::kAl) return Status::Fail("bad branch condition");
+    return BuildBranch(Mn::kBCond, l, *c, s);
   }
 
-  if (m == "add" && !ops.empty() && IsVReg(ops[0])) {
-    // Vector integer add: add vD.4s, vN.4s, vM.4s
-    if (ops.size() != 3 || !IsVReg(ops[1]) || !IsVReg(ops[2])) {
-      return ErrLine("vector add operands");
-    }
-    Inst i;
-    i.mn = Mn::kVAdd;
-    i.fsize = ops[0].fsize;
-    if (i.fsize != FpSize::kV4S && i.fsize != FpSize::kV2D) {
-      return ErrLine("vector add arrangement");
-    }
-    i.vd = ops[0].vreg;
-    i.vn = ops[1].vreg;
-    i.vm = ops[2].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "add" || m == "adds" || m == "sub" || m == "subs") {
-    return BuildAddSub(m[0] == 's', m.back() == 's', l);
-  }
-  if (m == "cmp" || m == "cmn") {
-    // cmp a, b == subs zr, a, b.
-    ParsedLine with_rd = l;
-    Operand zr;
-    zr.kind = Operand::Kind::kReg;
-    zr.reg = Reg::Zr();
-    zr.reg_width = ops.empty() ? Width::kX : ops[0].reg_width;
-    with_rd.ops.insert(with_rd.ops.begin(), zr);
-    return BuildAddSub(m == "cmp", true, with_rd);
-  }
-  if (m == "and") return BuildLogical(Mn::kAndReg, l);
-  if (m == "ands") return BuildLogical(Mn::kAndsReg, l);
-  if (m == "orr") return BuildLogical(Mn::kOrrReg, l);
-  if (m == "eor") return BuildLogical(Mn::kEorReg, l);
-  if (m == "bic") return BuildLogical(Mn::kBicReg, l);
-  if (m == "tst") {
-    ParsedLine with_rd = l;
-    Operand zr;
-    zr.kind = Operand::Kind::kReg;
-    zr.reg = Reg::Zr();
-    zr.reg_width = ops.empty() ? Width::kX : ops[0].reg_width;
-    with_rd.ops.insert(with_rd.ops.begin(), zr);
-    return BuildLogical(Mn::kAndsReg, with_rd);
-  }
-  if (m == "neg") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("neg operands");
-    }
-    Inst i;
-    i.mn = Mn::kSubReg;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = Reg::Zr();
-    i.rm = ops[1].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "mov") {
-    if (ops.size() != 2 || !IsReg(ops[0])) return ErrLine("mov operands");
-    Inst i;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    if (IsImm(ops[1])) {
-      const int64_t v = ops[1].imm;
-      // movz/movn with a single 16-bit payload; wider constants must be
-      // written as explicit movz/movk pairs.
-      if (v >= 0 && v <= 0xffff) {
-        i.mn = Mn::kMovz;
-        i.imm = v;
-      } else if (v < 0 && -v - 1 <= 0xffff) {
-        i.mn = Mn::kMovn;
-        i.imm = -v - 1;
-      } else {
-        return ErrLine("mov immediate too wide; use movz/movk");
+  switch (m) {
+    case Key("add"):
+      if (n != 0 && IsVReg(ops[0])) {
+        // Vector integer add: add vD.4s, vN.4s, vM.4s
+        if (n != 3 || !IsVReg(ops[1]) || !IsVReg(ops[2])) {
+          return Status::Fail("vector add operands");
+        }
+        i.mn = Mn::kVAdd;
+        i.fsize = ops[0].fsize;
+        if (i.fsize != FpSize::kV4S && i.fsize != FpSize::kV2D) {
+          return Status::Fail("vector add arrangement");
+        }
+        i.vd = ops[0].vreg;
+        i.vn = ops[1].vreg;
+        i.vm = ops[2].vreg;
+        return Status::Ok();
       }
-      return AsmStmt::OfInst(i);
-    }
-    if (!IsReg(ops[1])) return ErrLine("mov source");
-    // mov to/from sp uses add #0; otherwise orr zr.
-    if (ops[0].reg.IsSp() || ops[1].reg.IsSp()) {
-      i.mn = Mn::kAddImm;
-      i.rn = ops[1].reg;
-      i.imm = 0;
-      return AsmStmt::OfInst(i);
-    }
-    i.mn = Mn::kOrrReg;
-    i.rn = Reg::Zr();
-    i.rm = ops[1].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "movz" || m == "movn" || m == "movk") {
-    if (ops.size() < 2 || !IsReg(ops[0]) || !IsImm(ops[1])) {
-      return ErrLine("movz operands");
-    }
-    Inst i;
-    i.mn = m == "movz" ? Mn::kMovz : (m == "movn" ? Mn::kMovn : Mn::kMovk);
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.imm = ops[1].imm;
-    if (ops.size() == 3) {
-      if (ops[2].kind != Operand::Kind::kShift || ops[2].shift != Shift::kLsl) {
-        return ErrLine("movz shift");
+      [[fallthrough]];
+    case Key("adds"): case Key("sub"): case Key("subs"):
+      return BuildAddSub((m & 0xff) == 's', m == Key("adds") || m == Key("subs"),
+                         ops[0], ops + 1, n, s);
+    case Key("cmp"): case Key("cmn"):
+      // cmp a, b == subs zr, a, b.
+      return BuildAddSub(m == Key("cmp"), true, ImplicitZr(l), ops, n + 1, s);
+    case Key("and"): return BuildLogical(Mn::kAndReg, ops[0], ops + 1, n, &i);
+    case Key("ands"): return BuildLogical(Mn::kAndsReg, ops[0], ops + 1, n, &i);
+    case Key("orr"): return BuildLogical(Mn::kOrrReg, ops[0], ops + 1, n, &i);
+    case Key("eor"): return BuildLogical(Mn::kEorReg, ops[0], ops + 1, n, &i);
+    case Key("bic"): return BuildLogical(Mn::kBicReg, ops[0], ops + 1, n, &i);
+    case Key("tst"):
+      return BuildLogical(Mn::kAndsReg, ImplicitZr(l), ops, n + 1, &i);
+    case Key("neg"):
+      if (n != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
+        return Status::Fail("neg operands");
       }
-      i.shift_amount = static_cast<uint8_t>(ops[2].amount.value_or(0));
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "lsl" || m == "lsr" || m == "asr") {
-    if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsImm(ops[2])) {
-      return ErrLine("register-shift forms unsupported");
-    }
-    Inst i;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    const uint8_t bits = i.width == Width::kX ? 64 : 32;
-    const uint8_t s = static_cast<uint8_t>(ops[2].imm);
-    if (s >= bits) return ErrLine("shift amount too large");
-    if (m == "lsl") {
-      i.mn = Mn::kUbfm;
-      i.immr = static_cast<uint8_t>((bits - s) % bits);
-      i.imms = static_cast<uint8_t>(bits - 1 - s);
-    } else {
-      i.mn = m == "lsr" ? Mn::kUbfm : Mn::kSbfm;
-      i.immr = s;
-      i.imms = bits - 1;
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "sxtw" || m == "sxtb" || m == "sxth" || m == "uxtb" ||
-      m == "uxth") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("extend alias operands");
-    }
-    Inst i;
-    i.mn = m[0] == 's' ? Mn::kSbfm : Mn::kUbfm;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.immr = 0;
-    i.imms = m.substr(3) == "w" ? 31 : (m.substr(3) == "h" ? 15 : 7);
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "ubfm" || m == "sbfm") {
-    if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-        !IsImm(ops[2]) || !IsImm(ops[3])) {
-      return ErrLine("bfm operands");
-    }
-    Inst i;
-    i.mn = m == "ubfm" ? Mn::kUbfm : Mn::kSbfm;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.immr = static_cast<uint8_t>(ops[2].imm);
-    i.imms = static_cast<uint8_t>(ops[3].imm);
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "mul" || m == "madd" || m == "msub" || m == "mneg") {
-    Inst i;
-    i.mn = (m == "msub" || m == "mneg") ? Mn::kMsub : Mn::kMadd;
-    const size_t need = (m == "mul" || m == "mneg") ? 3 : 4;
-    if (ops.size() != need) return ErrLine("mul operands");
-    for (size_t k = 0; k < need; ++k) {
-      if (!IsReg(ops[k])) return ErrLine("mul operands");
-    }
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.rm = ops[2].reg;
-    i.ra = need == 4 ? ops[3].reg : Reg::Zr();
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "sdiv" || m == "udiv" || m == "umulh" || m == "smulh") {
-    if (ops.size() != 3) return ErrLine("3-reg op operands");
-    Inst i;
-    i.mn = m == "sdiv" ? Mn::kSdiv
-                       : (m == "udiv" ? Mn::kUdiv
-                                      : (m == "umulh" ? Mn::kUmulh
-                                                      : Mn::kSmulh));
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.rm = ops[2].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "ccmp" || m == "ccmn") {
-    // ccmp rn, rm|#imm5, #nzcv, cond
-    if (ops.size() != 4 || !IsReg(ops[0]) || !IsImm(ops[2]) ||
-        ops[3].kind != Operand::Kind::kLabel) {
-      return ErrLine("ccmp operands");
-    }
-    auto c = ParseCond(ops[3].sym);
-    if (!c) return ErrLine("bad ccmp condition");
-    Inst i;
-    i.width = ops[0].reg_width;
-    i.rn = ops[0].reg;
-    i.nzcv = static_cast<uint8_t>(ops[2].imm);
-    i.cond = *c;
-    if (IsImm(ops[1])) {
-      i.mn = m == "ccmp" ? Mn::kCcmpImm : Mn::kCcmnImm;
-      i.imm = ops[1].imm;
-    } else if (IsReg(ops[1])) {
-      i.mn = m == "ccmp" ? Mn::kCcmp : Mn::kCcmn;
+      i.mn = Mn::kSubReg;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = Reg::Zr();
       i.rm = ops[1].reg;
-    } else {
-      return ErrLine("ccmp second operand");
-    }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "extr" || m == "ror") {
-    // extr rd, rn, rm, #lsb; ror rd, rs, #shift == extr rd, rs, rs, #shift
-    Inst i;
-    i.mn = Mn::kExtr;
-    if (m == "ror") {
-      if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-          !IsImm(ops[2])) {
-        return ErrLine("ror operands");
+      return Status::Ok();
+    case Key("mov"):
+      if (n != 2 || !IsReg(ops[0])) return Status::Fail("mov operands");
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      if (IsImm(ops[1])) {
+        // movz/movn with a single 16-bit payload; wider constants must be
+        // written as explicit movz/movk pairs. ~v is -v - 1.
+        const int64_t v = ops[1].imm;
+        if (v >= 0 && v <= 0xffff) {
+          i.mn = Mn::kMovz;
+          i.imm = v;
+        } else if (v < 0 && ~v <= 0xffff) {
+          i.mn = Mn::kMovn;
+          i.imm = ~v;
+        } else {
+          return Status::Fail("mov immediate too wide; use movz/movk");
+        }
+        return Status::Ok();
+      }
+      if (!IsReg(ops[1])) return Status::Fail("mov source");
+      // mov to/from sp uses add #0; otherwise orr zr.
+      if (ops[0].reg.IsSp() || ops[1].reg.IsSp()) {
+        i.mn = Mn::kAddImm;
+        i.rn = ops[1].reg;
+        i.imm = 0;
+        return Status::Ok();
+      }
+      i.mn = Mn::kOrrReg;
+      i.rn = Reg::Zr();
+      i.rm = ops[1].reg;
+      return Status::Ok();
+    case Key("movz"): case Key("movn"): case Key("movk"):
+      if (n < 2 || !IsReg(ops[0]) || !IsImm(ops[1])) {
+        return Status::Fail("movz operands");
+      }
+      i.mn = m == Key("movz") ? Mn::kMovz
+                              : (m == Key("movn") ? Mn::kMovn : Mn::kMovk);
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.imm = ops[1].imm;
+      if (n == 3) {
+        if (ops[2].kind != Operand::Kind::kShift ||
+            ops[2].shift != Shift::kLsl) {
+          return Status::Fail("movz shift");
+        }
+        i.shift_amount = static_cast<uint8_t>(ops[2].amount);
+      }
+      return Status::Ok();
+    case Key("lsl"): case Key("lsr"): case Key("asr"): {
+      if (n != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsImm(ops[2])) {
+        return Status::Fail("register-shift forms unsupported");
       }
       i.width = ops[0].reg_width;
       i.rd = ops[0].reg;
       i.rn = ops[1].reg;
-      i.rm = ops[1].reg;
-      i.imms = static_cast<uint8_t>(ops[2].imm);
-    } else {
-      if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-          !IsReg(ops[2]) || !IsImm(ops[3])) {
-        return ErrLine("extr operands");
+      const uint8_t bits = i.width == Width::kX ? 64 : 32;
+      const auto sh = static_cast<uint8_t>(ops[2].imm);
+      if (sh >= bits) return Status::Fail("shift amount too large");
+      if (m == Key("lsl")) {
+        i.mn = Mn::kUbfm;
+        i.immr = static_cast<uint8_t>((bits - sh) % bits);
+        i.imms = static_cast<uint8_t>(bits - 1 - sh);
+      } else {
+        i.mn = m == Key("lsr") ? Mn::kUbfm : Mn::kSbfm;
+        i.immr = sh;
+        i.imms = bits - 1;
+      }
+      return Status::Ok();
+    }
+    case Key("sxtw"): case Key("sxtb"): case Key("sxth"): case Key("uxtb"):
+    case Key("uxth"):
+      if (n != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
+        return Status::Fail("extend alias operands");
+      }
+      i.mn = (m & 0xff) == 's' ? Mn::kSbfm : Mn::kUbfm;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.immr = 0;
+      // The fourth letter is the source size.
+      i.imms = (m >> 24) == 'w' ? 31 : ((m >> 24) == 'h' ? 15 : 7);
+      return Status::Ok();
+    case Key("ubfm"): case Key("sbfm"):
+      if (n != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsImm(ops[2]) ||
+          !IsImm(ops[3])) {
+        return Status::Fail("bfm operands");
+      }
+      i.mn = m == Key("ubfm") ? Mn::kUbfm : Mn::kSbfm;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.immr = static_cast<uint8_t>(ops[2].imm);
+      i.imms = static_cast<uint8_t>(ops[3].imm);
+      return Status::Ok();
+    case Key("mul"): case Key("madd"): case Key("msub"): case Key("mneg"): {
+      i.mn = (m == Key("msub") || m == Key("mneg")) ? Mn::kMsub : Mn::kMadd;
+      const size_t need = (m == Key("mul") || m == Key("mneg")) ? 3 : 4;
+      if (n != need) return Status::Fail("mul operands");
+      for (size_t k = 0; k < need; ++k) {
+        if (!IsReg(ops[k])) return Status::Fail("mul operands");
       }
       i.width = ops[0].reg_width;
       i.rd = ops[0].reg;
       i.rn = ops[1].reg;
       i.rm = ops[2].reg;
-      i.imms = static_cast<uint8_t>(ops[3].imm);
+      i.ra = need == 4 ? ops[3].reg : Reg::Zr();
+      return Status::Ok();
     }
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "csel" || m == "csinc" || m == "csinv" || m == "csneg") {
-    if (ops.size() != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-        !IsReg(ops[2]) || ops[3].kind != Operand::Kind::kLabel) {
-      return ErrLine("csel operands");
-    }
-    auto c = ParseCond(ops[3].sym);
-    if (!c) return ErrLine("bad condition: " + ops[3].sym);
-    Inst i;
-    i.mn = m == "csel" ? Mn::kCsel
-                       : (m == "csinc" ? Mn::kCsinc
-                                       : (m == "csinv" ? Mn::kCsinv
-                                                       : Mn::kCsneg));
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    i.rm = ops[2].reg;
-    i.cond = *c;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "cset") {
-    if (ops.size() != 2 || !IsReg(ops[0]) ||
-        ops[1].kind != Operand::Kind::kLabel) {
-      return ErrLine("cset operands");
-    }
-    auto c = ParseCond(ops[1].sym);
-    if (!c) return ErrLine("bad condition");
-    Inst i;
-    i.mn = Mn::kCsinc;
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = Reg::Zr();
-    i.rm = Reg::Zr();
-    i.cond = Invert(*c);
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "clz" || m == "rbit" || m == "rev") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("unary operands");
-    }
-    Inst i;
-    i.mn = m == "clz" ? Mn::kClz : (m == "rbit" ? Mn::kRbit : Mn::kRev);
-    i.width = ops[0].reg_width;
-    i.rd = ops[0].reg;
-    i.rn = ops[1].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "adr" || m == "adrp") {
-    if (ops.size() != 2 || !IsReg(ops[0]) ||
-        ops[1].kind != Operand::Kind::kLabel) {
-      return ErrLine("adr operands");
-    }
-    Inst i;
-    i.mn = m == "adr" ? Mn::kAdr : Mn::kAdrp;
-    i.rd = ops[0].reg;
-    return AsmStmt::Branch(i, ops[1].sym);
-  }
-  if (m == "ldr" || m == "str" || m == "ldur" || m == "stur" ||
-      m == "ldrb" || m == "strb" || m == "ldrh" || m == "strh" ||
-      m == "ldrsb" || m == "ldrsh" || m == "ldrsw") {
-    return BuildLoadStore(m, l);
-  }
-  if (m == "ldp" || m == "stp") return BuildPair(m == "ldp", l);
-  if (m == "ldxr" || m == "ldar" || m == "stlr") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsMem(ops[1])) {
-      return ErrLine("exclusive operands");
-    }
-    Inst i;
-    i.mn = m == "ldxr" ? Mn::kLdxr : (m == "ldar" ? Mn::kLdar : Mn::kStlr);
-    i.rt = ops[0].reg;
-    i.width = ops[0].reg_width;
-    i.msize = i.width == Width::kX ? 8 : 4;
-    auto st = FillMem(ops[1], l.post_imm, &i);
-    if (!st.ok()) return Error{st.error()};
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "stxr") {
-    if (ops.size() != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) ||
-        !IsMem(ops[2])) {
-      return ErrLine("stxr operands");
-    }
-    Inst i;
-    i.mn = Mn::kStxr;
-    i.rs = ops[0].reg;
-    i.rt = ops[1].reg;
-    i.width = ops[1].reg_width;
-    i.msize = i.width == Width::kX ? 8 : 4;
-    auto st = FillMem(ops[2], l.post_imm, &i);
-    if (!st.ok()) return Error{st.error()};
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "b") return BuildBranch(Mn::kB, l, Cond::kAl);
-  if (m == "bl") return BuildBranch(Mn::kBl, l, Cond::kAl);
-  if (m == "cbz") return BuildBranch(Mn::kCbz, l, Cond::kAl);
-  if (m == "cbnz") return BuildBranch(Mn::kCbnz, l, Cond::kAl);
-  if (m == "tbz") return BuildBranch(Mn::kTbz, l, Cond::kAl);
-  if (m == "tbnz") return BuildBranch(Mn::kTbnz, l, Cond::kAl);
-  if (m == "br" || m == "blr") {
-    if (ops.size() != 1 || !IsReg(ops[0])) return ErrLine("br operands");
-    Inst i;
-    i.mn = m == "br" ? Mn::kBr : Mn::kBlr;
-    i.rn = ops[0].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "ret") {
-    Inst i;
-    i.mn = Mn::kRet;
-    i.rn = ops.empty() ? Reg::X(30) : ops[0].reg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fadd") return BuildFp2(Mn::kFadd, l);
-  if (m == "fsub") return BuildFp2(Mn::kFsub, l);
-  if (m == "fmul") return BuildFp2(Mn::kFmul, l);
-  if (m == "fdiv") return BuildFp2(Mn::kFdiv, l);
-  if (m == "fsqrt") {
-    if (ops.size() != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
-      return ErrLine("fsqrt operands");
-    }
-    Inst i;
-    i.mn = Mn::kFsqrt;
-    i.fsize = ops[0].fsize;
-    i.vd = ops[0].vreg;
-    i.vn = ops[1].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fmadd") {
-    if (ops.size() != 4) return ErrLine("fmadd operands");
-    Inst i;
-    i.mn = Mn::kFmadd;
-    i.fsize = ops[0].fsize;
-    i.vd = ops[0].vreg;
-    i.vn = ops[1].vreg;
-    i.vm = ops[2].vreg;
-    i.va = ops[3].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fcmp") {
-    if (ops.size() != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
-      return ErrLine("fcmp operands");
-    }
-    Inst i;
-    i.mn = Mn::kFcmp;
-    i.fsize = ops[0].fsize;
-    i.vn = ops[0].vreg;
-    i.vm = ops[1].vreg;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "scvtf") {
-    if (ops.size() != 2 || !IsVReg(ops[0]) || !IsReg(ops[1])) {
-      return ErrLine("scvtf operands");
-    }
-    Inst i;
-    i.mn = Mn::kScvtf;
-    i.fsize = ops[0].fsize;
-    i.vd = ops[0].vreg;
-    i.rn = ops[1].reg;
-    i.width = ops[1].reg_width;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fcvtzs") {
-    if (ops.size() != 2 || !IsReg(ops[0]) || !IsVReg(ops[1])) {
-      return ErrLine("fcvtzs operands");
-    }
-    Inst i;
-    i.mn = Mn::kFcvtzs;
-    i.fsize = ops[1].fsize;
-    i.vn = ops[1].vreg;
-    i.rd = ops[0].reg;
-    i.width = ops[0].reg_width;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "fmov") {
-    if (ops.size() != 2) return ErrLine("fmov operands");
-    Inst i;
-    i.mn = Mn::kFmov;
-    if (IsVReg(ops[0]) && IsVReg(ops[1])) {
-      i.fsize = ops[0].fsize;
-      i.vd = ops[0].vreg;
-      i.vn = ops[1].vreg;
-    } else if (IsReg(ops[0]) && IsVReg(ops[1])) {
-      i.rd = ops[0].reg;
+    case Key("sdiv"): case Key("udiv"): case Key("umulh"): case Key("smulh"):
+      if (n != 3) return Status::Fail("3-reg op operands");
+      i.mn = m == Key("sdiv")
+                 ? Mn::kSdiv
+                 : (m == Key("udiv") ? Mn::kUdiv
+                                     : (m == Key("umulh") ? Mn::kUmulh
+                                                          : Mn::kSmulh));
       i.width = ops[0].reg_width;
-      i.vn = ops[1].vreg;
-      i.fsize = ops[1].fsize;
-    } else if (IsVReg(ops[0]) && IsReg(ops[1])) {
-      i.vd = ops[0].vreg;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[2].reg;
+      return Status::Ok();
+    case Key("ccmp"): case Key("ccmn"): {
+      // ccmp rn, rm|#imm5, #nzcv, cond
+      if (n != 4 || !IsReg(ops[0]) || !IsImm(ops[2]) || !IsLabel(ops[3])) {
+        return Status::Fail("ccmp operands");
+      }
+      const auto c = ParseCond(ops[3].sym);
+      if (!c) return Status::Fail("bad ccmp condition");
+      i.width = ops[0].reg_width;
+      i.rn = ops[0].reg;
+      i.nzcv = static_cast<uint8_t>(ops[2].imm);
+      i.cond = *c;
+      if (IsImm(ops[1])) {
+        i.mn = m == Key("ccmp") ? Mn::kCcmpImm : Mn::kCcmnImm;
+        i.imm = ops[1].imm;
+      } else if (IsReg(ops[1])) {
+        i.mn = m == Key("ccmp") ? Mn::kCcmp : Mn::kCcmn;
+        i.rm = ops[1].reg;
+      } else {
+        return Status::Fail("ccmp second operand");
+      }
+      return Status::Ok();
+    }
+    case Key("ror"):
+      // ror rd, rs, #shift == extr rd, rs, rs, #shift
+      if (n != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsImm(ops[2])) {
+        return Status::Fail("ror operands");
+      }
+      i.mn = Mn::kExtr;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[1].reg;
+      i.imms = static_cast<uint8_t>(ops[2].imm);
+      return Status::Ok();
+    case Key("extr"):
+      if (n != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsReg(ops[2]) ||
+          !IsImm(ops[3])) {
+        return Status::Fail("extr operands");
+      }
+      i.mn = Mn::kExtr;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[2].reg;
+      i.imms = static_cast<uint8_t>(ops[3].imm);
+      return Status::Ok();
+    case Key("csel"): case Key("csinc"): case Key("csinv"): case Key("csneg"): {
+      if (n != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsReg(ops[2]) ||
+          !IsLabel(ops[3])) {
+        return Status::Fail("csel operands");
+      }
+      const auto c = ParseCond(ops[3].sym);
+      if (!c) return Status::Fail("bad condition: " + std::string(ops[3].sym));
+      i.mn = m == Key("csel")
+                 ? Mn::kCsel
+                 : (m == Key("csinc") ? Mn::kCsinc
+                                      : (m == Key("csinv") ? Mn::kCsinv
+                                                           : Mn::kCsneg));
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      i.rm = ops[2].reg;
+      i.cond = *c;
+      return Status::Ok();
+    }
+    case Key("cset"): {
+      if (n != 2 || !IsReg(ops[0]) || !IsLabel(ops[1])) {
+        return Status::Fail("cset operands");
+      }
+      const auto c = ParseCond(ops[1].sym);
+      if (!c) return Status::Fail("bad condition");
+      i.mn = Mn::kCsinc;
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = Reg::Zr();
+      i.rm = Reg::Zr();
+      i.cond = Invert(*c);
+      return Status::Ok();
+    }
+    case Key("clz"): case Key("rbit"): case Key("rev"):
+      if (n != 2 || !IsReg(ops[0]) || !IsReg(ops[1])) {
+        return Status::Fail("unary operands");
+      }
+      i.mn = m == Key("clz") ? Mn::kClz
+                             : (m == Key("rbit") ? Mn::kRbit : Mn::kRev);
+      i.width = ops[0].reg_width;
+      i.rd = ops[0].reg;
+      i.rn = ops[1].reg;
+      return Status::Ok();
+    case Key("adr"): case Key("adrp"):
+      if (n != 2 || !IsReg(ops[0]) || !IsLabel(ops[1])) {
+        return Status::Fail("adr operands");
+      }
+      i.mn = m == Key("adr") ? Mn::kAdr : Mn::kAdrp;
+      i.rd = ops[0].reg;
+      s->reloc = Reloc::kBranch;
+      s->target = ops[1].sym;
+      return Status::Ok();
+    case Key("ldr"): case Key("str"): case Key("ldur"): case Key("stur"):
+    case Key("ldrb"): case Key("strb"): case Key("ldrh"): case Key("strh"):
+    case Key("ldrsb"): case Key("ldrsh"): case Key("ldrsw"):
+      return BuildLoadStore(l, &i);
+    case Key("ldp"): case Key("stp"):
+      if (n != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsMem(ops[2])) {
+        return Status::Fail("ldp/stp needs `rt, rt2, [mem]`");
+      }
+      i.mn = m == Key("ldp") ? Mn::kLdp : Mn::kStp;
+      i.rt = ops[0].reg;
+      i.rt2 = ops[1].reg;
+      i.width = ops[0].reg_width;
+      i.msize = i.width == Width::kX ? 8 : 4;
+      return FillMem(ops[2], l, &i);
+    case Key("ldxr"): case Key("ldar"): case Key("stlr"):
+      if (n != 2 || !IsReg(ops[0]) || !IsMem(ops[1])) {
+        return Status::Fail("exclusive operands");
+      }
+      i.mn = m == Key("ldxr") ? Mn::kLdxr
+                              : (m == Key("ldar") ? Mn::kLdar : Mn::kStlr);
+      i.rt = ops[0].reg;
+      i.width = ops[0].reg_width;
+      i.msize = i.width == Width::kX ? 8 : 4;
+      return FillMem(ops[1], l, &i);
+    case Key("stxr"):
+      if (n != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsMem(ops[2])) {
+        return Status::Fail("stxr operands");
+      }
+      i.mn = Mn::kStxr;
+      i.rs = ops[0].reg;
+      i.rt = ops[1].reg;
+      i.width = ops[1].reg_width;
+      i.msize = i.width == Width::kX ? 8 : 4;
+      return FillMem(ops[2], l, &i);
+    case Key("b"): return BuildBranch(Mn::kB, l, Cond::kAl, s);
+    case Key("bl"): return BuildBranch(Mn::kBl, l, Cond::kAl, s);
+    case Key("cbz"): return BuildBranch(Mn::kCbz, l, Cond::kAl, s);
+    case Key("cbnz"): return BuildBranch(Mn::kCbnz, l, Cond::kAl, s);
+    case Key("tbz"): return BuildBranch(Mn::kTbz, l, Cond::kAl, s);
+    case Key("tbnz"): return BuildBranch(Mn::kTbnz, l, Cond::kAl, s);
+    case Key("br"): case Key("blr"):
+      if (n != 1 || !IsReg(ops[0])) return Status::Fail("br operands");
+      i.mn = m == Key("br") ? Mn::kBr : Mn::kBlr;
+      i.rn = ops[0].reg;
+      return Status::Ok();
+    case Key("ret"):
+      i.mn = Mn::kRet;
+      i.rn = n == 0 ? Reg::X(30) : ops[0].reg;
+      return Status::Ok();
+    case Key("fadd"): return BuildFp2(Mn::kFadd, l, &i);
+    case Key("fsub"): return BuildFp2(Mn::kFsub, l, &i);
+    case Key("fmul"): return BuildFp2(Mn::kFmul, l, &i);
+    case Key("fdiv"): return BuildFp2(Mn::kFdiv, l, &i);
+    case Key("fsqrt"):
+      if (n != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
+        return Status::Fail("fsqrt operands");
+      }
+      i.mn = Mn::kFsqrt;
       i.fsize = ops[0].fsize;
+      i.vd = ops[0].vreg;
+      i.vn = ops[1].vreg;
+      return Status::Ok();
+    case Key("fmadd"):
+      if (n != 4) return Status::Fail("fmadd operands");
+      i.mn = Mn::kFmadd;
+      i.fsize = ops[0].fsize;
+      i.vd = ops[0].vreg;
+      i.vn = ops[1].vreg;
+      i.vm = ops[2].vreg;
+      i.va = ops[3].vreg;
+      return Status::Ok();
+    case Key("fcmp"):
+      if (n != 2 || !IsVReg(ops[0]) || !IsVReg(ops[1])) {
+        return Status::Fail("fcmp operands");
+      }
+      i.mn = Mn::kFcmp;
+      i.fsize = ops[0].fsize;
+      i.vn = ops[0].vreg;
+      i.vm = ops[1].vreg;
+      return Status::Ok();
+    case Key("scvtf"):
+      if (n != 2 || !IsVReg(ops[0]) || !IsReg(ops[1])) {
+        return Status::Fail("scvtf operands");
+      }
+      i.mn = Mn::kScvtf;
+      i.fsize = ops[0].fsize;
+      i.vd = ops[0].vreg;
       i.rn = ops[1].reg;
       i.width = ops[1].reg_width;
-    } else {
-      return ErrLine("fmov operand kinds");
-    }
-    return AsmStmt::OfInst(i);
+      return Status::Ok();
+    case Key("fcvtzs"):
+      if (n != 2 || !IsReg(ops[0]) || !IsVReg(ops[1])) {
+        return Status::Fail("fcvtzs operands");
+      }
+      i.mn = Mn::kFcvtzs;
+      i.fsize = ops[1].fsize;
+      i.vn = ops[1].vreg;
+      i.rd = ops[0].reg;
+      i.width = ops[0].reg_width;
+      return Status::Ok();
+    case Key("fmov"):
+      if (n != 2) return Status::Fail("fmov operands");
+      i.mn = Mn::kFmov;
+      if (IsVReg(ops[0]) && IsVReg(ops[1])) {
+        i.fsize = ops[0].fsize;
+        i.vd = ops[0].vreg;
+        i.vn = ops[1].vreg;
+      } else if (IsReg(ops[0]) && IsVReg(ops[1])) {
+        i.rd = ops[0].reg;
+        i.width = ops[0].reg_width;
+        i.vn = ops[1].vreg;
+        i.fsize = ops[1].fsize;
+      } else if (IsVReg(ops[0]) && IsReg(ops[1])) {
+        i.vd = ops[0].vreg;
+        i.fsize = ops[0].fsize;
+        i.rn = ops[1].reg;
+        i.width = ops[1].reg_width;
+      } else {
+        return Status::Fail("fmov operand kinds");
+      }
+      return Status::Ok();
+    case Key("nop"):
+      i.mn = Mn::kNop;
+      return Status::Ok();
+    case Key("svc"): case Key("brk"):
+      i.mn = m == Key("svc") ? Mn::kSvc : Mn::kBrk;
+      i.imm = (n == 1 && IsImm(ops[0])) ? ops[0].imm : 0;
+      return Status::Ok();
+    case Key("rtcall"): case Key("hostcall"):
+      if (n != 1 || !IsImm(ops[0])) {
+        return Status::Fail(m == Key("rtcall") ? "rtcall #n" : "hostcall #i");
+      }
+      s->kind = m == Key("rtcall") ? AsmStmt::Kind::kRtcall
+                                   : AsmStmt::Kind::kHostcall;
+      i.imm = ops[0].imm;
+      return Status::Ok();
+    default:
+      return Status::Fail("unknown mnemonic: " + Lower(l.mnemonic));
   }
-  if (m == "nop") {
-    Inst i;
-    i.mn = Mn::kNop;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "svc" || m == "brk") {
-    Inst i;
-    i.mn = m == "svc" ? Mn::kSvc : Mn::kBrk;
-    i.imm = (ops.size() == 1 && IsImm(ops[0])) ? ops[0].imm : 0;
-    return AsmStmt::OfInst(i);
-  }
-  if (m == "rtcall") {
-    if (ops.size() != 1 || !IsImm(ops[0])) return ErrLine("rtcall #n");
-    AsmStmt s;
-    s.kind = AsmStmt::Kind::kRtcall;
-    s.inst.imm = ops[0].imm;
-    return s;
-  }
-  if (m == "hostcall") {
-    if (ops.size() != 1 || !IsImm(ops[0])) return ErrLine("hostcall #i");
-    AsmStmt s;
-    s.kind = AsmStmt::Kind::kHostcall;
-    s.inst.imm = ops[0].imm;
-    return s;
-  }
-  return ErrLine("unknown mnemonic: " + m);
 }
 
-Result<AsmStmt> BuildDirective(const std::string& name,
-                               std::string_view rest) {
-  Directive d;
-  if (name == ".text") {
-    d.kind = Directive::Kind::kSection;
-    d.section = Section::kText;
-  } else if (name == ".data") {
-    d.kind = Directive::Kind::kSection;
-    d.section = Section::kData;
-  } else if (name == ".rodata" || name == ".section") {
-    d.kind = Directive::Kind::kSection;
-    // `.section .rodata` etc.
-    const std::string arg = Lower(Trim(rest));
-    if (name == ".rodata" || arg.find("rodata") != std::string::npos) {
-      d.section = Section::kRodata;
-    } else if (arg.find("bss") != std::string::npos) {
-      d.section = Section::kBss;
-    } else if (arg.find("data") != std::string::npos) {
-      d.section = Section::kData;
-    } else {
-      d.section = Section::kText;
-    }
-  } else if (name == ".bss") {
-    d.kind = Directive::Kind::kSection;
-    d.section = Section::kBss;
-  } else if (name == ".globl" || name == ".global") {
-    d.kind = Directive::Kind::kGlobl;
-    d.text = std::string(Trim(rest));
-  } else if (name == ".balign" || name == ".align" || name == ".p2align") {
-    d.kind = Directive::Kind::kBalign;
-    auto n = ParseNumber(Trim(rest));
-    if (!n || *n <= 0 || (name != ".balign" && *n >= 64)) {
-      return Error{"bad alignment"};
-    }
-    // .p2align/.align take a power, .balign takes bytes.
-    d.values.push_back(name == ".balign" ? *n : (int64_t{1} << *n));
-  } else if (name == ".byte" || name == ".word" || name == ".quad" ||
-             name == ".xword") {
-    d.kind = name == ".byte" ? Directive::Kind::kByte
-                             : (name == ".word" ? Directive::Kind::kWord
-                                                : Directive::Kind::kQuad);
-    for (auto tok : SplitOperands(rest)) {
-      if (auto v = ParseNumber(tok)) {
-        d.values.push_back(*v);
-        d.syms.emplace_back();
-      } else {
-        d.values.push_back(0);
-        d.syms.emplace_back(Trim(tok));
-      }
-    }
-  } else if (name == ".asciz" || name == ".string") {
-    d.kind = Directive::Kind::kAsciz;
-    auto t = Trim(rest);
-    if (t.size() < 2 || t.front() != '"' || t.back() != '"') {
-      return Error{"bad string literal"};
-    }
-    std::string out;
-    for (size_t k = 1; k + 1 < t.size(); ++k) {
-      if (t[k] == '\\' && k + 2 < t.size()) {
-        ++k;
-        switch (t[k]) {
-          case 'n': out.push_back('\n'); break;
-          case 't': out.push_back('\t'); break;
-          case '0': out.push_back('\0'); break;
-          case '\\': out.push_back('\\'); break;
-          case '"': out.push_back('"'); break;
-          default: out.push_back(t[k]);
-        }
-      } else {
-        out.push_back(t[k]);
-      }
-    }
-    d.text = out;
-  } else if (name == ".zero" || name == ".space" || name == ".skip") {
-    d.kind = Directive::Kind::kZero;
-    auto n = ParseNumber(Trim(rest));
-    if (!n || *n < 0) return Error{"bad .zero size"};
-    d.values.push_back(*n);
-  } else if (name == ".type" || name == ".size" || name == ".file" ||
-             name == ".ident" || name == ".arch" || name == ".cfi_startproc" ||
-             name == ".cfi_endproc" || name == ".cfi_def_cfa_offset" ||
-             name == ".cfi_offset" || name == ".cfi_restore") {
-    // Metadata we can safely ignore; represent as a no-op .balign 1.
-    d.kind = Directive::Kind::kBalign;
-    d.values.push_back(1);
-  } else {
-    return Error{"unknown directive: " + name};
+// Lexes and builds one instruction line (trimmed) into `s`.
+Status ParseInstLine(std::string_view line, Line* l, AsmStmt* s) {
+  if (Status st = LexLine(line, l); !st.ok()) return st;
+  return BuildInst(*l, s);
+}
+
+bool EqualsLower(std::string_view s, std::string_view lower) {
+  if (s.size() != lower.size()) return false;
+  for (size_t k = 0; k < s.size(); ++k) {
+    if (ToLower(s[k]) != lower[k]) return false;
   }
-  AsmStmt s;
-  s.kind = AsmStmt::Kind::kDirective;
-  s.dir = std::move(d);
-  return s;
+  return true;
+}
+
+// Fills `s` from a directive line (trimmed, starting with `.`).
+Status BuildDirective(std::string_view line, AsmStmt* s) {
+  const size_t sp = WordEnd(line);
+  const std::string_view name = line.substr(0, sp);
+  const std::string_view rest = line.substr(sp);
+  const uint64_t k = Key(name);
+  s->kind = AsmStmt::Kind::kDirective;
+  Directive& d = s->dir;
+  switch (k) {
+    case Key(".text"): case Key(".data"): case Key(".bss"):
+      d.kind = Directive::Kind::kSection;
+      d.section = k == Key(".text") ? Section::kText
+                                    : (k == Key(".data") ? Section::kData
+                                                         : Section::kBss);
+      return Status::Ok();
+    case Key(".rodata"): case Key(".section"): {
+      d.kind = Directive::Kind::kSection;
+      // `.section .rodata` etc.
+      const std::string arg = Lower(Trim(rest));
+      if (k == Key(".rodata") || arg.find("rodata") != std::string::npos) {
+        d.section = Section::kRodata;
+      } else if (arg.find("bss") != std::string::npos) {
+        d.section = Section::kBss;
+      } else if (arg.find("data") != std::string::npos) {
+        d.section = Section::kData;
+      } else {
+        d.section = Section::kText;
+      }
+      return Status::Ok();
+    }
+    case Key(".globl"): case Key(".global"):
+      d.kind = Directive::Kind::kGlobl;
+      d.text = Trim(rest);
+      return Status::Ok();
+    case Key(".balign"): case Key(".align"): case Key(".p2align"): {
+      d.kind = Directive::Kind::kBalign;
+      const auto n = ParseNumber(Trim(rest));
+      // .p2align/.align take a power, .balign takes bytes.
+      const bool bytes = k == Key(".balign");
+      if (!n || *n <= 0 || (!bytes && *n >= 64)) {
+        return Status::Fail("bad alignment");
+      }
+      d.values.push_back(bytes ? *n : (int64_t{1} << *n));
+      return Status::Ok();
+    }
+    case Key(".byte"): case Key(".word"): case Key(".quad"): case Key(".xword"): {
+      d.kind = k == Key(".byte") ? Directive::Kind::kByte
+                                 : (k == Key(".word") ? Directive::Kind::kWord
+                                                      : Directive::Kind::kQuad);
+      Pieces pieces(rest);
+      for (std::string_view tok; pieces.Next(&tok);) {
+        const auto v = ParseNumber(tok);
+        d.values.push_back(v.value_or(0));
+        d.syms.emplace_back(v ? std::string_view{} : tok);
+      }
+      return Status::Ok();
+    }
+    case Key(".asciz"): case Key(".string"): {
+      d.kind = Directive::Kind::kAsciz;
+      const std::string_view t = Trim(rest);
+      if (t.size() < 2 || t.front() != '"' || t.back() != '"') {
+        return Status::Fail("bad string literal");
+      }
+      for (size_t j = 1; j + 1 < t.size(); ++j) {
+        if (t[j] == '\\' && j + 2 < t.size()) {
+          ++j;
+          switch (t[j]) {
+            case 'n': d.text.push_back('\n'); break;
+            case 't': d.text.push_back('\t'); break;
+            case '0': d.text.push_back('\0'); break;
+            default: d.text.push_back(t[j]);  // \\, \" and the rest
+          }
+        } else {
+          d.text.push_back(t[j]);
+        }
+      }
+      return Status::Ok();
+    }
+    case Key(".zero"): case Key(".space"): case Key(".skip"): {
+      d.kind = Directive::Kind::kZero;
+      const auto n = ParseNumber(Trim(rest));
+      if (!n || *n < 0) return Status::Fail("bad .zero size");
+      d.values.push_back(*n);
+      return Status::Ok();
+    }
+    case Key(".type"): case Key(".size"): case Key(".file"): case Key(".ident"):
+    case Key(".arch"):
+      break;
+    default:
+      if (!EqualsLower(name, ".cfi_startproc") &&
+          !EqualsLower(name, ".cfi_endproc") &&
+          !EqualsLower(name, ".cfi_def_cfa_offset") &&
+          !EqualsLower(name, ".cfi_offset") &&
+          !EqualsLower(name, ".cfi_restore")) {
+        return Status::Fail("unknown directive: " + Lower(name));
+      }
+  }
+  // Metadata we can safely ignore; represent as a no-op .balign 1.
+  d.kind = Directive::Kind::kBalign;
+  d.values.push_back(1);
+  return Status::Ok();
 }
 
 }  // namespace
 
 Result<AsmStmt> ParseInst(std::string_view line) {
-  auto toks = Tokenize(line);
-  if (!toks) return Error{toks.error()};
-  return BuildInst(*toks);
+  Line l;
+  AsmStmt s;
+  if (Status st = ParseInstLine(Trim(line), &l, &s); !st.ok()) {
+    return Error{st.error()};
+  }
+  return s;
 }
 
 Result<AsmFile> Parse(std::string_view source) {
   AsmFile file;
+  file.stmts.reserve(std::count(source.begin(), source.end(), '\n') + 1);
+  Line l;
   int lineno = 0;
-  size_t pos = 0;
-  while (pos <= source.size()) {
-    const auto nl = source.find('\n', pos);
-    std::string_view line = source.substr(
-        pos, nl == std::string_view::npos ? source.size() - pos : nl - pos);
-    pos = nl == std::string_view::npos ? source.size() + 1 : nl + 1;
+  for (size_t pos = 0; pos <= source.size();) {
+    const size_t nl = std::min(source.find('\n', pos), source.size());
+    std::string_view line = source.substr(pos, nl - pos);
+    pos = nl + 1;
     ++lineno;
     // Strip // comments.
-    if (const auto c = line.find("//"); c != std::string_view::npos) {
-      line = line.substr(0, c);
-    }
-    line = Trim(line);
-    if (line.empty()) continue;
+    line = Trim(line.substr(0, line.find("//")));
     // Labels (possibly several on a line, then an optional statement).
-    while (true) {
+    for (;;) {
       size_t k = 0;
       while (k < line.size() && IsIdentChar(line[k])) ++k;
-      if (k > 0 && k < line.size() && line[k] == ':') {
-        AsmStmt s = AsmStmt::Label(std::string(line.substr(0, k)));
-        s.line = lineno;
-        file.stmts.push_back(std::move(s));
-        line = Trim(line.substr(k + 1));
-        if (line.empty()) break;
-        continue;
-      }
-      break;
+      if (k == 0 || k == line.size() || line[k] != ':') break;
+      AsmStmt& s = file.stmts.emplace_back();
+      s.kind = AsmStmt::Kind::kLabel;
+      s.label = line.substr(0, k);
+      s.line = lineno;
+      line = Trim(line.substr(k + 1));
     }
     if (line.empty()) continue;
+    AsmStmt& s = file.stmts.emplace_back();
+    s.line = lineno;
     if (line.front() == '.') {
-      const auto sp = line.find_first_of(" \t");
-      const std::string name =
-          Lower(sp == std::string_view::npos ? line : line.substr(0, sp));
-      const std::string_view rest =
-          sp == std::string_view::npos ? std::string_view{} : line.substr(sp);
-      auto s = BuildDirective(name, rest);
-      if (!s) {
-        return Error{"line " + std::to_string(lineno) + ": " + s.error()};
+      if (Status st = BuildDirective(line, &s); !st.ok()) {
+        return Error{"line " + std::to_string(lineno) + ": " + st.error()};
       }
-      s->line = lineno;
-      file.stmts.push_back(*std::move(s));
-      continue;
-    }
-    auto s = ParseInst(line);
-    if (!s) {
-      return Error{"line " + std::to_string(lineno) + ": " + s.error() +
+    } else if (Status st = ParseInstLine(line, &l, &s); !st.ok()) {
+      return Error{"line " + std::to_string(lineno) + ": " + st.error() +
                    " in `" + std::string(line) + "`"};
     }
-    s->line = lineno;
-    file.stmts.push_back(*std::move(s));
   }
   return file;
 }
