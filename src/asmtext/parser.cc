@@ -517,12 +517,14 @@ Status BuildAddSub(bool sub, bool setflags, const Operand& rd,
   i.rn = rn.reg;
   if (IsImm(src)) {
     if (total > 3) return Status::Fail("junk after add imm");
-    // Negative immediates flip add<->sub (without overflow on INT64_MIN).
-    if (src.imm < 0) sub = !sub;
+    // Negative immediates flip add<->sub. INT64_MIN has no positive
+    // counterpart and stays as written, so the statement prints back to
+    // itself.
+    const bool flip = src.imm < 0 && src.imm != INT64_MIN;
+    if (flip) sub = !sub;
     i.mn = sub ? (setflags ? Mn::kSubsImm : Mn::kSubImm)
                : (setflags ? Mn::kAddsImm : Mn::kAddImm);
-    i.imm = src.imm < 0 ? static_cast<int64_t>(0 - uint64_t(src.imm))
-                        : src.imm;
+    i.imm = flip ? -src.imm : src.imm;
     return Status::Ok();
   }
   if (src.kind == Operand::Kind::kLo12) {
@@ -932,8 +934,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       if (n != 2 || !IsReg(ops[0]) || !IsLabel(ops[1])) {
         return Status::Fail("cset operands");
       }
+      // cset's condition is inverted into csinc's, and al has no inverse.
       const auto c = ParseCond(ops[1].sym);
-      if (!c) return Status::Fail("bad condition");
+      if (!c || *c == Cond::kAl) return Status::Fail("bad condition");
       i.mn = Mn::kCsinc;
       i.width = ops[0].reg_width;
       i.rd = ops[0].reg;

@@ -277,13 +277,17 @@ std::string DirectiveStr(const Directive& d) {
     }
     case Directive::Kind::kAsciz: {
       os << ".asciz \"";
-      for (char c : d.text) {
+      for (size_t k = 0; k < d.text.size(); ++k) {
+        const char c = d.text[k];
         switch (c) {
           case '\n': os << "\\n"; break;
           case '\t': os << "\\t"; break;
           case '\0': os << "\\0"; break;
           case '\\': os << "\\\\"; break;
           case '"': os << "\\\""; break;
+          case '/':  // a second `/` in a row would start a comment
+            os << (k > 0 && d.text[k - 1] == '/' ? "\\/" : "/");
+            break;
           default: os << c;
         }
       }

@@ -1,5 +1,6 @@
 #include "fuzz/fuzz.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -615,6 +616,83 @@ FuzzReport RunCompleteness(const FuzzOptions& opts) {
     a.detail = err;
     a.verdict = verdict;
     a.asm_source = MinimizeAsm(src, fails);
+    RecordCrash(opts, &report, std::move(a));
+    if (report.crashes.size() >= opts.max_crashes) break;
+  }
+  return report;
+}
+
+namespace {
+
+// First difference between two statements, line numbers aside, or "".
+std::string StmtDiff(const asmtext::AsmStmt& a, const asmtext::AsmStmt& b) {
+  if (a.kind != b.kind) return "kind";
+  if (a.label != b.label) return "label";
+  if (a.dir.kind != b.dir.kind || a.dir.section != b.dir.section ||
+      a.dir.values != b.dir.values || a.dir.syms != b.dir.syms ||
+      a.dir.text != b.dir.text) {
+    return "directive";
+  }
+  if (!(a.inst == b.inst)) return "inst";
+  if (a.reloc != b.reloc) return "reloc";
+  if (a.target != b.target) return "target";
+  return "";
+}
+
+}  // namespace
+
+std::string CheckParseRoundTrip(const std::string& src, bool* accepted) {
+  const auto first = asmtext::Parse(src);
+  *accepted = first.ok();
+  if (!first.ok()) return "";
+  const std::string printed = asmtext::Print(*first);
+  const auto second = asmtext::Parse(printed);
+  if (!second.ok()) return "printed text does not parse: " + second.error();
+  const auto& a = first->stmts;
+  const auto& b = second->stmts;
+  for (size_t k = 0; k < std::min(a.size(), b.size()); ++k) {
+    const std::string diff = StmtDiff(a[k], b[k]);
+    if (!diff.empty()) {
+      return "statement " + std::to_string(k) + " (line " +
+             std::to_string(a[k].line) + ", printed `" +
+             asmtext::PrintStmt(a[k]) + "`) differs in " + diff;
+    }
+  }
+  if (a.size() != b.size()) {
+    return "statement count " + std::to_string(a.size()) + " -> " +
+           std::to_string(b.size());
+  }
+  return "";
+}
+
+FuzzReport RunParseFuzz(const FuzzOptions& opts) {
+  FuzzReport report;
+  report.mode = "parse";
+  const auto corpus = SeedCorpusAsm();
+  for (uint64_t it = 0; it < opts.iters; ++it) {
+    const uint64_t iseed = DeriveSeed(opts.seed, it);
+    Rng rng(iseed);
+    std::string src = it < corpus.size() ? corpus[it] : GenAsmProgram(rng);
+    MutateAsmText(rng, &src);
+    ++report.iters;
+    bool accepted = false;
+    const std::string err = CheckParseRoundTrip(src, &accepted);
+    if (!accepted) {
+      ++report.rejected;
+      continue;
+    }
+    ++report.accepted;
+    ++report.executed;  // round trips checked
+    if (err.empty()) continue;
+    CrashArtifact a;
+    a.mode = "parse";
+    a.iter = it;
+    a.seed = iseed;
+    a.detail = err;
+    a.asm_source = MinimizeAsm(src, [](const std::string& s) {
+      bool ok = false;
+      return !CheckParseRoundTrip(s, &ok).empty();
+    });
     RecordCrash(opts, &report, std::move(a));
     if (report.crashes.size() >= opts.max_crashes) break;
   }

@@ -27,6 +27,10 @@
 //                hash, and final registers must match exactly; cycle
 //                counts are exempt (timing state is history-dependent and
 //                deliberately not part of a snapshot).
+//   parse        mutated assembly text -> Parse; the parser must never
+//                crash, and every file it accepts must round-trip:
+//                Parse(Print(Parse(x))) equals Parse(x) statement by
+//                statement (line numbers aside).
 //
 // All modes are deterministic in (seed, iters): crash artifacts record the
 // per-iteration derived seed, so any finding replays in isolation.
@@ -63,7 +67,7 @@ struct CrashArtifact {
   std::string verdict;               // verifier verdict at crash time
   std::vector<uint32_t> words;       // minimized stream (word modes)
   std::vector<uint32_t> full_words;  // original, pre-minimization
-  std::string asm_source;            // completeness mode
+  std::string asm_source;            // completeness and parse modes
   std::string path;                  // artifact file, when written
 };
 
@@ -92,6 +96,12 @@ FuzzReport RunCompleteness(const FuzzOptions& opts);
 FuzzReport RunDifferential(const FuzzOptions& opts);
 FuzzReport RunChainedDifferential(const FuzzOptions& opts);
 FuzzReport RunSnapshotOracle(const FuzzOptions& opts);
+FuzzReport RunParseFuzz(const FuzzOptions& opts);
+
+// The parse mode's oracle for one source text: "" if `src` is rejected or
+// round-trips through the printer, else the first difference. Sets
+// `*accepted` to whether `src` parsed.
+std::string CheckParseRoundTrip(const std::string& src, bool* accepted);
 
 // Trivial minimizer: shortest failing prefix by bisection, then a nop-out
 // pass (words are replaced, not removed, so branch offsets stay put).

@@ -1,5 +1,6 @@
 #include "fuzz/gen.h"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -737,6 +738,56 @@ std::vector<std::string> SeedCorpusAsm() {
       "add sp, sp, #32\n"
       "ret\n",
   };
+}
+
+void MutateAsmText(Rng& rng, std::string* src) {
+  static const char kBytes[] = {' ', '\t', '\r', '\v', ',', '[', ']', '!',
+                                '#', '-', '+', ':', '.', '/', '"', '\\',
+                                '0', '1', '9', 'x', 'w', 's', 'd', 'q',
+                                'v', 'X', '_', '$', '\x80', '\xff'};
+  static const char* const kDigits[] = {
+      "31", "32", "99", "4294967297", "18446744073709551615",
+      "18446744073709551616", "0x10000000000000000", "9223372036854775808",
+      "00000000000000000000007"};
+  std::string& s = *src;
+  const uint64_t n = 1 + rng.Below(3);
+  for (uint64_t k = 0; k < n && !s.empty(); ++k) {
+    const size_t p = rng.Below(s.size());
+    switch (rng.Below(7)) {
+      case 0:  // byte flip to syntax-relevant bytes
+        s[p] = rng.Pick(kBytes);
+        break;
+      case 1:  // byte flip to any byte
+        s[p] = static_cast<char>(rng.Below(256));
+        break;
+      case 2:  // truncate the text, or just the rest of one line
+        if (rng.Chance(30)) {
+          s.resize(p);
+        } else {
+          s.erase(p, s.find('\n', p) - p);
+        }
+        break;
+      case 3:  // digit run
+        s.insert(p, rng.Pick(kDigits));
+        break;
+      case 4:  // case flip over a short run
+        for (size_t e = std::min(s.size(), p + 1 + rng.Below(8)), q = p; q < e;
+             ++q) {
+          if (s[q] >= 'a' && s[q] <= 'z') {
+            s[q] = static_cast<char>(s[q] - 'a' + 'A');
+          } else if (s[q] >= 'A' && s[q] <= 'Z') {
+            s[q] = static_cast<char>(s[q] - 'A' + 'a');
+          }
+        }
+        break;
+      case 5:  // extra whitespace
+        s.insert(p, rng.Chance(50) ? " " : (rng.Chance(50) ? "\t" : "\r"));
+        break;
+      default:  // drop whitespace
+        if (s[p] == ' ' || s[p] == '\t') s.erase(p, 1);
+        break;
+    }
+  }
 }
 
 }  // namespace lfi::fuzz

@@ -49,6 +49,10 @@ std::string GenAsmProgram(Rng& rng);
 // Deterministic assembly programs covering each grammar production.
 std::vector<std::string> SeedCorpusAsm();
 
+// Applies 1-3 textual mutations to assembly source in place: byte flips,
+// truncation, digit runs, case flips, and whitespace inserted or dropped.
+void MutateAsmText(Rng& rng, std::string* src);
+
 }  // namespace lfi::fuzz
 
 #endif  // LFI_FUZZ_GEN_H_

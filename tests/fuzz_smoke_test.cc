@@ -114,6 +114,40 @@ TEST(FuzzSmoke, CompletenessRewriterOutputAlwaysVerifies) {
   EXPECT_EQ(r.accepted, r.iters);
 }
 
+TEST(FuzzSmoke, ParseRoundTripsMutatedText) {
+  fuzz::FuzzOptions opts;
+  opts.seed = 0x9a55;
+  opts.iters = 400;
+  const auto r = fuzz::RunParseFuzz(opts);
+  for (const auto& c : r.crashes) {
+    ADD_FAILURE() << "round-trip failure:\n" << fuzz::FormatArtifact(c);
+  }
+  EXPECT_GT(r.accepted, 0u);
+  EXPECT_GT(r.rejected, 0u);
+}
+
+TEST(FuzzSmoke, ParseRoundTripRegressions) {
+  // Texts whose printed form used to parse differently, or not at all:
+  // INT64_MIN add/sub immediates flipped between add and sub on every
+  // round trip, a string holding `//` printed as a comment, and cset al
+  // made a condition (nv) that the printer indexed past its name table.
+  const struct {
+    const char* src;
+    bool accepted;
+  } cases[] = {
+      {"add x28, x11, 9223372036854775808", true},
+      {"cmp x16, #0x8000000000000000", true},
+      {"sub x0, x1, #-9223372036854775808", true},
+      {".data\n.asciz \"a/\\/b/\\/\"", true},
+      {"cset x0, al", false},
+  };
+  for (const auto& c : cases) {
+    bool accepted = false;
+    EXPECT_EQ(fuzz::CheckParseRoundTrip(c.src, &accepted), "") << c.src;
+    EXPECT_EQ(accepted, c.accepted) << c.src;
+  }
+}
+
 // --- Oracle meta-tests: feed UNVERIFIED escapes straight to the harness;
 // the checker must convict every one. If these pass, a fuzzing run with
 // zero findings means the verifier is tight, not that the oracle is blind.

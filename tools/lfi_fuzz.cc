@@ -10,11 +10,13 @@
 // optimized chained backend vs. the reference block loop, hook-free so
 // the optimized loop actually runs), plus a snapshot oracle (run N,
 // checkpoint, run M, restore, re-run M; the two M-phases must match in
-// registers, retired count, and access trace).
+// registers, retired count, and access trace), and a parser mutation fuzz
+// (mutated assembly text must never crash the parser, and every accepted
+// file must round-trip through the printer).
 //
 // Usage:
 //   lfi_fuzz [--mode=soundness|completeness|differential|chained|
-//             snapshot|embed|all]
+//             snapshot|embed|parse|all]
 //            [--iters=N] [--seed=N|string] [--max-insts=N]
 //            [--artifact-dir=DIR] [--replay FILE...]
 //
@@ -62,8 +64,8 @@ void PrintReport(const lfi::fuzz::FuzzReport& r) {
   }
 }
 
-// Replays a crash artifact: re-verifies and re-executes its `words:` line
-// (or re-runs the pipeline on its `source:` block).
+// Replays a crash artifact: re-verifies and re-executes its `words:` line,
+// or re-checks the round trip of a parse artifact's `source:` block.
 int Replay(const char* path, const lfi::fuzz::FuzzOptions& opts) {
   std::ifstream f(path);
   if (!f) {
@@ -72,10 +74,13 @@ int Replay(const char* path, const lfi::fuzz::FuzzOptions& opts) {
   }
   std::vector<uint32_t> words;
   std::string source;
+  std::string mode;
   std::string line;
   bool in_source = false;
   while (std::getline(f, line)) {
-    if (line.rfind("words:", 0) == 0) {
+    if (line.rfind("mode: ", 0) == 0) {
+      mode = line.substr(6);
+    } else if (line.rfind("words:", 0) == 0) {
       const char* p = line.c_str() + 6;
       char* end = nullptr;
       for (;;) {
@@ -116,7 +121,17 @@ int Replay(const char* path, const lfi::fuzz::FuzzOptions& opts) {
       rc = 1;
     }
   }
-  if (!source.empty()) {
+  if (!source.empty() && mode == "parse") {
+    bool accepted = false;
+    const std::string err = lfi::fuzz::CheckParseRoundTrip(source, &accepted);
+    if (err.empty()) {
+      std::printf("%s: %s -- fixed\n", path,
+                  accepted ? "round-trips" : "now rejected");
+    } else {
+      std::printf("%s: STILL FAILS: %s\n", path, err.c_str());
+      rc = 1;
+    }
+  } else if (!source.empty()) {
     // Completeness artifacts replay through a 1-iteration corpus run by
     // reusing the recorded seed for the pipeline options.
     std::printf("%s: replaying source through the pipeline is not seeded "
@@ -155,7 +170,8 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr,
                    "usage: lfi_fuzz [--mode=soundness|completeness|"
-                   "differential|chained|snapshot|embed|all] [--iters=N] "
+                   "differential|chained|snapshot|embed|parse|all] "
+                   "[--iters=N] "
                    "[--seed=N|string]\n"
                    "                [--max-insts=N] [--artifact-dir=DIR] "
                    "[--replay FILE...]\n");
@@ -216,9 +232,14 @@ int main(int argc, char** argv) {
     PrintReport(r);
     crashed = crashed || !r.ok();
   }
+  if (mode == "parse" || mode == "all") {
+    const auto r = lfi::fuzz::RunParseFuzz(opts);
+    PrintReport(r);
+    crashed = crashed || !r.ok();
+  }
   if (mode != "soundness" && mode != "completeness" && mode != "differential" &&
       mode != "chained" && mode != "snapshot" && mode != "embed" &&
-      mode != "all") {
+      mode != "parse" && mode != "all") {
     std::fprintf(stderr, "lfi_fuzz: unknown mode '%s'\n", mode.c_str());
     return 2;
   }
