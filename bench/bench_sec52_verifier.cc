@@ -7,7 +7,8 @@
 // Uses google-benchmark since this is a host-time measurement; a custom
 // main() strips `--json <path>` before benchmark::Initialize sees it and
 // records the deterministic verification facts (bytes, instructions
-// checked, decode/check split) plus the measured throughput.
+// checked, decode/check split) plus the measured throughput, and the
+// parser's throughput on the same sources next to the verifier's.
 
 #include <benchmark/benchmark.h>
 
@@ -19,12 +20,23 @@
 namespace lfi::bench {
 namespace {
 
+// The assembly sources of all 15 workloads.
+const std::vector<std::string>& Sources() {
+  static const std::vector<std::string>* sources = [] {
+    auto* s = new std::vector<std::string>();
+    for (const auto& w : workloads::AllWorkloads()) {
+      s->push_back(workloads::Generate(w.name, 400000));
+    }
+    return s;
+  }();
+  return *sources;
+}
+
 // One large text segment built from all rewritten workloads.
 const std::vector<uint8_t>& CombinedText() {
   static const std::vector<uint8_t>* text = [] {
     auto* t = new std::vector<uint8_t>();
-    for (const auto& w : workloads::AllWorkloads()) {
-      const std::string src = workloads::Generate(w.name, 400000);
+    for (const std::string& src : Sources()) {
       const Built b = BuildLfi(src, Config::kO2);
       if (b.ok) {
         // Extract the text segment back out of the ELF.
@@ -106,7 +118,8 @@ double BestOf3Seconds(const std::function<void()>& fn) {
 // One timed verification pass outside google-benchmark, for the JSON
 // report: the byte/instruction counts are deterministic (and act as a
 // structural regression gate); the MB/s figures are informational.
-// Returns false if either text failed verification.
+// Returns false if either text failed verification or a source failed to
+// parse.
 bool ReportJson(JsonReport* json) {
   const auto& text = CombinedText();
   verifier::VerifyStats stats;
@@ -144,6 +157,36 @@ bool ReportJson(JsonReport* json) {
   json->Add("sec52.verify.large.mb_per_s", large_mb_per_s);
   std::printf("sec52: %.1f MB/s on %zu bytes, %.1f MB/s on %zu bytes\n",
               mb_per_s, text.size(), large_mb_per_s, large.size());
+
+  // Parsing the same sources, the first stage of the same pipeline. They
+  // total only ~15 KB, so each timed pass parses them repeatedly, like the
+  // large verifier text, to ~4 MB. The rate is compared with the
+  // large-text verifier rate from this process, so the ratio does not
+  // depend on the host's speed.
+  size_t unit = 0;
+  for (const std::string& src : Sources()) unit += src.size();
+  const size_t reps = ((size_t{4} << 20) + unit - 1) / unit;
+  const size_t parse_bytes = reps * unit;
+  bool parsed = true;
+  const double parse_secs = BestOf3Seconds([&] {
+    for (size_t r = 0; r < reps; ++r) {
+      for (const std::string& src : Sources()) {
+        auto f = asmtext::Parse(src);
+        parsed = parsed && f.ok();
+        benchmark::DoNotOptimize(f);
+      }
+    }
+  });
+  if (!parsed) {
+    std::fprintf(stderr, "sec52: a workload source failed to parse\n");
+    return false;
+  }
+  const double parse_mb_per_s = parse_bytes / parse_secs / 1e6;
+  json->Add("sec52.parse.bytes", static_cast<double>(parse_bytes));
+  json->Add("sec52.parse.mb_per_s", parse_mb_per_s);
+  json->Add("sec52.parse.vs_verify", parse_mb_per_s / large_mb_per_s);
+  std::printf("sec52: parse %.1f MB/s on %zu bytes (%.2fx the verifier)\n",
+              parse_mb_per_s, parse_bytes, parse_mb_per_s / large_mb_per_s);
   return true;
 }
 
