@@ -140,10 +140,10 @@ struct Operand {
   bool writeback = false;
 };
 
-// A lexed instruction line. Builders read at most four stored operands;
+// A lexed instruction line. Builders read at most the first four operands;
 // any past kMaxOps are still lexed (for their errors) and counted.
 struct Line {
-  static constexpr size_t kMaxOps = 8;
+  static constexpr size_t kMaxOps = 4;
   std::string_view mnemonic;  // as written
   uint64_t key = 0;           // Key(mnemonic)
   Operand ops[kMaxOps];
@@ -723,8 +723,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       }
       [[fallthrough]];
     case Key("adds"): case Key("sub"): case Key("subs"):
-      return BuildAddSub((m & 0xff) == 's', m == Key("adds") || m == Key("subs"),
-                         ops[0], ops + 1, n, s);
+      return BuildAddSub((m & 0xff) == 's',
+                         m == Key("adds") || m == Key("subs"), ops[0], ops + 1,
+                         n, s);
     case Key("cmp"): case Key("cmn"):
       // cmp a, b == subs zr, a, b.
       return BuildAddSub(m == Key("cmp"), true, ImplicitZr(l), ops, n + 1, s);
@@ -1164,7 +1165,8 @@ Status BuildDirective(std::string_view line, AsmStmt* s) {
       d.values.push_back(bytes ? *n : (int64_t{1} << *n));
       return Status::Ok();
     }
-    case Key(".byte"): case Key(".word"): case Key(".quad"): case Key(".xword"): {
+    case Key(".byte"): case Key(".word"): case Key(".quad"):
+    case Key(".xword"): {
       d.kind = k == Key(".byte") ? Directive::Kind::kByte
                                  : (k == Key(".word") ? Directive::Kind::kWord
                                                       : Directive::Kind::kQuad);

@@ -189,7 +189,8 @@ TEST(Parser, RejectsOverflowingNumbers) {
        {"add x4294967297, x0, #1", "ldr x0, [x4294967298]",
         "fadd d4294967299, d0, d1", "add v4294967296.4s, v1.4s, v2.4s",
         "mov x0, #18446744073709551617", "mov x0, #0x10000000000000000",
-        "add x0, x1, #-9223372036854775809", "ldr x0, [x1, #99999999999999999999]"}) {
+        "add x0, x1, #-9223372036854775809",
+        "ldr x0, [x1, #99999999999999999999]"}) {
     EXPECT_FALSE(ParseInst(line).ok()) << line;
   }
   EXPECT_FALSE(Parse(".p2align 64\n").ok());
@@ -605,73 +606,79 @@ std::string Mutate(fuzz::Rng& rng, std::string line) {
 // Lines covering every mnemonic and directive the parser knows, including
 // the forms the generators never emit.
 const char* const kHandLines[] = {
-    "add v0.4s, v1.4s, v2.4s", "add v3.2d, v4.2d, v5.2d",
-    "add v0.4s, v1.2d", "add v0.8b, v1.8b, v2.8b", "adds x0, x1, #-4",
-    "subs w0, w1, #-4", "sub x0, x1, #-9223372036854775807",
-    "add x0, x1, w2, sxtw #2", "adds x0, x1, w2, uxtw", "add x0, x1, x2, asr #63",
-    "add x0, x1, x2, lsl", "add x0, x1, x2, lsl #3, lsl #3", "add x0, x1, :lo12:s",
+    "add v0.4s, v1.4s, v2.4s", "add v3.2d, v4.2d, v5.2d", "add v0.4s, v1.2d",
+    "add v0.8b, v1.8b, v2.8b", "adds x0, x1, #-4", "subs w0, w1, #-4",
+    "sub x0, x1, #-9223372036854775807", "add x0, x1, w2, sxtw #2",
+    "adds x0, x1, w2, uxtw", "add x0, x1, x2, asr #63", "add x0, x1, x2, lsl",
+    "add x0, x1, x2, lsl #3, lsl #3", "add x0, x1, :lo12:s",
     "sub x0, x1, :lo12:s", "add x0, x1, :lo12:", "cmp w1, w2", "cmn x1, #3",
-    "cmp x1", "cmp", "cmn w1, w2, uxtb", "and x0, x1, #255", "ands w0, w1, #0xff00ff00",
-    "orr x0, x1, #-1", "eor w0, w1, #-1", "bic x0, x1, #1", "bic x0, x1, x2, ror #7",
-    "orr x0, x1, x2, uxtw", "tst x0, #1", "tst w1, w2", "tst", "neg x0, x1",
-    "neg w0, w1, lsl #2", "mov sp, x0", "mov wsp, w0", "mov x0, #65535",
-    "mov x0, #65536", "mov x0, #-65536", "mov x0, #-65537", "mov x0, :lo12:s",
-    "mov x0", "mov #1, x0", "movz w0, #1, lsl #16", "movn x0, #7", "movk x0, #1, lsl #48",
+    "cmp x1", "cmp", "cmn w1, w2, uxtb", "and x0, x1, #255",
+    "ands w0, w1, #0xff00ff00", "orr x0, x1, #-1", "eor w0, w1, #-1",
+    "bic x0, x1, #1", "bic x0, x1, x2, ror #7", "orr x0, x1, x2, uxtw",
+    "tst x0, #1", "tst w1, w2", "tst", "neg x0, x1", "neg w0, w1, lsl #2",
+    "mov sp, x0", "mov wsp, w0", "mov x0, #65535", "mov x0, #65536",
+    "mov x0, #-65536", "mov x0, #-65537", "mov x0, :lo12:s", "mov x0",
+    "mov #1, x0", "movz w0, #1, lsl #16", "movn x0, #7", "movk x0, #1, lsl #48",
     "movz x0, #1, lsr #16", "movz x0, #1, lsl", "movz x0", "lsl x0, x1, #63",
     "lsl w0, w1, #32", "lsr w0, w1, #31", "asr x0, x1, #0", "lsl x0, x1, x2",
     "sxtw x0, w1", "sxtb w0, w1", "sxth x0, w1", "uxtb w0, w1", "uxth w0, w1",
-    "uxtw x0, w1", "ubfm x0, x1, #4, #60", "sbfm w0, w1, #1, #2", "ubfm x0, x1, #4",
-    "mul w0, w1, w2", "madd x0, x1, x2, x3", "msub x0, x1, x2, x3", "mneg x0, x1, x2",
-    "mul x0, x1, #2", "sdiv x0, x1, x2", "udiv w0, w1, w2", "umulh x0, x1, x2",
+    "uxtw x0, w1", "ubfm x0, x1, #4, #60", "sbfm w0, w1, #1, #2",
+    "ubfm x0, x1, #4", "mul w0, w1, w2", "madd x0, x1, x2, x3",
+    "msub x0, x1, x2, x3", "mneg x0, x1, x2", "mul x0, x1, #2",
+    "sdiv x0, x1, x2", "udiv w0, w1, w2", "umulh x0, x1, x2",
     "smulh x0, x1, x2", "sdiv x0, x1", "sdiv x0, #1, x2", "ccmp x0, x1, #4, ne",
     "ccmn w0, #31, #15, hs", "ccmp x0, #1, #0, cs", "ccmp x0, x1, #0, zz",
     "ccmp x0, [x1], #0, eq", "ccmp x0, x1, #0, #1", "extr x0, x1, x2, #5",
-    "ror w0, w1, #3", "extr x0, x1, #5", "ror x0, x1, x2", "csel w0, w1, w2, AL",
-    "csinc x0, x1, x2, Lo", "csinv x0, x1, x2, cc", "csneg x0, x1, x2, vs",
-    "csel x0, x1, x2, nv", "csel x0, x1, x2, eqq", "cset x0, mi", "cset x0, al",
-    "cset x0, pl, vc", "clz x0, x1", "rbit w0, w1", "rev x0, x1", "clz x0",
-    "adr x0, lab", "adrp x1, sym", "adr w0, lab", "adr x0, #8", "ldrsb w0, [x1]",
-    "ldrsh x0, [x1, #2]", "ldrsw x0, [x1]", "ldrsw w0, [x1]", "ldrh x0, [x1]",
-    "strb w0, [x1, #1]!", "strh w0, [x1], #2", "ldur x0, [x1, #-8]",
-    "stur w0, [x1, #-4]", "ldr s0, [x1]", "str d0, [x1, #8]", "ldr q0, [x1], #16",
-    "ldrb s0, [x1]", "ldr v0.4s, [x1]", "ldr x0, [x1, x2]", "ldr x0, [x1, w2]",
-    "ldr x0, [x1, w2, sxtx]", "ldr x0, [x1, x2, uxtw]", "ldr x0, [x1, w2, uxtb]",
-    "ldr x0, [x1, x2, lsr #3]", "ldr x0, [x1, x2, lsl #3]!", "ldr x0, [x1, :lo12:s]",
-    "ldr x0, [x1, #8], #8", "ldr x0, [x1], x2", "ldr x0, [x1], #-8", "ldr x0, [xzr]",
-    "ldr x0, [sp]", "ldr x0, [wsp]", "ldr x0, [x1, #1, #2, #3]", "ldr x0, []",
-    "ldr x0, [x1, lsl #3]", "ldr x0, x1", "ldr x0, [x1] !", "ldr x0, [ x1 , #8 ]",
+    "ror w0, w1, #3", "extr x0, x1, #5", "ror x0, x1, x2",
+    "csel w0, w1, w2, AL", "csinc x0, x1, x2, Lo", "csinv x0, x1, x2, cc",
+    "csneg x0, x1, x2, vs", "csel x0, x1, x2, nv", "csel x0, x1, x2, eqq",
+    "cset x0, mi", "cset x0, al", "cset x0, pl, vc", "clz x0, x1",
+    "rbit w0, w1", "rev x0, x1", "clz x0", "adr x0, lab", "adrp x1, sym",
+    "adr w0, lab", "adr x0, #8", "ldrsb w0, [x1]", "ldrsh x0, [x1, #2]",
+    "ldrsw x0, [x1]", "ldrsw w0, [x1]", "ldrh x0, [x1]", "strb w0, [x1, #1]!",
+    "strh w0, [x1], #2", "ldur x0, [x1, #-8]", "stur w0, [x1, #-4]",
+    "ldr s0, [x1]", "str d0, [x1, #8]", "ldr q0, [x1], #16", "ldrb s0, [x1]",
+    "ldr v0.4s, [x1]", "ldr x0, [x1, x2]", "ldr x0, [x1, w2]",
+    "ldr x0, [x1, w2, sxtx]", "ldr x0, [x1, x2, uxtw]",
+    "ldr x0, [x1, w2, uxtb]", "ldr x0, [x1, x2, lsr #3]",
+    "ldr x0, [x1, x2, lsl #3]!", "ldr x0, [x1, :lo12:s]",
+    "ldr x0, [x1, #8], #8", "ldr x0, [x1], x2", "ldr x0, [x1], #-8",
+    "ldr x0, [xzr]", "ldr x0, [sp]", "ldr x0, [wsp]",
+    "ldr x0, [x1, #1, #2, #3]", "ldr x0, []", "ldr x0, [x1, lsl #3]",
+    "ldr x0, x1", "ldr x0, [x1] !", "ldr x0, [ x1 , #8 ]",
     "ldp w0, w1, [x2, #8]!", "stp x0, x1, [x2], #-16", "ldp x0, [x2]",
     "ldxr w0, [x1]", "ldar x0, [x1]", "stlr w0, [x1]", "ldxr x0, [x1, #8]",
     "stxr w0, x1, [x2]", "stxr w0, w1, [x2], #4", "b lab", "bl lab", "b.eq lab",
     "b.al lab", "b.nv lab", "b.EQ lab", "b.hs lab, x0", "b", "b #8", "cbz x0",
     "cbnz w0, lab", "tbz w0, #3, lab", "tbnz x0, #63, lab", "tbz x0, x1, lab",
-    "br x0", "blr x30", "br sp", "br #1", "ret", "ret x1", "ret #1", "ret x0, x1",
-    "fadd s0, s1, s2", "fsub d0, d1, d2", "fmul v0.2d, v1.2d, v2.2d",
-    "fdiv d0, d1, d2", "fsub v0.4s, v1.4s, v2.4s", "fadd d0, d1, x2",
-    "fsqrt d0, d1", "fsqrt s0, x1", "fmadd d0, d1, d2, d3", "fmadd d0, x1, d2, d3",
-    "fmadd d0, d1, d2", "fcmp d0, d1", "fcmp d0, #0", "scvtf d0, x1",
-    "scvtf s0, w1", "fcvtzs w0, d1", "fcvtzs x0, s1", "fmov d0, d1", "fmov x0, d1",
-    "fmov d0, x1", "fmov x0, x1", "fmov d0, #1", "nop", "nop x0", "svc #0",
-    "brk #1000", "svc", "brk x0", "rtcall #3", "rtcall", "rtcall x0",
-    "hostcall #2", "hostcall #-1", "frob x0", "", "   ", "x0", ":", "::",
-    "lab:", "lab: nop", "a:b:c: ret", "1: nop", "$x.y_z: nop", "lab :",
-    "v32.4s", "add v32.4s, v1.4s, v2.4s", "fadd s32, s1, s2", "fadd s31, s1, s2",
-    "add x31, x0, x1", "add x30, xzr, x1", "add w0, wzr, #1", "add x01, x02, #03",
-    "add x0, x1, #0x10", "add x0, x1, #0X1f", "add x0, x1, #+5", "add x0, x1, #-",
-    "add x0, x1, #", "add x0, x1, 16", "add x0, x1, -16", "add x0, x1, #1f",
-    "add x0, x1, #0x", ".text", ".data", ".rodata", ".bss", ".section .rodata",
+    "br x0", "blr x30", "br sp", "br #1", "ret", "ret x1", "ret #1",
+    "ret x0, x1", "fadd s0, s1, s2", "fsub d0, d1, d2",
+    "fmul v0.2d, v1.2d, v2.2d", "fdiv d0, d1, d2", "fsub v0.4s, v1.4s, v2.4s",
+    "fadd d0, d1, x2", "fsqrt d0, d1", "fsqrt s0, x1", "fmadd d0, d1, d2, d3",
+    "fmadd d0, x1, d2, d3", "fmadd d0, d1, d2", "fcmp d0, d1", "fcmp d0, #0",
+    "scvtf d0, x1", "scvtf s0, w1", "fcvtzs w0, d1", "fcvtzs x0, s1",
+    "fmov d0, d1", "fmov x0, d1", "fmov d0, x1", "fmov x0, x1", "fmov d0, #1",
+    "nop", "nop x0", "svc #0", "brk #1000", "svc", "brk x0", "rtcall #3",
+    "rtcall", "rtcall x0", "hostcall #2", "hostcall #-1", "frob x0", "", "   ",
+    "x0", ":", "::", "lab:", "lab: nop", "a:b:c: ret", "1: nop", "$x.y_z: nop",
+    "lab :", "v32.4s", "add v32.4s, v1.4s, v2.4s", "fadd s32, s1, s2",
+    "fadd s31, s1, s2", "add x31, x0, x1", "add x30, xzr, x1",
+    "add w0, wzr, #1", "add x01, x02, #03", "add x0, x1, #0x10",
+    "add x0, x1, #0X1f", "add x0, x1, #+5", "add x0, x1, #-", "add x0, x1, #",
+    "add x0, x1, 16", "add x0, x1, -16", "add x0, x1, #1f", "add x0, x1, #0x",
+    ".text", ".data", ".rodata", ".bss", ".section .rodata",
     ".section .data.rel", ".section .bss.foo", ".section .text.hot",
-    ".section .RODATA", ".section", ".globl _start", ".global main",
-    ".globl", ".balign 16", ".align 3", ".p2align 4", ".balign 0",
-    ".balign -4", ".balign", ".p2align 63", ".p2align 64", ".byte 1, 2, 0xff",
+    ".section .RODATA", ".section", ".globl _start", ".global main", ".globl",
+    ".balign 16", ".align 3", ".p2align 4", ".balign 0", ".balign -4",
+    ".balign", ".p2align 63", ".p2align 64", ".byte 1, 2, 0xff",
     ".word 1, sym, -1", ".quad sym, 0x10, lab", ".xword 7", ".byte", ".quad ,",
     ".word 1,,2", ".asciz \"hi\\n\"", ".string \"a\\tb\\0c\\\\d\\\"e\\q\"",
     ".asciz \"unterminated", ".asciz hi", ".asciz \"\"", ".asciz \"\\\"",
-    ".zero 64", ".space 8", ".skip 0", ".zero -1", ".zero", ".type f, %function",
-    ".size f, .-f", ".file \"a.c\"", ".ident \"gcc\"", ".arch armv8-a",
-    ".cfi_startproc", ".cfi_endproc", ".cfi_def_cfa_offset 16",
-    ".cfi_offset 29, -16", ".cfi_restore 30", ".weak f", ".TEXT", ".Text",
-    ".", ".text junk", "\t.text\t", ".quad 18446744073709551617",
+    ".zero 64", ".space 8", ".skip 0", ".zero -1", ".zero",
+    ".type f, %function", ".size f, .-f", ".file \"a.c\"", ".ident \"gcc\"",
+    ".arch armv8-a", ".cfi_startproc", ".cfi_endproc", ".cfi_def_cfa_offset 16",
+    ".cfi_offset 29, -16", ".cfi_restore 30", ".weak f", ".TEXT", ".Text", ".",
+    ".text junk", "\t.text\t", ".quad 18446744073709551617",
     ".zero 18446744073709551617", ".balign 4294967297",
     "add x4294967297, x0, #1", "ldr x0, [x4294967298]",
     "fadd d4294967299, d0, d1", "mov x0, #18446744073709551617",
