@@ -156,7 +156,22 @@ std::string RunPipeline(const std::string& src, Rng& rng,
   return "";
 }
 
-// Drops source lines one at a time while the pipeline still fails.
+// First difference between two statements, line numbers aside, or "".
+std::string StmtDiff(const asmtext::AsmStmt& a, const asmtext::AsmStmt& b) {
+  if (a.kind != b.kind) return "kind";
+  if (a.label != b.label) return "label";
+  if (a.dir.kind != b.dir.kind || a.dir.section != b.dir.section ||
+      a.dir.values != b.dir.values || a.dir.syms != b.dir.syms ||
+      a.dir.text != b.dir.text) {
+    return "directive";
+  }
+  if (!(a.inst == b.inst)) return "inst";
+  if (a.reloc != b.reloc) return "reloc";
+  if (a.target != b.target) return "target";
+  return "";
+}
+
+// Drops source lines one at a time while the check still fails.
 std::string MinimizeAsm(
     const std::string& src,
     const std::function<bool(const std::string&)>& still_fails) {
@@ -621,25 +636,6 @@ FuzzReport RunCompleteness(const FuzzOptions& opts) {
   }
   return report;
 }
-
-namespace {
-
-// First difference between two statements, line numbers aside, or "".
-std::string StmtDiff(const asmtext::AsmStmt& a, const asmtext::AsmStmt& b) {
-  if (a.kind != b.kind) return "kind";
-  if (a.label != b.label) return "label";
-  if (a.dir.kind != b.dir.kind || a.dir.section != b.dir.section ||
-      a.dir.values != b.dir.values || a.dir.syms != b.dir.syms ||
-      a.dir.text != b.dir.text) {
-    return "directive";
-  }
-  if (!(a.inst == b.inst)) return "inst";
-  if (a.reloc != b.reloc) return "reloc";
-  if (a.target != b.target) return "target";
-  return "";
-}
-
-}  // namespace
 
 std::string CheckParseRoundTrip(const std::string& src, bool* accepted) {
   const auto first = asmtext::Parse(src);

@@ -770,9 +770,9 @@ void MutateAsmText(Rng& rng, std::string* src) {
       case 3:  // digit run
         s.insert(p, rng.Pick(kDigits));
         break;
-      case 4:  // case flip over a short run
-        for (size_t e = std::min(s.size(), p + 1 + rng.Below(8)), q = p; q < e;
-             ++q) {
+      case 4: {  // case flip over a short run
+        const size_t e = std::min(s.size(), p + 1 + rng.Below(8));
+        for (size_t q = p; q < e; ++q) {
           if (s[q] >= 'a' && s[q] <= 'z') {
             s[q] = static_cast<char>(s[q] - 'a' + 'A');
           } else if (s[q] >= 'A' && s[q] <= 'Z') {
@@ -780,6 +780,7 @@ void MutateAsmText(Rng& rng, std::string* src) {
           }
         }
         break;
+      }
       case 5:  // extra whitespace
         s.insert(p, rng.Chance(50) ? " " : (rng.Chance(50) ? "\t" : "\r"));
         break;
