@@ -280,6 +280,28 @@ std::optional<int64_t> ParseNumber(std::string_view s) {
   return static_cast<int64_t>(neg ? 0 - v : v);
 }
 
+// The kind of operand keyword `key` names (kShift or kExtend), storing
+// which one in `op`; kLabel if it names neither.
+Operand::Kind LexShiftOrExtend(uint64_t key, Operand* op) {
+  constexpr auto kShift = Operand::Kind::kShift;
+  constexpr auto kExtend = Operand::Kind::kExtend;
+  switch (key) {
+    case Key("lsl"): op->shift = Shift::kLsl; return kShift;
+    case Key("lsr"): op->shift = Shift::kLsr; return kShift;
+    case Key("asr"): op->shift = Shift::kAsr; return kShift;
+    case Key("ror"): op->shift = Shift::kRor; return kShift;
+    case Key("uxtb"): op->ext = Extend::kUxtb; return kExtend;
+    case Key("uxth"): op->ext = Extend::kUxth; return kExtend;
+    case Key("uxtw"): op->ext = Extend::kUxtw; return kExtend;
+    case Key("uxtx"): op->ext = Extend::kUxtx; return kExtend;
+    case Key("sxtb"): op->ext = Extend::kSxtb; return kExtend;
+    case Key("sxth"): op->ext = Extend::kSxth; return kExtend;
+    case Key("sxtw"): op->ext = Extend::kSxtw; return kExtend;
+    case Key("sxtx"): op->ext = Extend::kSxtx; return kExtend;
+    default: return Operand::Kind::kLabel;
+  }
+}
+
 bool StartsNumber(std::string_view tok) {
   return !tok.empty() &&
          (tok.front() == '#' || IsDigit(tok.front()) || tok.front() == '-');
@@ -310,38 +332,21 @@ Status LexSimple(std::string_view tok, Operand* op) {
   }
   // shift/extend with optional amount: "lsl #3", "uxtw", "sxtw #2"
   const size_t space = WordEnd(tok);
-  switch (Key(tok.substr(0, space))) {
-    case Key("lsl"): op->shift = Shift::kLsl; break;
-    case Key("lsr"): op->shift = Shift::kLsr; break;
-    case Key("asr"): op->shift = Shift::kAsr; break;
-    case Key("ror"): op->shift = Shift::kRor; break;
-    case Key("uxtb"): op->ext = Extend::kUxtb; break;
-    case Key("uxth"): op->ext = Extend::kUxth; break;
-    case Key("uxtw"): op->ext = Extend::kUxtw; break;
-    case Key("uxtx"): op->ext = Extend::kUxtx; break;
-    case Key("sxtb"): op->ext = Extend::kSxtb; break;
-    case Key("sxth"): op->ext = Extend::kSxth; break;
-    case Key("sxtw"): op->ext = Extend::kSxtw; break;
-    case Key("sxtx"): op->ext = Extend::kSxtx; break;
-    default:
-      // Condition code or label: context decides; report a label and let
-      // the mnemonic's builder reinterpret it where it expects a condition.
-      op->sym = tok;
-      return Status::Ok();
-  }
+  op->kind = LexShiftOrExtend(Key(tok.substr(0, space)), op);
   const std::string_view rest = Trim(tok.substr(space));
-  if (space == 3) {  // the shift names have three letters, extends four
+  if (op->kind == Operand::Kind::kShift) {
     const auto n = ParseNumber(rest);
     if (!n) return Status::Fail("shift needs amount: " + std::string(tok));
-    op->kind = Operand::Kind::kShift;
     op->amount = *n;
-    return Status::Ok();
-  }
-  op->kind = Operand::Kind::kExtend;
-  if (!rest.empty()) {
+  } else if (op->kind == Operand::Kind::kExtend) {
+    if (rest.empty()) return Status::Ok();
     const auto n = ParseNumber(rest);
     if (!n) return Status::Fail("bad extend amount: " + std::string(tok));
     op->amount = *n;
+  } else {
+    // Condition code or label: context decides; report a label and let
+    // the mnemonic's builder reinterpret it where it expects a condition.
+    op->sym = tok;
   }
   return Status::Ok();
 }
@@ -1112,14 +1117,6 @@ Status ParseInstLine(std::string_view line, Line* l, AsmStmt* s) {
   return BuildInst(*l, s);
 }
 
-bool EqualsLower(std::string_view s, std::string_view lower) {
-  if (s.size() != lower.size()) return false;
-  for (size_t k = 0; k < s.size(); ++k) {
-    if (ToLower(s[k]) != lower[k]) return false;
-  }
-  return true;
-}
-
 // Fills `s` from a directive line (trimmed, starting with `.`).
 Status BuildDirective(std::string_view line, AsmStmt* s) {
   const size_t sp = WordEnd(line);
@@ -1209,14 +1206,19 @@ Status BuildDirective(std::string_view line, AsmStmt* s) {
     case Key(".type"): case Key(".size"): case Key(".file"): case Key(".ident"):
     case Key(".arch"):
       break;
-    default:
-      if (!EqualsLower(name, ".cfi_startproc") &&
-          !EqualsLower(name, ".cfi_endproc") &&
-          !EqualsLower(name, ".cfi_def_cfa_offset") &&
-          !EqualsLower(name, ".cfi_offset") &&
-          !EqualsLower(name, ".cfi_restore")) {
+    default: {
+      // The .cfi_* names are too long for a key.
+      static constexpr std::string_view kCfi[] = {
+          ".cfi_startproc", ".cfi_endproc", ".cfi_def_cfa_offset",
+          ".cfi_offset", ".cfi_restore"};
+      auto same = [](char lower, char c) { return lower == ToLower(c); };
+      if (std::none_of(std::begin(kCfi), std::end(kCfi), [&](auto cfi) {
+            return std::equal(cfi.begin(), cfi.end(), name.begin(),
+                              name.end(), same);
+          })) {
         return Status::Fail("unknown directive: " + Lower(name));
       }
+    }
   }
   // Metadata we can safely ignore; represent as a no-op .balign 1.
   d.kind = Directive::Kind::kBalign;
