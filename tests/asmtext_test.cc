@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <map>
 #include <sstream>
 
@@ -15,6 +12,7 @@
 #include "asmtext/printer.h"
 #include "fuzz/gen.h"
 #include "fuzz/rng.h"
+#include "golden_util.h"
 #include "workloads/workloads.h"
 
 #ifndef LFI_PARSER_GOLDEN
@@ -772,44 +770,7 @@ std::string GoldenSnapshot() {
 }
 
 TEST(Parser, GoldenCorpus) {
-  const std::string snapshot = GoldenSnapshot();
-  const char* golden_path = LFI_PARSER_GOLDEN;
-  if (std::getenv("LFI_UPDATE_GOLDEN") != nullptr) {
-    std::ofstream out(golden_path, std::ios::binary);
-    ASSERT_TRUE(out.good()) << "cannot write " << golden_path;
-    out << snapshot;
-    std::printf("updated %s (%zu bytes)\n", golden_path, snapshot.size());
-    return;
-  }
-  std::ifstream in(golden_path, std::ios::binary);
-  ASSERT_TRUE(in.good()) << "missing golden file " << golden_path
-                         << "; regenerate with LFI_UPDATE_GOLDEN=1";
-  std::stringstream buf;
-  buf << in.rdbuf();
-  const std::string golden = buf.str();
-  if (snapshot == golden) return;
-  // Entry-level diff: each entry is a `>` input line plus its dump.
-  auto entries = [](const std::string& text) {
-    std::vector<std::string> out;
-    std::istringstream in(text);
-    for (std::string line; std::getline(in, line);) {
-      if (line.rfind(">", 0) == 0 || out.empty()) out.emplace_back();
-      out.back() += line + "\n";
-    }
-    return out;
-  };
-  const auto want = entries(golden), got = entries(snapshot);
-  int shown = 0;
-  for (size_t k = 0; k < std::max(want.size(), got.size()) && shown < 20;
-       ++k) {
-    const std::string a = k < want.size() ? want[k] : "<none>\n";
-    const std::string b = k < got.size() ? got[k] : "<none>\n";
-    if (a != b) {
-      ADD_FAILURE() << "golden entry " << k << ":\n" << a << "now:\n" << b;
-      ++shown;
-    }
-  }
-  FAIL() << "parser output diverged from " << golden_path;
+  test::CheckGolden(GoldenSnapshot(), LFI_PARSER_GOLDEN);
 }
 
 }  // namespace

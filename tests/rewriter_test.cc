@@ -4,11 +4,24 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
 #include "asmtext/printer.h"
+#include "fuzz/gen.h"
+#include "fuzz/rng.h"
+#include "golden_util.h"
 #include "rewriter/rewriter.h"
 #include "verifier/verifier.h"
+#include "workloads/workloads.h"
+
+#ifndef LFI_REWRITER_GOLDEN
+#error "build must define LFI_REWRITER_GOLDEN (path to the golden file)"
+#endif
 
 namespace lfi::rewriter {
 namespace {
@@ -387,6 +400,144 @@ std::vector<PropCase> AllPropCases() {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RewriteVerifyProperty,
                          ::testing::ValuesIn(AllPropCases()));
+
+// --- Golden corpus: the rewriter's exact output on a fixed corpus. ---
+//
+// The fuzz seed corpus, fixed GenAsmProgram seeds, the 15 workload
+// generators at a small scale, and hand cases for the tbz/tbnz range fix
+// (a branch that goes far only in the fixpoint's second iteration, an
+// undefined target, directives in .text, and files just under and just
+// over the size at which any branch can go far). Each input is rewritten
+// at O0, O1, O2 and O2 without load guards; the golden records the stats
+// and the printed output (a repeated run of lines once, after `[xN]`) or
+// the exact error. Regenerate with LFI_UPDATE_GOLDEN=1.
+
+std::string Repeat(const std::string& line, int n) {
+  std::string out;
+  for (int k = 0; k < n; ++k) out += line;
+  return out;
+}
+
+std::vector<std::pair<std::string, std::string>> GoldenInputs() {
+  std::vector<std::pair<std::string, std::string>> in;
+  const auto corpus = fuzz::SeedCorpusAsm();
+  for (size_t k = 0; k < corpus.size(); ++k) {
+    in.emplace_back("seed-corpus " + std::to_string(k), corpus[k]);
+  }
+  for (uint64_t k = 0; k < 24; ++k) {
+    fuzz::Rng rng(fuzz::DeriveSeed(0x3e3, k));
+    in.emplace_back("gen " + std::to_string(k), fuzz::GenAsmProgram(rng));
+  }
+  for (const auto& w : workloads::AllWorkloads()) {
+    in.emplace_back("workload " + w.name, workloads::Generate(w.name, 2000));
+  }
+  const std::string nop = "nop\n";
+  // Range-fix distances are estimated at 4 bytes per instruction and 64
+  // per directive, against a 30000-byte limit. A tbz at 0 reaching a
+  // label after 7499 nops spans exactly 30000 bytes (kept); after 7500
+  // it spans 30004 (rewritten).
+  in.emplace_back("tbz forward at the limit",
+                  "tbz x0, #3, far\n" + Repeat(nop, 7499) + "far:\nret\n");
+  in.emplace_back("tbz forward just over the limit",
+                  "tbz x0, #3, far\n" + Repeat(nop, 7500) + "far:\nret\n");
+  in.emplace_back("tbnz backward under the limit",
+                  "back:\n" + Repeat(nop, 7499) + "tbnz x1, #9, back\n");
+  in.emplace_back("tbnz backward at the limit, file just over",
+                  "back:\n" + Repeat(nop, 7500) + "tbnz x1, #9, back\n");
+  // The first tbz is 30000 bytes from its target; rewriting the second
+  // (far) one into a pair grows the code between them by 4 bytes, so the
+  // first goes far only in the second fixpoint iteration.
+  in.emplace_back("tbz far after the fixpoint's first iteration",
+                  ".text\n_start:\ntbz x0, #3, far_a\n" + Repeat(nop, 10) +
+                      "tbz x1, #5, far_b\n" + Repeat(nop, 7488) + "far_a:\n" +
+                      Repeat(nop, 100) + "far_b:\nret\n");
+  in.emplace_back("tbz to an undefined label",
+                  "tbz x0, #1, nowhere\n" + Repeat(nop, 8000) + "ret\n");
+  in.emplace_back("tbnz across directives in .text",
+                  ".text\n_start:\ntbnz x2, #7, over\n" +
+                      Repeat(".balign 4\n", 470) + "over:\ntbz x2, #6, near\n" +
+                      Repeat(".word 0\n", 400) + "near:\nret\n");
+  in.emplace_back("tbz over guarded stores",
+                  "tbz x0, #1, far\n" + Repeat("str x1, [x2, #8]\n", 5000) +
+                      "far:\nret\n");
+  in.emplace_back("reserved register", "add x21, x0, x1\n");
+  in.emplace_back("system instruction", "nop\nsvc #0\n");
+  in.emplace_back("rtcall out of range", "rtcall #600\n");
+  in.emplace_back("hostcall out of range", "hostcall #70000\n");
+  in.emplace_back("instruction outside .text", ".data\nnop\n");
+  return in;
+}
+
+std::string RewriteDump(const AsmFile& file, const RewriteOptions& opts) {
+  RewriteStats st;
+  auto out = Rewrite(file, opts, &st);
+  if (!out.ok()) return "  err: " + out.error() + "\n";
+  std::string dump = "  stats in=" + std::to_string(st.input_insts) +
+                     " out=" + std::to_string(st.output_insts) +
+                     " guards=" + std::to_string(st.guards_inserted) +
+                     " sp_elided=" + std::to_string(st.guards_elided_sp) +
+                     " hoisted=" + std::to_string(st.guards_hoisted) +
+                     " tbz=" + std::to_string(st.tbz_rewritten) + "\n";
+  std::vector<std::string> lines;
+  std::istringstream text(asmtext::Print(*out));
+  for (std::string line; std::getline(text, line);) lines.push_back(line);
+  // Runs of a repeated block of up to 4 lines print once, as `[xN]`.
+  auto same = [&](size_t a, size_t b, size_t n) {
+    for (size_t k = 0; k < n; ++k) {
+      if (lines[a + k] != lines[b + k]) return false;
+    }
+    return true;
+  };
+  for (size_t i = 0; i < lines.size();) {
+    size_t period = 1, reps = 1;
+    for (size_t p = 1; p <= 4; ++p) {
+      size_t r = 1;
+      while (i + (r + 1) * p <= lines.size() && same(i, i + r * p, p)) ++r;
+      if (r > 1 && p * r > period * reps) {
+        period = p;
+        reps = r;
+      }
+    }
+    if (reps > 1) dump += "  [x" + std::to_string(reps) + "]\n";
+    for (size_t k = 0; k < period; ++k) dump += "  | " + lines[i + k] + "\n";
+    i += period * reps;
+  }
+  return dump;
+}
+
+std::string RewriterGoldenSnapshot() {
+  struct Config {
+    const char* name;
+    OptLevel level;
+    bool loads;
+  };
+  const Config configs[] = {{"O0", OptLevel::kO0, true},
+                            {"O1", OptLevel::kO1, true},
+                            {"O2", OptLevel::kO2, true},
+                            {"O2 no-loads", OptLevel::kO2, false}};
+  std::string out =
+      "# rewriter golden: `> input` then, per configuration, its stats and "
+      "printed output, or `err:`\n";
+  for (const auto& [name, src] : GoldenInputs()) {
+    out += "> " + name + "\n";
+    auto file = asmtext::Parse(src);
+    if (!file.ok()) {
+      out += "  parse err: " + file.error() + "\n";
+      continue;
+    }
+    for (const Config& c : configs) {
+      RewriteOptions opts;
+      opts.level = c.level;
+      opts.sandbox_loads = c.loads;
+      out += "@ " + std::string(c.name) + "\n" + RewriteDump(*file, opts);
+    }
+  }
+  return out;
+}
+
+TEST(Rewriter, GoldenCorpus) {
+  test::CheckGolden(RewriterGoldenSnapshot(), LFI_REWRITER_GOLDEN);
+}
 
 }  // namespace
 }  // namespace lfi::rewriter
