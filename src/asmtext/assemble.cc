@@ -1,5 +1,7 @@
 #include "asmtext/assemble.h"
 
+#include <utility>
+
 #include "arch/encode.h"
 #include "asmtext/printer.h"
 
@@ -36,32 +38,33 @@ uint64_t DirectiveSize(const Directive& d, uint64_t addr) {
 }
 
 void AppendLE(std::vector<uint8_t>* out, uint64_t v, unsigned bytes) {
+  uint8_t le[8];
   for (unsigned k = 0; k < bytes; ++k) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * k)));
+    le[k] = static_cast<uint8_t>(v >> (8 * k));
   }
+  out->insert(out->end(), le, le + bytes);
 }
 
 }  // namespace
 
 Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
-  // Pass 1: compute section sizes and label addresses (section-relative,
-  // converted to absolute once section bases are known).
-  struct LabelPos {
-    Section section;
-    uint64_t offset;
-  };
-  std::map<std::string, LabelPos> labels;
+  // Pass 1: compute section sizes and label addresses. Labels go straight
+  // into the image's symbol table, section-relative at first; `rebase`
+  // remembers each one's section so it can be made absolute once the
+  // section bases are known.
+  Image img;
+  std::vector<std::pair<uint64_t*, Section>> rebase;
   uint64_t sizes[4] = {0, 0, 0, 0};
   Section cur = Section::kText;
   for (const auto& s : file.stmts) {
     auto& sz = sizes[static_cast<int>(cur)];
     switch (s.kind) {
-      case AsmStmt::Kind::kLabel:
-        if (labels.count(s.label)) {
-          return Error{"assemble: duplicate label " + s.label};
-        }
-        labels[s.label] = {cur, sz};
+      case AsmStmt::Kind::kLabel: {
+        auto [it, fresh] = img.symbols.try_emplace(s.label, sz);
+        if (!fresh) return Error{"assemble: duplicate label " + s.label};
+        rebase.emplace_back(&it->second, cur);
         break;
+      }
       case AsmStmt::Kind::kDirective:
         if (s.dir.kind == Directive::Kind::kSection) {
           cur = s.dir.section;
@@ -87,7 +90,6 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
     }
   }
 
-  Image img;
   img.text_addr = spec.text_offset;
   img.rodata_addr =
       AlignUp(img.text_addr + sizes[int(Section::kText)], spec.align);
@@ -99,9 +101,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
 
   const uint64_t bases[4] = {img.text_addr, img.rodata_addr, img.data_addr,
                              img.bss_addr};
-  for (auto& [name, pos] : labels) {
-    img.symbols[name] = bases[static_cast<int>(pos.section)] + pos.offset;
-  }
+  for (auto [addr, section] : rebase) *addr += bases[static_cast<int>(section)];
   auto resolve = [&](const std::string& sym) -> Result<uint64_t> {
     auto it = img.symbols.find(sym);
     if (it == img.symbols.end()) {
@@ -109,6 +109,9 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
     }
     return it->second;
   };
+  img.text.reserve(sizes[int(Section::kText)]);
+  img.rodata.reserve(sizes[int(Section::kRodata)]);
+  img.data.reserve(sizes[int(Section::kData)]);
 
   // Pass 2: emit bytes.
   cur = Section::kText;
@@ -134,7 +137,8 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
         }
         switch (d.kind) {
           case Directive::Kind::kBalign:
-            for (uint64_t k = 0; k < n; ++k) out->push_back(0);
+          case Directive::Kind::kZero:
+            out->resize(out->size() + n);
             break;
           case Directive::Kind::kByte:
           case Directive::Kind::kWord:
@@ -155,11 +159,8 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
             break;
           }
           case Directive::Kind::kAsciz:
-            for (char c : d.text) out->push_back(static_cast<uint8_t>(c));
+            out->insert(out->end(), d.text.begin(), d.text.end());
             out->push_back(0);
-            break;
-          case Directive::Kind::kZero:
-            for (uint64_t k = 0; k < n; ++k) out->push_back(0);
             break;
           default:
             break;
@@ -200,8 +201,8 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
     }
   }
 
-  img.entry = img.symbols.count("_start") ? img.symbols["_start"]
-                                          : img.text_addr;
+  auto start = img.symbols.find("_start");
+  img.entry = start != img.symbols.end() ? start->second : img.text_addr;
   return img;
 }
 

@@ -9,8 +9,8 @@
 #define LFI_ASMTEXT_ASSEMBLE_H_
 
 #include <cstdint>
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "asmtext/ast.h"
@@ -35,7 +35,7 @@ struct Image {
   uint64_t bss_addr = 0;
   uint64_t bss_size = 0;
   uint64_t entry = 0;  // `_start` if defined, else start of .text
-  std::map<std::string, uint64_t> symbols;
+  std::unordered_map<std::string, uint64_t> symbols;  // label -> address
 };
 
 // Assembles `file`. Fails on unresolved labels, out-of-range branches,

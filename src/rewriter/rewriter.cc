@@ -1,8 +1,12 @@
 #include "rewriter/rewriter.h"
 
 #include <cstdlib>
+#include <iterator>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "arch/encode.h"
 
@@ -160,10 +164,8 @@ class RewriterImpl {
     Reg hreg;
   };
 
-  void Emit(Inst i) {
-    out_.stmts.push_back(AsmStmt::OfInst(i));
-  }
-  void EmitStmt(AsmStmt s) { out_.stmts.push_back(std::move(s)); }
+  void Emit(const Inst& i) { out_.stmts.emplace_back().inst = i; }
+  void EmitStmt(const AsmStmt& s) { out_.stmts.push_back(s); }
   void EmitGuard(Reg dst, Reg src) {
     Emit(MakeGuard(dst, src));
     if (stats_) ++stats_->guards_inserted;
@@ -679,60 +681,82 @@ Status RewriterImpl::RewriteInst(const AsmFile& in, size_t idx) {
 void RewriterImpl::FixShortBranches() {
   // tbz/tbnz reach only +-32KiB; inserted guards may push a target out of
   // range (Section 5.1). Estimate addresses conservatively (every
-  // instruction 4 bytes, ignoring section gaps within .text) and rewrite
-  // over-distance test-branches into an inverted-skip + unconditional
-  // branch pair. Iterate to a fixpoint since rewriting grows code.
+  // instruction 4 bytes, every directive 64, ignoring section gaps within
+  // .text) and rewrite over-distance test-branches into an inverted-skip +
+  // unconditional branch pair. Iterate to a fixpoint since rewriting grows
+  // code.
   constexpr int64_t kLimit = 30000;  // margin below the 32764-byte reach
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    // Label -> estimated address.
-    std::unordered_map<std::string, int64_t> labels;
+  auto size = [](const AsmStmt& s) -> int64_t {
+    return s.kind == AsmStmt::Kind::kInst        ? 4
+           : s.kind == AsmStmt::Kind::kDirective ? 64
+                                                 : 0;
+  };
+  auto is_test_branch = [](const AsmStmt& s) {
+    return s.kind == AsmStmt::Kind::kInst &&
+           (s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
+           !s.target.empty();
+  };
+  // No distance can exceed the whole file's estimated size.
+  int64_t total = 0;
+  bool any = false;
+  for (const auto& s : out_.stmts) {
+    total += size(s);
+    any = any || is_test_branch(s);
+  }
+  if (!any || total <= kLimit) return;
+
+  // Label -> estimated address; keys view the label strings in out_, so
+  // the index is rebuilt after every rewrite moves them.
+  std::unordered_map<std::string_view, int64_t> labels;
+  std::vector<size_t> far;
+  for (;;) {
+    labels.clear();
     int64_t addr = 0;
     for (const auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kLabel) {
-        labels[s.label] = addr;
-      } else if (s.kind == AsmStmt::Kind::kInst) {
-        addr += 4;
-      } else if (s.kind == AsmStmt::Kind::kDirective) {
-        addr += 64;  // generous slop for alignment/data in text
-      }
+      if (s.kind == AsmStmt::Kind::kLabel) labels[s.label] = addr;
+      addr += size(s);
     }
-    AsmFile next;
-    next.stmts.reserve(out_.stmts.size());
+    // Later branches see the growth of earlier rewrites in this pass;
+    // label addresses are those from the start of the pass.
+    far.clear();
     addr = 0;
-    for (auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kInst &&
-          (s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
-          !s.target.empty()) {
+    for (size_t k = 0; k < out_.stmts.size(); ++k) {
+      const AsmStmt& s = out_.stmts[k];
+      if (is_test_branch(s)) {
         auto it = labels.find(s.target);
-        const int64_t dist =
-            it == labels.end() ? 0 : it->second - addr;
+        const int64_t dist = it == labels.end() ? 0 : it->second - addr;
         if (dist > kLimit || dist < -kLimit) {
-          // tbz rt,#b,far  =>  tbnz rt,#b,skip ; b far ; skip:
-          AsmStmt inv = s;
-          inv.inst.mn = s.inst.mn == Mn::kTbz ? Mn::kTbnz : Mn::kTbz;
-          const std::string skip = FreshLabel();
-          inv.target = skip;
-          next.stmts.push_back(inv);
-          Inst b;
-          b.mn = Mn::kB;
-          next.stmts.push_back(AsmStmt::Branch(b, s.target));
-          next.stmts.push_back(AsmStmt::Label(skip));
+          far.push_back(k);
           addr += 8;
-          changed = true;
-          if (stats_) ++stats_->tbz_rewritten;
           continue;
         }
       }
-      if (s.kind == AsmStmt::Kind::kInst) {
-        addr += 4;
-      } else if (s.kind == AsmStmt::Kind::kDirective) {
-        addr += 64;
-      }
-      next.stmts.push_back(std::move(s));
+      addr += size(s);
     }
-    out_ = std::move(next);
+    if (far.empty()) return;
+    if (stats_) stats_->tbz_rewritten += far.size();
+    std::vector<AsmStmt> next;
+    next.reserve(out_.stmts.size() + 2 * far.size());
+    size_t from = 0;
+    for (const size_t k : far) {
+      std::move(out_.stmts.begin() + static_cast<ptrdiff_t>(from),
+                out_.stmts.begin() + static_cast<ptrdiff_t>(k),
+                std::back_inserter(next));
+      from = k + 1;
+      // tbz rt,#b,far  =>  tbnz rt,#b,skip ; b far ; skip:
+      AsmStmt& inv = next.emplace_back(std::move(out_.stmts[k]));
+      std::string target = std::move(inv.target);
+      inv.inst.mn = inv.inst.mn == Mn::kTbz ? Mn::kTbnz : Mn::kTbz;
+      inv.target = FreshLabel();
+      std::string skip = inv.target;
+      Inst b;
+      b.mn = Mn::kB;
+      next.push_back(AsmStmt::Branch(b, std::move(target)));
+      next.push_back(AsmStmt::Label(std::move(skip)));
+    }
+    std::move(out_.stmts.begin() + static_cast<ptrdiff_t>(from),
+              out_.stmts.end(), std::back_inserter(next));
+    out_.stmts = std::move(next);
   }
 }
 
@@ -743,7 +767,9 @@ Result<AsmFile> RewriterImpl::Run(const AsmFile& in) {
   if (opts_.insert_guards) {
     if (auto st = CheckInputClean(in); !st.ok()) return Error{st.error()};
   }
-  out_.stmts.reserve(in.stmts.size() * 2);
+  // Guards and runtime-call expansions usually add well under a quarter
+  // to the statement count; a rarer larger growth costs one reallocation.
+  out_.stmts.reserve(in.stmts.size() + in.stmts.size() / 4);
   in_text_ = true;
   for (size_t idx = 0; idx < in.stmts.size(); ++idx) {
     const AsmStmt& s = in.stmts[idx];

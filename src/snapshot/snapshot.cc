@@ -1,6 +1,5 @@
 #include "snapshot/snapshot.h"
 
-#include <algorithm>
 #include <cstring>
 #include <fstream>
 
@@ -33,6 +32,9 @@ class Writer {
     U32(static_cast<uint32_t>(b.size()));
     Bytes(b);
   }
+  // Makes room for `n` more bytes.
+  void Reserve(size_t n) { out_.reserve(out_.size() + n); }
+  std::span<const uint8_t> Written() const { return out_; }
   std::vector<uint8_t> Take() && { return std::move(out_); }
 
  private:
@@ -109,9 +111,17 @@ bool GetCpu(Reader* r, emu::CpuState* c) {
   return true;
 }
 
+// The first byte is zero and every byte equals its successor.
 bool IsZeroPage(const emu::AddressSpace::PageData& d) {
-  return std::all_of(d.begin(), d.end(), [](uint8_t b) { return b == 0; });
+  return d[0] == 0 && std::memcmp(d.data(), d.data() + 1, d.size() - 1) == 0;
 }
+
+// The smallest encodings of a page, mapping and fd record. A count read
+// from the input that claims more records than the remaining bytes could
+// hold marks a truncated (or hostile) file.
+constexpr size_t kPageRecMin = 8 + 1 + 1;
+constexpr size_t kMappingRec = 8 + 8 + 1;
+constexpr size_t kFdRecMin = 1 + 4 + 8 + 4 + 8 + 4;
 
 }  // namespace
 
@@ -137,14 +147,25 @@ std::vector<uint8_t> Serialize(const Snapshot& snap) {
     w.U64(range.first);
     w.U8(range.second);
   }
+  // kind 0 = all-zero page (payload elided), 1 = raw payload follows.
+  std::vector<uint8_t> zero(snap.pages.size());
+  size_t rest = 4 + 4 + 8;  // page count, fd count, checksum
+  for (size_t k = 0; k < snap.pages.size(); ++k) {
+    const auto& d = snap.pages[k].data;
+    zero[k] = d == nullptr || IsZeroPage(*d);
+    rest += kPageRecMin + (zero[k] ? 0 : d->size());
+  }
+  for (const auto& f : snap.fds) {
+    rest += kFdRecMin + f.path.size() + f.pipe_buf.size();
+  }
+  w.Reserve(rest);
   w.U32(static_cast<uint32_t>(snap.pages.size()));
-  for (const auto& p : snap.pages) {
+  for (size_t k = 0; k < snap.pages.size(); ++k) {
+    const PageRec& p = snap.pages[k];
     w.U64(p.offset);
     w.U8(p.perms);
-    // kind 0 = all-zero page (payload elided), 1 = raw payload follows.
-    const bool zero = p.data == nullptr || IsZeroPage(*p.data);
-    w.U8(zero ? 0 : 1);
-    if (!zero) w.Bytes({p.data->data(), p.data->size()});
+    w.U8(zero[k] ? 0 : 1);
+    if (!zero[k]) w.Bytes({p.data->data(), p.data->size()});
   }
   w.U32(static_cast<uint32_t>(snap.fds.size()));
   for (const auto& f : snap.fds) {
@@ -155,13 +176,8 @@ std::vector<uint8_t> Serialize(const Snapshot& snap) {
     w.U64(f.pipe_id);
     w.Sized({f.pipe_buf.data(), f.pipe_buf.size()});
   }
-  std::vector<uint8_t> out = std::move(w).Take();
-  const uint64_t sum = Fnv1a(out);
-  Writer tail;
-  tail.U64(sum);
-  const std::vector<uint8_t> t = std::move(tail).Take();
-  out.insert(out.end(), t.begin(), t.end());
-  return out;
+  w.U64(Fnv1a(w.Written()));
+  return std::move(w).Take();
 }
 
 Result<Snapshot> Deserialize(std::span<const uint8_t> bytes) {
@@ -213,7 +229,9 @@ Result<Snapshot> Deserialize(std::span<const uint8_t> bytes) {
   snap.sig_in_handler = in_handler != 0;
 
   uint32_t n_mappings = 0;
-  if (!r.U32(&n_mappings)) return Error{kTrunc};
+  if (!r.U32(&n_mappings) || n_mappings > r.Remaining() / kMappingRec) {
+    return Error{kTrunc};
+  }
   for (uint32_t k = 0; k < n_mappings; ++k) {
     uint64_t off = 0, len = 0;
     uint8_t perms = 0;
@@ -222,7 +240,9 @@ Result<Snapshot> Deserialize(std::span<const uint8_t> bytes) {
   }
 
   uint32_t n_pages = 0;
-  if (!r.U32(&n_pages)) return Error{kTrunc};
+  if (!r.U32(&n_pages) || n_pages > r.Remaining() / kPageRecMin) {
+    return Error{kTrunc};
+  }
   snap.pages.reserve(n_pages);
   for (uint32_t k = 0; k < n_pages; ++k) {
     PageRec rec;
@@ -230,10 +250,11 @@ Result<Snapshot> Deserialize(std::span<const uint8_t> bytes) {
     if (!r.U64(&rec.offset) || !r.U8(&rec.perms) || !r.U8(&kind)) {
       return Error{kTrunc};
     }
-    rec.data = std::make_shared<emu::AddressSpace::PageData>();
     if (kind == 0) {
-      rec.data->fill(0);
+      rec.data = std::make_shared<emu::AddressSpace::PageData>();  // zeroed
     } else if (kind == 1) {
+      rec.data =
+          std::make_shared_for_overwrite<emu::AddressSpace::PageData>();
       if (!r.Bytes(rec.data->data(), rec.data->size())) return Error{kTrunc};
     } else {
       return Error{"snapshot: unknown page record kind " +
@@ -243,7 +264,9 @@ Result<Snapshot> Deserialize(std::span<const uint8_t> bytes) {
   }
 
   uint32_t n_fds = 0;
-  if (!r.U32(&n_fds)) return Error{kTrunc};
+  if (!r.U32(&n_fds) || n_fds > r.Remaining() / kFdRecMin) {
+    return Error{kTrunc};
+  }
   for (uint32_t k = 0; k < n_fds; ++k) {
     FdRec f;
     uint8_t kind = 0;
