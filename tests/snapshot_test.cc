@@ -212,6 +212,24 @@ TEST(SnapshotFormat, RejectsTruncation) {
   EXPECT_NE(r2.error().find("truncated"), std::string::npos) << r2.error();
 }
 
+TEST(SnapshotFormat, RejectsPageCountBeyondFile) {
+  // An empty snapshot ends with three u32 counts (mappings, pages, fds)
+  // before the checksum. A count claiming more records than the bytes
+  // left could hold is truncation, rejected before anything is sized
+  // from it (a page count of 0xffffffff used to reserve ~128 GiB).
+  const std::vector<uint8_t> empty = Serialize(Snapshot{});
+  ASSERT_EQ(empty.size(), 1146u);
+  for (const size_t back : {16u, 12u, 20u}) {  // pages, fds, mappings
+    std::vector<uint8_t> bytes = empty;
+    const uint32_t hostile = 0xffffffff;
+    std::memcpy(bytes.data() + bytes.size() - back, &hostile, 4);
+    Reseal(&bytes);
+    const auto r = Deserialize({bytes.data(), bytes.size()});
+    ASSERT_FALSE(r.ok()) << back;
+    EXPECT_NE(r.error().find("truncated"), std::string::npos) << r.error();
+  }
+}
+
 TEST(SnapshotFormat, RejectsUnsupportedVersion) {
   std::vector<uint8_t> bytes = Serialize(FullyPopulatedSnapshot());
   const uint32_t future = kFormatVersion + 9;
