@@ -164,8 +164,14 @@ class RewriterImpl {
     Reg hreg;
   };
 
-  void Emit(const Inst& i) { out_.stmts.emplace_back().inst = i; }
-  void EmitStmt(const AsmStmt& s) { out_.stmts.push_back(s); }
+  void Emit(const Inst& i) {
+    out_.stmts.emplace_back().inst = i;
+    ++out_insts_;
+  }
+  void EmitStmt(const AsmStmt& s) {
+    Track(s, out_.stmts.size());
+    out_.stmts.push_back(s);
+  }
   void EmitGuard(Reg dst, Reg src) {
     Emit(MakeGuard(dst, src));
     if (stats_) ++stats_->guards_inserted;
@@ -197,12 +203,28 @@ class RewriterImpl {
   HoistSlot* FreeSlot();
   void InvalidateSlots(const Inst& i);
 
-  // Pass 2: tbz/tbnz range fix.
+  // Pass 2: tbz/tbnz range fix. Its inputs are kept up to date as
+  // statements are emitted, so a file with no far test-branch costs no
+  // pass over the output: the estimated address of the next statement
+  // (4 bytes per instruction, 64 per directive), every label's address,
+  // and every test-branch with a label target. Views point into the input
+  // file, or into out_ after a rewrite until the next one.
+  struct TestBranch {
+    size_t idx;  // in out_
+    int64_t addr;
+    std::string_view target;
+  };
+  void Track(const AsmStmt& s, size_t idx);
+  int64_t EstimatedAddr() const { return 4 * out_insts_ + 64 * out_dirs_; }
   void FixShortBranches();
 
   const RewriteOptions& opts_;
   RewriteStats* stats_;
   AsmFile out_;
+  int64_t out_insts_ = 0;
+  int64_t out_dirs_ = 0;
+  std::vector<std::pair<std::string_view, int64_t>> label_addrs_;
+  std::vector<TestBranch> test_branches_;
   int label_counter_ = 0;
   bool in_text_ = true;
   HoistSlot slots_[2];
@@ -678,60 +700,53 @@ Status RewriterImpl::RewriteInst(const AsmFile& in, size_t idx) {
   return Status::Ok();
 }
 
+void RewriterImpl::Track(const AsmStmt& s, size_t idx) {
+  switch (s.kind) {
+    case AsmStmt::Kind::kLabel:
+      label_addrs_.emplace_back(s.label, EstimatedAddr());
+      break;
+    case AsmStmt::Kind::kDirective:
+      ++out_dirs_;
+      break;
+    case AsmStmt::Kind::kInst:
+      if ((s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
+          !s.target.empty()) {
+        test_branches_.push_back({idx, EstimatedAddr(), s.target});
+      }
+      ++out_insts_;
+      break;
+    case AsmStmt::Kind::kRtcall:
+    case AsmStmt::Kind::kHostcall:
+      break;  // expanded, never emitted
+  }
+}
+
 void RewriterImpl::FixShortBranches() {
   // tbz/tbnz reach only +-32KiB; inserted guards may push a target out of
   // range (Section 5.1). Estimate addresses conservatively (every
   // instruction 4 bytes, every directive 64, ignoring section gaps within
   // .text) and rewrite over-distance test-branches into an inverted-skip +
   // unconditional branch pair. Iterate to a fixpoint since rewriting grows
-  // code.
+  // code. No distance can exceed the whole file's estimated size.
   constexpr int64_t kLimit = 30000;  // margin below the 32764-byte reach
-  auto size = [](const AsmStmt& s) -> int64_t {
-    return s.kind == AsmStmt::Kind::kInst        ? 4
-           : s.kind == AsmStmt::Kind::kDirective ? 64
-                                                 : 0;
-  };
-  auto is_test_branch = [](const AsmStmt& s) {
-    return s.kind == AsmStmt::Kind::kInst &&
-           (s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
-           !s.target.empty();
-  };
-  // No distance can exceed the whole file's estimated size.
-  int64_t total = 0;
-  bool any = false;
-  for (const auto& s : out_.stmts) {
-    total += size(s);
-    any = any || is_test_branch(s);
-  }
-  if (!any || total <= kLimit) return;
-
-  // Label -> estimated address; keys view the label strings in out_, so
-  // the index is rebuilt after every rewrite moves them.
   std::unordered_map<std::string_view, int64_t> labels;
   std::vector<size_t> far;
-  for (;;) {
+  while (!test_branches_.empty() && EstimatedAddr() > kLimit) {
     labels.clear();
-    int64_t addr = 0;
-    for (const auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kLabel) labels[s.label] = addr;
-      addr += size(s);
-    }
-    // Later branches see the growth of earlier rewrites in this pass;
-    // label addresses are those from the start of the pass.
+    labels.reserve(label_addrs_.size());
+    for (const auto& [name, addr] : label_addrs_) labels[name] = addr;
+    // Label addresses are those from the start of the pass; each rewrite
+    // moves the test-branches after it by 4 bytes.
     far.clear();
-    addr = 0;
-    for (size_t k = 0; k < out_.stmts.size(); ++k) {
-      const AsmStmt& s = out_.stmts[k];
-      if (is_test_branch(s)) {
-        auto it = labels.find(s.target);
-        const int64_t dist = it == labels.end() ? 0 : it->second - addr;
-        if (dist > kLimit || dist < -kLimit) {
-          far.push_back(k);
-          addr += 8;
-          continue;
-        }
+    int64_t grown = 0;
+    for (const TestBranch& b : test_branches_) {
+      auto it = labels.find(b.target);
+      const int64_t dist =
+          it == labels.end() ? 0 : it->second - (b.addr + grown);
+      if (dist > kLimit || dist < -kLimit) {
+        far.push_back(b.idx);
+        grown += 4;
       }
-      addr += size(s);
     }
     if (far.empty()) return;
     if (stats_) stats_->tbz_rewritten += far.size();
@@ -757,6 +772,10 @@ void RewriterImpl::FixShortBranches() {
     std::move(out_.stmts.begin() + static_cast<ptrdiff_t>(from),
               out_.stmts.end(), std::back_inserter(next));
     out_.stmts = std::move(next);
+    out_insts_ = out_dirs_ = 0;
+    label_addrs_.clear();
+    test_branches_.clear();
+    for (size_t k = 0; k < out_.stmts.size(); ++k) Track(out_.stmts[k], k);
   }
 }
 
@@ -767,9 +786,9 @@ Result<AsmFile> RewriterImpl::Run(const AsmFile& in) {
   if (opts_.insert_guards) {
     if (auto st = CheckInputClean(in); !st.ok()) return Error{st.error()};
   }
-  // Guards and runtime-call expansions usually add well under a quarter
-  // to the statement count; a rarer larger growth costs one reallocation.
-  out_.stmts.reserve(in.stmts.size() + in.stmts.size() / 4);
+  // Guards and runtime-call expansions grow most files by well under half
+  // their statement count; a larger growth costs one reallocation.
+  out_.stmts.reserve(in.stmts.size() + in.stmts.size() / 2);
   in_text_ = true;
   for (size_t idx = 0; idx < in.stmts.size(); ++idx) {
     const AsmStmt& s = in.stmts[idx];
@@ -848,11 +867,7 @@ Result<AsmFile> RewriterImpl::Run(const AsmFile& in) {
     }
   }
   FixShortBranches();
-  if (stats_) {
-    for (const auto& s : out_.stmts) {
-      if (s.kind == AsmStmt::Kind::kInst) ++stats_->output_insts;
-    }
-  }
+  if (stats_) stats_->output_insts += static_cast<size_t>(out_insts_);
   return std::move(out_);
 }
 
