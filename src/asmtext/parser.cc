@@ -120,8 +120,6 @@ struct Operand {
   enum class ExtKind : uint8_t { kNone, kShift, kExtend };
 
   Kind kind = Kind::kLabel;
-  // Builders read these whatever the kind: lax forms such as `ret` and
-  // `sdiv` take operand registers without checking.
   Reg reg;
   Width reg_width = Width::kX;
   VReg vreg;
@@ -253,6 +251,11 @@ bool LexVReg(std::string_view s, VReg* vreg, FpSize* fsize) {
 // A literal `#n`, `n`, `#-n`, `#0x...` (`s` is trimmed). It must fit in 64
 // bits, i.e. lie in [-2^63, 2^64 - 1]; values above INT64_MAX keep their
 // bit pattern (#0xffffffffffffffff is -1).
+// True if `v` fits an unsigned instruction field whose largest value is
+// `max`. Every narrow field is range-checked before it is stored, so no
+// out-of-range number truncates into a different valid one.
+bool InRange(int64_t v, int64_t max) { return v >= 0 && v <= max; }
+
 std::optional<int64_t> ParseNumber(std::string_view s) {
   if (!s.empty() && s.front() == '#') s.remove_prefix(1);
   if (s.empty()) return std::nullopt;
@@ -337,11 +340,17 @@ Status LexSimple(std::string_view tok, Operand* op) {
   if (op->kind == Operand::Kind::kShift) {
     const auto n = ParseNumber(rest);
     if (!n) return Status::Fail("shift needs amount: " + std::string(tok));
+    if (!InRange(*n, 63)) {
+      return Status::Fail("shift amount out of range: " + std::string(tok));
+    }
     op->amount = *n;
   } else if (op->kind == Operand::Kind::kExtend) {
     if (rest.empty()) return Status::Ok();
     const auto n = ParseNumber(rest);
     if (!n) return Status::Fail("bad extend amount: " + std::string(tok));
+    if (!InRange(*n, 63)) {
+      return Status::Fail("extend amount out of range: " + std::string(tok));
+    }
     op->amount = *n;
   } else {
     // Condition code or label: context decides; report a label and let
@@ -680,6 +689,7 @@ Status BuildBranch(Mn mn, const Line& l, Cond cond, AsmStmt* s) {
     if (l.n != 3 || !IsReg(ops[0]) || !IsImm(ops[1])) {
       return Status::Fail("tbz operands");
     }
+    if (!InRange(ops[1].imm, 63)) return Status::Fail("tbz bit out of range");
     i.rt = ops[0].reg;
     i.bit = static_cast<uint8_t>(ops[1].imm);
     i.width = i.bit >= 32 ? Width::kX : Width::kW;
@@ -807,8 +817,10 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       i.rd = ops[0].reg;
       i.rn = ops[1].reg;
       const uint8_t bits = i.width == Width::kX ? 64 : 32;
+      if (!InRange(ops[2].imm, bits - 1)) {
+        return Status::Fail("shift amount too large");
+      }
       const auto sh = static_cast<uint8_t>(ops[2].imm);
-      if (sh >= bits) return Status::Fail("shift amount too large");
       if (m == Key("lsl")) {
         i.mn = Mn::kUbfm;
         i.immr = static_cast<uint8_t>((bits - sh) % bits);
@@ -838,6 +850,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
           !IsImm(ops[3])) {
         return Status::Fail("bfm operands");
       }
+      if (!InRange(ops[2].imm, 63) || !InRange(ops[3].imm, 63)) {
+        return Status::Fail("bfm immr/imms out of range");
+      }
       i.mn = m == Key("ubfm") ? Mn::kUbfm : Mn::kSbfm;
       i.width = ops[0].reg_width;
       i.rd = ops[0].reg;
@@ -860,7 +875,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       return Status::Ok();
     }
     case Key("sdiv"): case Key("udiv"): case Key("umulh"): case Key("smulh"):
-      if (n != 3) return Status::Fail("3-reg op operands");
+      if (n != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsReg(ops[2])) {
+        return Status::Fail("3-reg op operands");
+      }
       i.mn = m == Key("sdiv")
                  ? Mn::kSdiv
                  : (m == Key("udiv") ? Mn::kUdiv
@@ -878,6 +895,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       }
       const auto c = ParseCond(ops[3].sym);
       if (!c) return Status::Fail("bad ccmp condition");
+      if (!InRange(ops[2].imm, 15)) {
+        return Status::Fail("ccmp nzcv out of range");
+      }
       i.width = ops[0].reg_width;
       i.rn = ops[0].reg;
       i.nzcv = static_cast<uint8_t>(ops[2].imm);
@@ -898,6 +918,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       if (n != 3 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsImm(ops[2])) {
         return Status::Fail("ror operands");
       }
+      if (!InRange(ops[2].imm, 63)) {
+        return Status::Fail("ror amount out of range");
+      }
       i.mn = Mn::kExtr;
       i.width = ops[0].reg_width;
       i.rd = ops[0].reg;
@@ -909,6 +932,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       if (n != 4 || !IsReg(ops[0]) || !IsReg(ops[1]) || !IsReg(ops[2]) ||
           !IsImm(ops[3])) {
         return Status::Fail("extr operands");
+      }
+      if (!InRange(ops[3].imm, 63)) {
+        return Status::Fail("extr lsb out of range");
       }
       i.mn = Mn::kExtr;
       i.width = ops[0].reg_width;
@@ -1016,6 +1042,9 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       i.rn = ops[0].reg;
       return Status::Ok();
     case Key("ret"):
+      if (n > 1 || (n == 1 && !IsReg(ops[0]))) {
+        return Status::Fail("ret operand");
+      }
       i.mn = Mn::kRet;
       i.rn = n == 0 ? Reg::X(30) : ops[0].reg;
       return Status::Ok();
@@ -1033,7 +1062,10 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       i.vn = ops[1].vreg;
       return Status::Ok();
     case Key("fmadd"):
-      if (n != 4) return Status::Fail("fmadd operands");
+      if (n != 4 || !IsVReg(ops[0]) || !IsVReg(ops[1]) || !IsVReg(ops[2]) ||
+          !IsVReg(ops[3])) {
+        return Status::Fail("fmadd operands");
+      }
       i.mn = Mn::kFmadd;
       i.fsize = ops[0].fsize;
       i.vd = ops[0].vreg;

@@ -684,6 +684,28 @@ const char* const kHandLines[] = {
     "mov x0, #0xffffffffffffffff", "add x0, x1, #-18446744073709551615",
 };
 
+// Narrow fields at and past the edges of their range, and operands of the
+// wrong kind. Recorded without mutations, after every other line, so they
+// leave the mutation seeds of the lines above unchanged.
+const char* const kFieldLines[] = {
+    "lsl x0, x1, #264", "lsl w0, w1, #31", "lsl w0, w1, #288",
+    "lsr x0, x1, #-1", "asr x0, x1, #320", "add x0, x1, x2, lsl #63",
+    "add x0, x1, x2, lsl #264", "add x0, x1, x2, lsl #-1",
+    "add x0, x1, w2, uxtw #2", "add x0, x1, w2, uxtw #258",
+    "and x0, x1, x2, ror #256", "movz x0, #1, lsl #48",
+    "movz x0, #1, lsl #272", "movk w0, #1, lsl #-16",
+    "ldr x0, [x1, x2, lsl #3]", "ldr x0, [x1, x2, lsl #259]",
+    "ldr x0, [x1, w2, sxtw #258]", "tbz x0, #63, lab", "tbz x0, #64, lab",
+    "tbz x0, #300, lab", "tbnz w0, #-1, lab", "ubfm x0, x1, #63, #63",
+    "ubfm x0, x1, #260, #3", "sbfm x0, x1, #3, #300", "ubfm x0, x1, #-1, #3",
+    "ccmp x0, x1, #15, eq", "ccmp x0, x1, #16, eq", "ccmp x0, #1, #256, ne",
+    "ccmn w0, w1, #-1, lt", "ror x0, x1, #63", "ror x0, x1, #300",
+    "extr x0, x1, x2, #63", "extr x0, x1, x2, #256", "sdiv x99, x1, x2",
+    "udiv x0, x1, lab", "umulh x0, x1, #3", "smulh x0, d1, x2",
+    "fmadd d0, d1, d2, x3", "fmadd d0, #1, d2, d3", "fmadd d0, d1, lab, d3",
+    "ret lab", "ret #0", "ret d0",
+};
+
 // Distinct statement shapes (digit runs collapsed) from the fuzz grammar
 // and the workload generators, in first-seen order.
 std::vector<std::string> ShapeLines() {
@@ -750,6 +772,7 @@ std::string GoldenSnapshot() {
       inputs.push_back(line);
     }
   }
+  for (const char* l : kFieldLines) inputs.push_back(l);
   std::string out =
       "# asmtext parser golden: `> input` then its statements "
       "(L<line> kind=...) or `err:`\n";
