@@ -27,6 +27,12 @@
 //                hash, and final registers must match exactly; cycle
 //                counts are exempt (timing state is history-dependent and
 //                deliberately not part of a snapshot).
+//                The mode also mutates serialized snapshot files (byte
+//                flips, truncation, record counts, kind bytes and
+//                lengths, resealed): Deserialize must never crash or
+//                reserve more records than the bytes hold, and every file
+//                it accepts must reach a fixpoint: Deserialize(Serialize(
+//                Deserialize(x))) equals Deserialize(x) field by field.
 //   parse        mutated assembly text -> Parse; the parser must never
 //                crash, and every file it accepts must round-trip:
 //                Parse(Print(Parse(x))) equals Parse(x) statement by
@@ -40,6 +46,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -97,11 +104,18 @@ FuzzReport RunDifferential(const FuzzOptions& opts);
 FuzzReport RunChainedDifferential(const FuzzOptions& opts);
 FuzzReport RunSnapshotOracle(const FuzzOptions& opts);
 FuzzReport RunParseFuzz(const FuzzOptions& opts);
+FuzzReport RunSnapshotFormatFuzz(const FuzzOptions& opts);
 
 // The parse mode's oracle for one source text: "" if `src` is rejected or
 // round-trips through the printer, else the first difference. Sets
 // `*accepted` to whether `src` parsed.
 std::string CheckParseRoundTrip(const std::string& src, bool* accepted);
+
+// The snapshot-file oracle for one input: "" if `bytes` is rejected
+// cleanly or accepted and a fixpoint, else what went wrong. Sets
+// `*accepted` to whether Deserialize accepted it.
+std::string CheckSnapshotBytes(std::span<const uint8_t> bytes,
+                               bool* accepted);
 
 // Trivial minimizer: shortest failing prefix by bisection, then a nop-out
 // pass (words are replaced, not removed, so branch offsets stay put).

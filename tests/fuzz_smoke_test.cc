@@ -126,6 +126,19 @@ TEST(FuzzSmoke, ParseRoundTripsMutatedText) {
   EXPECT_GT(r.rejected, 0u);
 }
 
+TEST(FuzzSmoke, SnapshotFileMutationsRunClean) {
+  fuzz::FuzzOptions opts;
+  opts.seed = 0x5a95;
+  opts.iters = 400;
+  const auto r = fuzz::RunSnapshotFormatFuzz(opts);
+  for (const auto& c : r.crashes) {
+    ADD_FAILURE() << "snapshot-file failure:\n" << fuzz::FormatArtifact(c);
+  }
+  EXPECT_EQ(r.iters, 400u);
+  EXPECT_GT(r.accepted, 0u);
+  EXPECT_GT(r.rejected, 0u);
+}
+
 TEST(FuzzSmoke, ParseRoundTripRegressions) {
   // Texts whose printed form used to parse differently, or not at all:
   // INT64_MIN add/sub immediates flipped between add and sub on every

@@ -10,7 +10,9 @@
 // optimized chained backend vs. the reference block loop, hook-free so
 // the optimized loop actually runs), plus a snapshot oracle (run N,
 // checkpoint, run M, restore, re-run M; the two M-phases must match in
-// registers, retired count, and access trace), and a parser mutation fuzz
+// registers, retired count, and access trace) with a snapshot-file
+// mutation fuzz (mutated files must never crash Deserialize, and every
+// accepted file must re-serialize to a fixpoint), and a parser mutation fuzz
 // (mutated assembly text must never crash the parser, and every accepted
 // file must round-trip through the printer).
 //
@@ -219,9 +221,11 @@ int main(int argc, char** argv) {
   if (mode == "snapshot" || mode == "all") {
     lfi::fuzz::FuzzOptions s = opts;
     s.iters = opts.iters / 2 + 1;
-    const auto r = lfi::fuzz::RunSnapshotOracle(s);
-    PrintReport(r);
-    crashed = crashed || !r.ok();
+    for (const auto& r : {lfi::fuzz::RunSnapshotOracle(s),
+                          lfi::fuzz::RunSnapshotFormatFuzz(s)}) {
+      PrintReport(r);
+      crashed = crashed || !r.ok();
+    }
   }
   if (mode == "embed" || mode == "all") {
     // Each iteration is a full typed call (often with callbacks); scale
