@@ -234,8 +234,11 @@ class Timing {
   void ChargeFlat(uint64_t cycles);
 
   // Directly marks a scoreboard entry ready at `cycle` (used for secondary
-  // destinations such as NZCV flags or the second register of ldp).
-  void SetReady(int idx, uint64_t cycle) { reg_ready_[idx] = cycle; }
+  // destinations such as NZCV flags or the second register of ldp). As in
+  // Issue, a negative index (xzr) has no entry.
+  void SetReady(int idx, uint64_t cycle) {
+    if (idx >= 0) reg_ready_[idx] = cycle;
+  }
   void SetVReady(int idx, uint64_t cycle) { vreg_ready_[idx] = cycle; }
 
   // Total cycles consumed so far.

@@ -337,6 +337,25 @@ TEST(Machine, PairAndPrePostIndex) {
   EXPECT_EQ(vm.X(10), 0x210000u);
 }
 
+TEST(Machine, PairLoadIntoZrDiscardsTheValue) {
+  // ldp's second destination is xzr: the value is dropped, and the timing
+  // scoreboard must skip it too. It used to write one slot before the
+  // scoreboard array, corrupting the host heap (the sanitizer preset
+  // reports that as a heap-buffer-overflow).
+  TestVm vm(R"(
+    movz x10, #0x21, lsl #16
+    mov x1, #111
+    mov x2, #222
+    stp x1, x2, [x10]
+    ldp x3, xzr, [x10]
+    ldp xzr, x4, [x10]
+    brk #0
+  )");
+  EXPECT_EQ(vm.Run(), StopReason::kBrk);
+  EXPECT_EQ(vm.X(3), 111u);
+  EXPECT_EQ(vm.X(4), 222u);
+}
+
 TEST(Machine, ExclusivePairSucceedsAndFails) {
   TestVm vm(R"(
     movz x10, #0x20, lsl #16
