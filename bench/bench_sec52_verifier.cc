@@ -8,11 +8,10 @@
 // main() strips `--json <path>` before benchmark::Initialize sees it and
 // records the deterministic verification facts (bytes, instructions
 // checked, decode/check split) plus the measured throughput, and the
-// parser's throughput on the same sources next to the verifier's.
+// parser's, rewriter's and assembler's throughput on the same sources
+// next to the verifier's.
 
 #include <benchmark/benchmark.h>
-
-#include <functional>
 
 #include "harness.h"
 #include "verifier/verifier.h"
@@ -103,16 +102,19 @@ const std::vector<uint8_t>& LargeText() {
   return *corpus;
 }
 
-double BestOf3Seconds(const std::function<void()>& fn) {
-  double best = 1e100;
-  for (int i = 0; i < 3; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    best = std::min(best, std::chrono::duration<double>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
+// One large file whose eight tbz test-branches each jump over 8000
+// stores, so the rewriter's tbz/tbnz range fix rewrites all of them.
+std::string FarBranchSource() {
+  std::string s = ".text\n.globl _start\n_start:\n";
+  for (int b = 0; b < 8; ++b) {
+    const std::string far = ".Lfar" + std::to_string(b);
+    s += "tbz x0, #" + std::to_string(b) + ", " + far + "\n";
+    for (int k = 0; k < 8000; ++k) {
+      s += "str x1, [x2, #" + std::to_string(8 * (k % 16)) + "]\n";
+    }
+    s += far + ":\n";
   }
-  return best;
+  return s + "ret\n";
 }
 
 // One timed verification pass outside google-benchmark, for the JSON
@@ -158,11 +160,13 @@ bool ReportJson(JsonReport* json) {
   std::printf("sec52: %.1f MB/s on %zu bytes, %.1f MB/s on %zu bytes\n",
               mb_per_s, text.size(), large_mb_per_s, large.size());
 
-  // Parsing the same sources, the first stage of the same pipeline. They
-  // total only ~15 KB, so each timed pass parses them repeatedly, like the
-  // large verifier text, to ~4 MB. The rate is compared with the
-  // large-text verifier rate from this process, so the ratio does not
-  // depend on the host's speed.
+  // Parsing, rewriting (O2) and assembling the same sources: the first
+  // stages of the same pipeline. They total only ~15 KB, so each timed
+  // pass handles them repeatedly, like the large verifier text, to ~4 MB.
+  // Rewrite and assemble also take one large file with far test-branches.
+  // Every rate is source bytes per second; parse is also compared with
+  // the large-text verifier rate from this process, so that ratio does
+  // not depend on the host's speed.
   size_t unit = 0;
   for (const std::string& src : Sources()) unit += src.size();
   const size_t reps = ((size_t{4} << 20) + unit - 1) / unit;
@@ -177,8 +181,16 @@ bool ReportJson(JsonReport* json) {
       }
     }
   });
-  if (!parsed) {
-    std::fprintf(stderr, "sec52: a workload source failed to parse\n");
+  const std::string far_src = FarBranchSource();
+  std::vector<asmtext::AsmFile> files;
+  for (const std::string& src : Sources()) {
+    auto f = asmtext::Parse(src);
+    parsed = parsed && f.ok();
+    if (f.ok()) files.push_back(*std::move(f));
+  }
+  auto far_file = asmtext::Parse(far_src);
+  if (!parsed || !far_file.ok()) {
+    std::fprintf(stderr, "sec52: a source failed to parse\n");
     return false;
   }
   const double parse_mb_per_s = parse_bytes / parse_secs / 1e6;
@@ -187,6 +199,50 @@ bool ReportJson(JsonReport* json) {
   json->Add("sec52.parse.vs_verify", parse_mb_per_s / large_mb_per_s);
   std::printf("sec52: parse %.1f MB/s on %zu bytes (%.2fx the verifier)\n",
               parse_mb_per_s, parse_bytes, parse_mb_per_s / large_mb_per_s);
+
+  const rewriter::RewriteOptions o2;
+  rewriter::RewriteStats far_stats;
+  auto far_out = rewriter::Rewrite(*far_file, o2, &far_stats);
+  std::vector<asmtext::AsmFile> rewritten;
+  bool ok = far_out.ok() && far_stats.tbz_rewritten == 8;
+  for (const auto& f : files) {
+    auto r = rewriter::Rewrite(f, o2);
+    ok = ok && r.ok();
+    if (r.ok()) rewritten.push_back(*std::move(r));
+  }
+  if (!ok) {
+    std::fprintf(stderr, "sec52: rewrite failed or missed a far branch\n");
+    return false;
+  }
+  const double build_bytes = static_cast<double>(parse_bytes + far_src.size());
+  const double rewrite_secs = BestOf3Seconds([&] {
+    for (size_t r = 0; r < reps; ++r) {
+      for (const auto& f : files) {
+        benchmark::DoNotOptimize(rewriter::Rewrite(f, o2));
+      }
+    }
+    benchmark::DoNotOptimize(rewriter::Rewrite(*far_file, o2));
+  });
+  asmtext::LayoutSpec spec;
+  spec.text_offset = runtime::kProgramStart;
+  bool assembled = true;
+  const double assemble_secs = BestOf3Seconds([&] {
+    for (size_t r = 0; r < reps; ++r) {
+      for (const auto& f : rewritten) {
+        assembled = asmtext::Assemble(f, spec).ok() && assembled;
+      }
+    }
+    assembled = asmtext::Assemble(*far_out, spec).ok() && assembled;
+  });
+  if (!assembled) {
+    std::fprintf(stderr, "sec52: rewritten text failed to assemble\n");
+    return false;
+  }
+  json->Add("sec52.rewrite.mb_per_s", build_bytes / rewrite_secs / 1e6);
+  json->Add("sec52.assemble.mb_per_s", build_bytes / assemble_secs / 1e6);
+  std::printf("sec52: rewrite %.1f MB/s, assemble %.1f MB/s on %.0f bytes\n",
+              build_bytes / rewrite_secs / 1e6,
+              build_bytes / assemble_secs / 1e6, build_bytes);
   return true;
 }
 

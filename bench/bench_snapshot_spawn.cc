@@ -131,6 +131,21 @@ int main(int argc, char** argv) {
       static_cast<double>(rt.last_instantiation().cycles);
   const double spawn_speedup = load_cycles / spawn_cycles;
 
+  // ---- Host time: serializing the captured image ------------------------
+  // Informational: image bytes (every captured page) per host second.
+  // Most of this image is zero pages, which Serialize elides.
+  constexpr int kSerializeReps = 20;
+  const double image_bytes =
+      static_cast<double>(snap->pages.size() * lfi::emu::kPageSize);
+  size_t serialized = 0;
+  const double serialize_secs = BestOf3Seconds([&] {
+    for (int r = 0; r < kSerializeReps; ++r) {
+      serialized = lfi::snapshot::Serialize(*snap).size();
+    }
+  });
+  const double serialize_mb_per_s =
+      kSerializeReps * image_bytes / serialize_secs / 1e6;
+
   // ---- Restart: snapshot restore vs ELF load of the same image ----------
   const RestartRun restore = RunRestartLoop(b, /*budget=*/100);
   if (!restore.ok) {
@@ -149,12 +164,15 @@ int main(int argc, char** argv) {
               spawn_speedup);
   std::printf("%-18s %12.1f %9.1fx\n", "restart-restore", restore_cycles,
               restart_vs_load);
+  std::printf("serialize: %.0f MB/s (%.0f image bytes -> %zu bytes)\n",
+              serialize_mb_per_s, image_bytes, serialized);
 
   report.Add("snapshot.elf-load.cycles", load_cycles);
   report.Add("snapshot.spawn.cycles", spawn_cycles);
   report.Add("snapshot.spawn.speedup", spawn_speedup);
   report.Add("snapshot.restart-restore.cycles", restore_cycles);
   report.Add("snapshot.restart-vs-load.speedup", restart_vs_load);
+  report.Add("snapshot.serialize.mb_per_s", serialize_mb_per_s);
   if (!report.Write()) return 1;
 
   // Self-gating: the headline claims of docs/SNAPSHOTS.md.

@@ -7,10 +7,12 @@
 #ifndef LFI_BENCH_HARNESS_H_
 #define LFI_BENCH_HARNESS_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
@@ -276,6 +278,19 @@ inline const char* ConfigSlug(Config c) {
     case Config::kO2NoLoads: return "o2-noloads";
   }
   return "?";
+}
+
+// Host seconds of the fastest of three runs of `fn`.
+inline double BestOf3Seconds(const std::function<void()>& fn) {
+  double best = 1e100;
+  for (int i = 0; i < 3; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    best = std::min(best, std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count());
+  }
+  return best;
 }
 
 inline double OverheadPct(uint64_t base, uint64_t value) {
