@@ -14,6 +14,10 @@ using arch::Mn;
 
 uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) / a * a; }
 
+// Addresses are offsets into a 4GiB sandbox, so no section can be larger;
+// this also bounds the section streams Assemble reserves.
+constexpr uint64_t kMaxSection = uint64_t{1} << 32;
+
 // Size in bytes a directive contributes to its section. `addr` is the
 // current offset, needed for alignment.
 uint64_t DirectiveSize(const Directive& d, uint64_t addr) {
@@ -51,7 +55,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
   // Pass 1: compute section sizes and label addresses. Labels go straight
   // into the image's symbol table, section-relative at first; `rebase`
   // remembers each one's section so it can be made absolute once the
-  // section bases are known.
+  // section bases are known (node pointers survive rehashing).
   Image img;
   std::vector<std::pair<uint64_t*, Section>> rebase;
   uint64_t sizes[4] = {0, 0, 0, 0};
@@ -73,7 +77,11 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
               s.dir.kind != Directive::Kind::kBalign) {
             return Error{"assemble: initialized data in .bss"};
           }
-          sz += DirectiveSize(s.dir, sz);
+          const uint64_t n = DirectiveSize(s.dir, sz);
+          if (n > kMaxSection - sz) {
+            return Error{"assemble: section larger than the 4GiB sandbox"};
+          }
+          sz += n;
         }
         break;
       case AsmStmt::Kind::kRtcall:
@@ -101,7 +109,9 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
 
   const uint64_t bases[4] = {img.text_addr, img.rodata_addr, img.data_addr,
                              img.bss_addr};
-  for (auto [addr, section] : rebase) *addr += bases[static_cast<int>(section)];
+  for (auto [addr, section] : rebase) {
+    *addr += bases[static_cast<int>(section)];
+  }
   auto resolve = [&](const std::string& sym) -> Result<uint64_t> {
     auto it = img.symbols.find(sym);
     if (it == img.symbols.end()) {

@@ -352,6 +352,23 @@ TEST(Assemble, ErrorsOnDataInText) {
   EXPECT_FALSE(Assemble(*f, LayoutSpec{}).ok());
 }
 
+TEST(Assemble, ErrorsOnSectionLargerThanSandbox) {
+  // Addresses are 32-bit sandbox offsets. Exactly 4GiB of .bss fits the
+  // check; one byte more in .bss or .data does not, and is rejected
+  // before any byte of the image is built.
+  for (const char* src : {".bss\n.zero 2147483648\n.zero 2147483649\n",
+                          ".data\n.byte 1, 2\n.zero 4294967295\n"}) {
+    auto f = Parse(src);
+    ASSERT_TRUE(f.ok()) << f.error();
+    auto img = Assemble(*f, LayoutSpec{});
+    ASSERT_FALSE(img.ok()) << src;
+    EXPECT_NE(img.error().find("4GiB"), std::string::npos) << img.error();
+  }
+  auto f = Parse(".bss\n.zero 2147483648\n.zero 2147483648\n");
+  ASSERT_TRUE(f.ok());
+  EXPECT_TRUE(Assemble(*f, LayoutSpec{}).ok());
+}
+
 // --- Golden corpus: the parser's exact output on a few thousand lines. ---
 //
 // Every distinct statement shape the fuzz grammar and the 15 workload
