@@ -97,8 +97,7 @@ std::vector<std::vector<uint8_t>> SeedSnapshots() {
     spec.text_offset = runtime::kProgramStart;
     auto img = asmtext::Assemble(*rw, spec);
     if (!img) continue;
-    const std::vector<uint8_t> elf =
-        elf::Write(elf::FromAssembled(*img));
+    const std::vector<uint8_t> elf = elf::Write(elf::FromAssembled(*img));
     auto parsed = elf::Read({elf.data(), elf.size()});
     if (!parsed) continue;
     auto pid = rt.LoadImage(*parsed);
@@ -159,8 +158,8 @@ std::string MutateSnapshot(Rng& rng, std::vector<uint8_t>* b) {
         if (at + 4 > body) break;
         const uint32_t old = GetU32(*b, at);
         const uint32_t vals[] = {0,          1,          old - 1,
-                                 old + 1,    0x7fffffff, 0xffffffff,
-                                 old * 2 + 1, static_cast<uint32_t>(rng.Next())};
+                                 old + 1,    old * 2 + 1, 0x7fffffff,
+                                 0xffffffff, static_cast<uint32_t>(rng.Next())};
         const uint32_t v = rng.Pick(vals);
         PutU32(b, at, v);
         note("count", at, v);
@@ -225,8 +224,9 @@ std::string SnapshotDiff(const Snapshot& a, const Snapshot& b) {
       a.mmap_bytes != b.mmap_bytes) {
     return "brk/mmap cursors";
   }
-  if (a.sig_handlers != b.sig_handlers || a.sig_in_handler != b.sig_in_handler ||
-      a.sig_cookie != b.sig_cookie || a.sig_frame_addr != b.sig_frame_addr ||
+  if (a.sig_handlers != b.sig_handlers ||
+      a.sig_in_handler != b.sig_in_handler || a.sig_cookie != b.sig_cookie ||
+      a.sig_frame_addr != b.sig_frame_addr ||
       a.sig_delivered != b.sig_delivered) {
     return "signal state";
   }
