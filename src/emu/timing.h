@@ -234,8 +234,8 @@ class Timing {
   void ChargeFlat(uint64_t cycles);
 
   // Directly marks a scoreboard entry ready at `cycle` (used for secondary
-  // destinations such as NZCV flags or the second register of ldp). As in
-  // Issue, a negative index (xzr) has no entry.
+  // destinations such as NZCV flags or the second register of ldp). A
+  // negative index (xzr) has no entry and is skipped, like a negative dst.
   void SetReady(int idx, uint64_t cycle) {
     if (idx >= 0) reg_ready_[idx] = cycle;
   }
