@@ -49,7 +49,7 @@ std::vector<uint8_t> Write(const ElfImage& image) {
 
   std::vector<uint8_t> out;
   // ELF header.
-  out.insert(out.end(), kMagic, kMagic + 4);
+  for (uint8_t b : kMagic) out.push_back(b);
   out.push_back(kClass64);
   out.push_back(kDataLE);
   out.push_back(1);  // EV_CURRENT

@@ -26,8 +26,8 @@ Timing::Timing(const arch::CoreParams& params)
     : params_(params),
       reg_ready_(kIntRegs, 0),
       vreg_ready_(32, 0),
-      l1d_(uint64_t{params.l1d_kib} * 1024, 8),
-      l2_(uint64_t{params.l1d_kib} * 1024 * 16, 8),
+      l1d_(static_cast<uint64_t>(params.l1d_kib) * 1024, 8),
+      l2_(static_cast<uint64_t>(params.l1d_kib) * 1024 * 16, 8),
       tlb_(static_cast<unsigned>(params.tlb_entries)) {}
 
 void Timing::ChargeFlat(uint64_t cycles) {
