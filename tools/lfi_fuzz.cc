@@ -17,7 +17,7 @@
 // file must round-trip through the printer).
 //
 // Usage:
-//   lfi_fuzz [--mode=soundness|completeness|differential|chained|
+//   lfi-fuzz [--mode=soundness|completeness|differential|chained|
 //             snapshot|embed|parse|all]
 //            [--iters=N] [--seed=N|string] [--max-insts=N]
 //            [--artifact-dir=DIR] [--replay FILE...]
@@ -33,10 +33,22 @@
 #include <vector>
 
 #include "embed/embed_fuzz.h"
+#include "flags.h"
 #include "fuzz/fuzz.h"
 #include "fuzz/gen.h"
 
 namespace {
+
+int Usage() {
+  std::fprintf(stderr,
+               "usage: lfi-fuzz [--mode=soundness|completeness|"
+               "differential|chained|snapshot|embed|parse|all] "
+               "[--iters=N] "
+               "[--seed=N|string]\n"
+               "                [--max-insts=N] [--artifact-dir=DIR] "
+               "[--replay FILE...]\n");
+  return 2;
+}
 
 uint64_t ParseSeed(const char* s) {
   char* end = nullptr;
@@ -160,24 +172,17 @@ int main(int argc, char** argv) {
     if (std::strncmp(a, "--mode=", 7) == 0) {
       mode = a + 7;
     } else if (std::strncmp(a, "--iters=", 8) == 0) {
-      opts.iters = strtoull(a + 8, nullptr, 0);
+      if (!lfi::tools::ParseU64(a + 8, &opts.iters)) return Usage();
     } else if (std::strncmp(a, "--seed=", 7) == 0) {
       opts.seed = ParseSeed(a + 7);
     } else if (std::strncmp(a, "--max-insts=", 12) == 0) {
-      opts.max_exec_insts = strtoull(a + 12, nullptr, 0);
+      if (!lfi::tools::ParseU64(a + 12, &opts.max_exec_insts)) return Usage();
     } else if (std::strncmp(a, "--artifact-dir=", 15) == 0) {
       opts.artifact_dir = a + 15;
     } else if (std::strcmp(a, "--replay") == 0) {
       while (k + 1 < argc) replays.push_back(argv[++k]);
     } else {
-      std::fprintf(stderr,
-                   "usage: lfi_fuzz [--mode=soundness|completeness|"
-                   "differential|chained|snapshot|embed|parse|all] "
-                   "[--iters=N] "
-                   "[--seed=N|string]\n"
-                   "                [--max-insts=N] [--artifact-dir=DIR] "
-                   "[--replay FILE...]\n");
-      return 2;
+      return Usage();
     }
   }
   if (!replays.empty()) {

@@ -76,6 +76,7 @@
 #include <vector>
 
 #include "chaos/chaos.h"
+#include "flags.h"
 #include "runtime/runtime.h"
 #include "runtime/spawn_pool.h"
 #include "serve/serve.h"
@@ -84,11 +85,43 @@
 
 namespace {
 
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: lfi-run [--no-verify] [--core=m1|t2a] [--stats] "
+               "[--trace out.json]\n"
+               "               [--policy=kill|signal|restart] "
+               "[--restart-budget=N]\n"
+               "               [--max-cycles=N] [--max-heap=N] "
+               "[--max-mmap=N] [--max-fds=N] [--max-pipe-buf=N]\n"
+               "               [--chaos-seed=N] "
+               "[--chaos-profile=none|memfault|syscall|sched|storm]\n"
+               "               [--snapshot-out=FILE] [--snapshot-in=FILE "
+               "[--snapshot-spawn=N]]\n"
+               "               [--serve=N [--serve-arrival=poisson|bursty|"
+               "closed] [--serve-seed=N]\n"
+               "                [--serve-rate=N] [--serve-tenants=N] "
+               "[--serve-concurrency=N]\n"
+               "                [--serve-queue=N] [--serve-pool=MIN:MAX] "
+               "[--serve-slo=N] [--serve-cold]\n"
+               "                [--serve-quota=I:Q] [--serve-retries=N] "
+               "[--serve-retry-backoff=B:C]\n"
+               "                [--serve-breaker=T:O] "
+               "[--serve-degrade[=A:B:C]] [--chaos-tenants=LIST]]\n"
+               "               prog.elf [...]\n");
+}
+
 // Parses "--name=value" into value; returns false if arg isn't --name=.
+// A value that is not a whole number exits 2 with the usage line.
 bool U64Flag(const std::string& arg, const char* name, uint64_t* out) {
   const std::string prefix = std::string(name) + "=";
   if (arg.rfind(prefix, 0) != 0) return false;
-  *out = std::strtoull(arg.c_str() + prefix.size(), nullptr, 0);
+  const char* value = arg.c_str() + prefix.size();
+  if (!lfi::tools::ParseU64(value, out)) {
+    std::fprintf(stderr, "lfi-run: %s wants a number, got '%s'\n", name,
+                 value);
+    PrintUsage();
+    std::exit(2);
+  }
   return true;
 }
 
@@ -237,28 +270,7 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--chaos-tenants=", 0) == 0) {
       chaos_tenants = arg.substr(std::strlen("--chaos-tenants="));
     } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: lfi-run [--no-verify] [--core=m1|t2a] [--stats] "
-                   "[--trace out.json]\n"
-                   "               [--policy=kill|signal|restart] "
-                   "[--restart-budget=N]\n"
-                   "               [--max-cycles=N] [--max-heap=N] "
-                   "[--max-mmap=N] [--max-fds=N] [--max-pipe-buf=N]\n"
-                   "               [--chaos-seed=N] "
-                   "[--chaos-profile=none|memfault|syscall|sched|storm]\n"
-                   "               [--snapshot-out=FILE] [--snapshot-in=FILE "
-                   "[--snapshot-spawn=N]]\n"
-                   "               [--serve=N [--serve-arrival=poisson|bursty|"
-                   "closed] [--serve-seed=N]\n"
-                   "                [--serve-rate=N] [--serve-tenants=N] "
-                   "[--serve-concurrency=N]\n"
-                   "                [--serve-queue=N] [--serve-pool=MIN:MAX] "
-                   "[--serve-slo=N] [--serve-cold]\n"
-                   "                [--serve-quota=I:Q] [--serve-retries=N] "
-                   "[--serve-retry-backoff=B:C]\n"
-                   "                [--serve-breaker=T:O] "
-                   "[--serve-degrade[=A:B:C]] [--chaos-tenants=LIST]]\n"
-                   "               prog.elf [...]\n");
+      PrintUsage();
       return 0;
     } else {
       paths.push_back(arg);
