@@ -103,18 +103,13 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
   res.enumerated = cls.EncodingCount();
 
   Sampler sampler{opts.sample_per_class, 1, 0, &res.accepted_sample};
-  const uint64_t step =
-      (opts.shard_count > 0 ? opts.shard_count : 1) *
-      (opts.stride > 0 ? opts.stride : 1);
-  const uint64_t first = opts.shard_index % (opts.shard_count > 0
-                                                 ? opts.shard_count
-                                                 : 1);
+  const uint64_t step = opts.stride > 0 ? opts.stride : 1;
 
   const std::span<const arch::EncClassInfo> all = arch::AllEncClasses();
   const size_t cls_index = static_cast<size_t>(&cls - all.data());
 
   std::vector<MFacts> seq;  // reused suffix-sequence buffer
-  for (uint64_t i = first; i < res.enumerated; i += step) {
+  for (uint64_t i = 0; i < res.enumerated; i += step) {
     const uint32_t w = cls.WordAt(i);
     ++res.checked;
 

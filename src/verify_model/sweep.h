@@ -25,14 +25,9 @@ namespace lfi::verify_model {
 
 struct SweepOptions {
   verifier::VerifyOptions verify;
-  // Index-stride sharding over each class's encoding space: a word at
-  // enumeration index i is checked by shard i % shard_count. Every shard
-  // touches every operand-field region, so a sharded CI run loses no
-  // field coverage, only density.
-  uint64_t shard_index = 0;
-  uint64_t shard_count = 1;
-  // Within a shard, check every stride-th encoding (sanitizer builds
-  // dial this up; release sweeps use 1 = every encoding).
+  // Check every stride-th encoding of each class's enumeration
+  // (sanitizer builds dial this up; release sweeps use 1 = every
+  // encoding).
   uint64_t stride = 1;
   // How many mismatches to record verbatim per class (counting always
   // continues past this).
@@ -56,7 +51,7 @@ struct Mismatch {
 struct SweepResult {
   std::string class_name;
   uint64_t enumerated = 0;  // encodings in the class's swept space
-  uint64_t checked = 0;     // actually compared (this shard / stride)
+  uint64_t checked = 0;     // actually compared (after the stride)
   uint64_t accepted = 0;    // verifier-accepted (bare or with suffix)
   uint64_t suffixed = 0;    // words that carried a discharge suffix
   uint64_t shadowed = 0;    // words claimed by an earlier class's space

@@ -7,19 +7,17 @@
 // accepted encodings against the emulator. Exit 0 only if every class
 // sweeps clean and the emulator agrees with every effect prediction.
 //
-// Usage: lfi-verify-exhaustive [--list] [--class=NAME] [--shard=I/N]
-//                              [--stride=N] [--emu-samples=N]
-//                              [--artifact=PATH] [--no-loads] [--no-llsc]
+// Usage: lfi-verify-exhaustive [--list] [--class=NAME] [--stride=N]
+//                              [--emu-samples=N] [--no-loads] [--no-llsc]
 
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "arch/fields.h"
+#include "flags.h"
 #include "verify_model/crossval.h"
 #include "verify_model/sweep.h"
 
@@ -30,9 +28,9 @@ namespace {
 int Usage() {
   std::fprintf(stderr,
                "usage: lfi-verify-exhaustive [--list] [--class=NAME] "
-               "[--shard=I/N] [--stride=N]\n"
+               "[--stride=N]\n"
                "                             [--emu-samples=N] "
-               "[--artifact=PATH] [--no-loads] [--no-llsc]\n");
+               "[--no-loads] [--no-llsc]\n");
   return 2;
 }
 
@@ -40,9 +38,8 @@ int Usage() {
 
 int main(int argc, char** argv) {
   vm::SweepOptions opts;
-  size_t emu_samples = 48;
+  uint64_t emu_samples = 48;
   const char* only_class = nullptr;
-  const char* artifact = nullptr;
   bool list = false;
 
   for (int k = 1; k < argc; ++k) {
@@ -51,20 +48,12 @@ int main(int argc, char** argv) {
       list = true;
     } else if (std::strncmp(a, "--class=", 8) == 0) {
       only_class = a + 8;
-    } else if (std::strncmp(a, "--shard=", 8) == 0) {
-      unsigned i = 0, n = 1;
-      if (std::sscanf(a + 8, "%u/%u", &i, &n) != 2 || n == 0 || i >= n) {
+    } else if (std::strncmp(a, "--stride=", 9) == 0) {
+      if (!lfi::tools::ParseU64(a + 9, &opts.stride) || opts.stride == 0) {
         return Usage();
       }
-      opts.shard_index = i;
-      opts.shard_count = n;
-    } else if (std::strncmp(a, "--stride=", 9) == 0) {
-      opts.stride = std::strtoull(a + 9, nullptr, 10);
-      if (opts.stride == 0) return Usage();
     } else if (std::strncmp(a, "--emu-samples=", 14) == 0) {
-      emu_samples = std::strtoull(a + 14, nullptr, 10);
-    } else if (std::strncmp(a, "--artifact=", 11) == 0) {
-      artifact = a + 11;
+      if (!lfi::tools::ParseU64(a + 14, &emu_samples)) return Usage();
     } else if (std::strcmp(a, "--no-loads") == 0) {
       opts.verify.check_loads = false;
     } else if (std::strcmp(a, "--no-llsc") == 0) {
@@ -119,20 +108,6 @@ int main(int argc, char** argv) {
   }
 
   const bool bad = mismatches > 0 || !cv.ok();
-  if (bad && artifact != nullptr) {
-    std::ofstream out(artifact);
-    for (const auto& r : results) {
-      for (const auto& m : r.recorded) {
-        out << r.class_name << " word=0x" << std::hex << m.word << std::dec
-            << (m.with_suffix ? " (with suffix)" : "") << " " << m.detail
-            << "\n";
-      }
-    }
-    for (const auto& f : cv.failures) {
-      out << f.class_name << " word=0x" << std::hex << f.word << std::dec
-          << " emu: " << f.detail << "\n";
-    }
-  }
   for (const auto& r : results) {
     for (const auto& m : r.recorded) {
       std::fprintf(stderr, "MISMATCH %s word=0x%08X%s %s\n",
