@@ -183,7 +183,7 @@ inline Outcome Run(const Built& built, const arch::CoreParams& core,
   return o;
 }
 
-// Machine-readable results sink for the CI bench-regression gate.
+// Machine-readable results sink for the CI bench job's baseline check.
 //
 // Each bench binary may be invoked with `--json <path>`; every metric it
 // prints for humans is also Add()ed here, and Write() emits them as one

@@ -17,7 +17,7 @@
 // (so an injection into pid 3 never shifts pid 4's stream), and victim
 // selection depends only on (seed, pid). Un-injected sandboxes therefore
 // retire exactly the instruction stream of a chaos-free run; only their
-// cycle timestamps move. The soak test and the chaos-soak CI job assert
+// cycle timestamps move. The soak test and the soak_chaos ctest assert
 // this by byte-comparing trace files across runs.
 //
 // Attach with Runtime::set_chaos (surfaced as lfi-run --chaos-seed /
