@@ -1,5 +1,10 @@
 #include "emu/address_space.h"
 
+#if __has_include(<sys/mman.h>)
+#include <sys/mman.h>
+#endif
+
+#include <algorithm>
 #include <cstring>
 
 namespace lfi::emu {
@@ -9,7 +14,29 @@ bool PageAligned(uint64_t v) { return (v & kPageMask) == 0; }
 // True if [addr, addr+len) wraps past 2^64 (a wrapping range would alias
 // low pages and defeat every downstream bounds check).
 bool RangeWraps(uint64_t addr, uint64_t len) { return addr + len < addr; }
+// Bytes from addr to the end of its page.
+uint64_t PageRest(uint64_t addr) { return kPageSize - (addr & kPageMask); }
 }  // namespace
+
+const std::shared_ptr<AddressSpace::PageData>& AddressSpace::ZeroPage() {
+  // Never destroyed, so the count stays above 1 through static
+  // destruction too; the deleter is a no-op because nothing owns the
+  // bytes.
+  static const auto* const zero = [] {
+    PageData* bytes = nullptr;
+#if __has_include(<sys/mman.h>)
+    void* m = mmap(nullptr, sizeof(PageData), PROT_READ,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (m != MAP_FAILED) bytes = static_cast<PageData*>(m);
+#endif
+    if (bytes == nullptr) {
+      static const PageData fallback{};
+      bytes = const_cast<PageData*>(&fallback);
+    }
+    return new std::shared_ptr<PageData>(bytes, [](PageData*) {});
+  }();
+  return *zero;
+}
 
 bool AddressSpace::NoteExec(uint64_t pageno, uint8_t perms) {
   if (perms & kPermExec) return !exec_pages_.insert(pageno).second;
@@ -32,12 +59,8 @@ Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms,
   }
   bool exec_touched = (perms & kPermExec) != 0;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-    Page page;
-    page.data = std::make_shared<PageData>();
-    page.data->fill(0);
-    page.perms = perms;
     exec_touched = NoteExec(p, perms) || exec_touched;
-    pages_[p] = std::move(page);
+    pages_[p] = Page{ZeroPage(), perms};
   }
   if (exec_touched) ++generation_;
   ++payload_epoch_;
@@ -207,24 +230,59 @@ Result<uint32_t> AddressSpace::Fetch(uint64_t addr) const {
 }
 
 Status AddressSpace::HostRead(uint64_t addr, std::span<uint8_t> out) const {
-  for (size_t k = 0; k < out.size(); ++k) {
-    const Page* page = FindPage(addr + k);
+  for (size_t k = 0; k < out.size();) {
+    const uint64_t a = addr + k;
+    const size_t n = std::min<uint64_t>(out.size() - k, PageRest(a));
+    const Page* page = FindPage(a);
     if (page == nullptr) return Status::Fail("host read: unmapped");
-    out[k] = (*page->data)[(addr + k) & kPageMask];
+    std::memcpy(out.data() + k, page->data->data() + (a & kPageMask), n);
+    k += n;
   }
   return Status::Ok();
 }
 
 Status AddressSpace::HostWrite(uint64_t addr, std::span<const uint8_t> data) {
+  Status st = Status::Ok();
   bool exec_touched = false;
-  for (size_t k = 0; k < data.size(); ++k) {
-    auto it = pages_.find((addr + k) / kPageSize);
-    if (it == pages_.end()) return Status::Fail("host write: unmapped");
+  for (size_t k = 0; k < data.size();) {
+    const uint64_t a = addr + k;
+    const size_t n = std::min<uint64_t>(data.size() - k, PageRest(a));
+    auto it = pages_.find(a / kPageSize);
+    if (it == pages_.end()) {
+      st = Status::Fail("host write: unmapped");
+      break;
+    }
     exec_touched = exec_touched || WriteTouchesExec(it->second.perms);
-    WritablePage(&it->second)[(addr + k) & kPageMask] = data[k];
+    std::memcpy(WritablePage(&it->second) + (a & kPageMask), data.data() + k,
+                n);
+    k += n;
+  }
+  // Pages written before a failure keep their new bytes, so an exec page
+  // among them still invalidates decoded code.
+  if (exec_touched) ++generation_;
+  return st;
+}
+
+void AddressSpace::HostZero(uint64_t addr, uint64_t len) {
+  if (len == 0 || RangeWraps(addr, len)) return;
+  bool exec_touched = false, replaced = false;
+  for (uint64_t a = addr, end = addr + len; a < end;) {
+    const uint64_t n = std::min(end - a, PageRest(a));
+    auto it = pages_.find(a / kPageSize);
+    if (it != pages_.end() && it->second.data != ZeroPage()) {
+      Page& page = it->second;
+      exec_touched = exec_touched || WriteTouchesExec(page.perms);
+      if (n == kPageSize) {
+        page.data = ZeroPage();
+        replaced = true;
+      } else {
+        std::memset(WritablePage(&page) + (a & kPageMask), 0, n);
+      }
+    }
+    a += n;
   }
   if (exec_touched) ++generation_;
-  return Status::Ok();
+  if (replaced) ++payload_epoch_;
 }
 
 std::shared_ptr<AddressSpace::PageData> AddressSpace::ExportPage(

@@ -98,12 +98,23 @@ class AddressSpace {
   // snapshot contents are immutable without any copying at capture time.
   using PageData = std::array<uint8_t, kPageSize>;
 
+  // The one canonical all-zero payload, shared by every page that has
+  // not been written since it was mapped, loaded or zeroed (Map, the ELF
+  // loader, snapshot Deserialize, HostZero), so host memory grows with
+  // the pages a guest touches rather than the pages it can name. A
+  // static holder keeps its use_count above 1, so the first write to it
+  // through any path copies; the bytes are mapped read-only on the host,
+  // so a write that skipped the copy crashes instead of leaking into
+  // every sandbox.
+  static const std::shared_ptr<PageData>& ZeroPage();
+
   AddressSpace() = default;
 
   // Maps [addr, addr+len) with `perms`. Both must be page-aligned. Newly
-  // mapped pages are zero-filled. By default overlapping an existing
-  // mapping is an error; pass MapMode::kFixed to replace pages (the
-  // replacement zero-fills, like mmap(MAP_FIXED) over old memory).
+  // mapped pages are the shared zero page. By default overlapping an
+  // existing mapping is an error; pass MapMode::kFixed to replace pages
+  // (the replacement reads as zeros, like mmap(MAP_FIXED) over old
+  // memory).
   Status Map(uint64_t addr, uint64_t len, uint8_t perms,
              MapMode mode = MapMode::kNoReplace);
 
@@ -129,9 +140,14 @@ class AddressSpace {
 
   // Host (trusted runtime) accesses: require the page to be mapped but
   // ignore permission bits, like the runtime writing a sandbox's read-only
-  // call-table page at setup time.
+  // call-table page at setup time. One lookup and one copy per page; on
+  // an unmapped page they fail, leaving the bytes before it transferred.
   Status HostRead(uint64_t addr, std::span<uint8_t> out) const;
   Status HostWrite(uint64_t addr, std::span<const uint8_t> data);
+  // Zeroes [addr, addr+len) ignoring permissions: every whole mapped page
+  // gets the shared zero page (perms kept), a partial page is zeroed in
+  // place, and unmapped pages stay unmapped.
+  void HostZero(uint64_t addr, uint64_t len);
 
   // Copies all mappings into `child` copy-on-write (both spaces then share
   // page contents until one writes). Used by fork.
@@ -200,7 +216,8 @@ class AddressSpace {
 
   const Page* FindPage(uint64_t addr) const;
   // Returns a writable pointer to the page's data, copying if shared (a
-  // copy replaces the payload pointer, so it bumps payload_epoch_).
+  // copy replaces the payload pointer, so it bumps payload_epoch_). The
+  // zero page always counts as shared.
   uint8_t* WritablePage(Page* page);
   // Records pageno's executability as given by `perms`; returns true if
   // the page was executable before.

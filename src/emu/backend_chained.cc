@@ -34,8 +34,9 @@
 //     store can COW its own page mid-block, so per-block validation is
 //     not enough). Writable pointers are never cached for executable
 //     pages, so exec-page stores keep bumping the mutation generation on
-//     the slow path. Misses fall through to AddressSpace::Read/Write,
-//     which also produce the identical fault metadata.
+//     the slow path. A miss probes the page table once; accesses the
+//     probe cannot serve fall through to AddressSpace::Read/Write, which
+//     also produce the identical fault metadata.
 //
 // While an ExecHook is attached, RunChained delegates to the reference
 // RunBlocks: observation wants per-instruction access traces, and the
@@ -63,23 +64,28 @@ using namespace internal;
 // guest store that COWs its page), and it re-syncs before refilling. No
 // other epoch source can run mid-range (syscalls/brk stop the range, and
 // host-side writes happen only between Machine::Run calls).
+// A miss probes the page table once: the probe's pointer both refills the
+// entry and serves the access. Only when it yields none (unmapped,
+// unreadable or unwritable, or an exec-page store) does the access take
+// AddressSpace::Read/Write, which produce the fault metadata and bump
+// the mutation generation exactly as the reference path does.
 Machine::FastVal Machine::FastRead(uint64_t addr, unsigned size) {
   if (((addr ^ (addr + size - 1)) & ~kPageMask) == 0) {
     const uint64_t pg = addr / kPageSize;
     DtlbEntry& e = dtlb_[pg & (kDtlbSize - 1)];
-    if (e.pageno == pg && e.ro != nullptr) {
-      uint64_t value = 0;
-      std::memcpy(&value, e.ro + (addr & kPageMask), size <= 8 ? size : 8);
-      if (size < 8) value &= (uint64_t{1} << (8 * size)) - 1;
-      return {value, true};
+    if (e.pageno != pg || e.ro == nullptr) {
+      const AddressSpace::PageProbe pr = mem_->ProbeDataPage(pg, false);
+      if (pr.ro == nullptr) {
+        auto r = mem_->Read(addr, size);
+        if (!r) return {0, false};
+        return {*r, true};
+      }
+      e = {pg, pr.ro, nullptr};
     }
-    auto r = mem_->Read(addr, size);
-    if (!r) return {0, false};
-    const AddressSpace::PageProbe pr = mem_->ProbeDataPage(pg, false);
-    if (pr.ro != nullptr) {
-      dtlb_[pg & (kDtlbSize - 1)] = {pg, pr.ro, nullptr};
-    }
-    return {*r, true};
+    uint64_t value = 0;
+    std::memcpy(&value, e.ro + (addr & kPageMask), size <= 8 ? size : 8);
+    if (size < 8) value &= (uint64_t{1} << (8 * size)) - 1;
+    return {value, true};
   }
   auto r = mem_->Read(addr, size);  // straddle: uncached slow path
   if (!r) return {0, false};
@@ -90,16 +96,15 @@ bool Machine::FastWrite(uint64_t addr, uint64_t value, unsigned size) {
   if (((addr ^ (addr + size - 1)) & ~kPageMask) == 0) {
     const uint64_t pg = addr / kPageSize;
     DtlbEntry& e = dtlb_[pg & (kDtlbSize - 1)];
-    if (e.pageno == pg && e.rw != nullptr) {
-      std::memcpy(e.rw + (addr & kPageMask), &value, size <= 8 ? size : 8);
-      return true;
+    if (e.pageno != pg || e.rw == nullptr) {
+      const AddressSpace::PageProbe pr = mem_->ProbeDataPage(pg, true);
+      if (pr.rw == nullptr) return mem_->Write(addr, value, size).ok();
+      // The probe may have copied the page (COW) and bumped the payload
+      // epoch: adopt the epoch before filling.
+      SyncDtlbEpoch();
+      e = {pg, pr.ro, pr.rw};
     }
-    if (!mem_->Write(addr, value, size).ok()) return false;
-    // The write may have copied the page (COW) and bumped the payload
-    // epoch; probe for the fresh pointers, adopt the epoch, then fill.
-    const AddressSpace::PageProbe pr = mem_->ProbeDataPage(pg, true);
-    SyncDtlbEpoch();
-    dtlb_[pg & (kDtlbSize - 1)] = {pg, pr.ro, pr.rw};
+    std::memcpy(e.rw + (addr & kPageMask), &value, size <= 8 ? size : 8);
     return true;
   }
   return mem_->Write(addr, value, size).ok();  // straddle: uncached

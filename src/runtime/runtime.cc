@@ -81,7 +81,10 @@ const PageData& CallTablePage() {
 // installs: the call-table page, the stack, one mapping per segment, the
 // initial register file and the standard descriptors. Pure and
 // slot-independent, so every loader rule is checked before a slot is
-// allocated. Page payloads are fresh (never shared with another image).
+// allocated. A page that receives nonzero file bytes gets a fresh
+// payload (never shared with another image); every other page, the stack
+// and bss included, is the shared zero page, exactly as Deserialize
+// rebuilds the same image.
 Result<snapshot::Snapshot> SnapshotFromElf(const elf::ElfImage& image) {
   constexpr uint64_t kLoadEnd = kProgramEnd - kStackSize;
   if (image.entry >= kSlotSize) {
@@ -93,7 +96,7 @@ Result<snapshot::Snapshot> SnapshotFromElf(const elf::ElfImage& image) {
   pages[0] = {0, kPermRead, std::make_shared<PageData>(CallTablePage())};
   snap.mappings[kLoadEnd] = {kStackSize, kPermRead | kPermWrite};
   for (uint64_t po = kLoadEnd; po < kProgramEnd; po += kPage) {
-    pages[po] = {po, kPermRead | kPermWrite, std::make_shared<PageData>()};
+    pages[po] = {po, kPermRead | kPermWrite, emu::AddressSpace::ZeroPage()};
   }
 
   uint64_t max_data_end = kProgramStart;
@@ -125,14 +128,21 @@ Result<snapshot::Snapshot> SnapshotFromElf(const elf::ElfImage& image) {
     if (seg.write) perms |= kPermWrite;
     if (seg.exec) perms |= kPermExec;
     for (uint64_t po = page_start; po < page_end; po += kPage) {
-      pages[po] = {po, perms, std::make_shared<PageData>()};
+      pages[po] = {po, perms, emu::AddressSpace::ZeroPage()};
     }
-    for (uint64_t i = 0; i < seg.data.size();) {
+    for (uint64_t i = 0, n = 0; i < seg.data.size(); i += n) {
       const uint64_t at = (seg.vaddr + i) % kPage;
-      const uint64_t n = std::min(kPage - at, seg.data.size() - i);
-      std::memcpy(pages[seg.vaddr + i - at].data->data() + at,
-                  seg.data.data() + i, n);
-      i += n;
+      n = std::min(kPage - at, seg.data.size() - i);
+      const uint8_t* src = seg.data.data() + i;
+      if (std::all_of(src, src + n, [](uint8_t b) { return b == 0; })) {
+        continue;
+      }
+      // The zero page is read-only: give the page its own payload first.
+      auto& data = pages[seg.vaddr + i - at].data;
+      if (data == emu::AddressSpace::ZeroPage()) {
+        data = std::make_shared<PageData>();
+      }
+      std::memcpy(data->data() + at, src, n);
     }
     snap.mappings[page_start] = {page_end - page_start, perms};
     max_data_end = std::max(max_data_end, page_end);
@@ -218,7 +228,10 @@ Status CheckSnapshot(const snapshot::Snapshot& snap) {
 }
 
 // Sandboxes allocate and free page payloads in bursts of up to hundreds of
-// megabytes: every load, copy-on-write fault and exit. By default glibc
+// megabytes: a guest that writes a large zero-mapped region (bss, heap,
+// mmap) copies each page it touches, and its exit frees them all. Loads
+// no longer allocate in bursts, since every zero page a load maps is the
+// shared zero page, but copy-on-write still does. By default glibc
 // returns free memory at the top of its heap to the kernel once 128 KiB
 // collects there, so whether the next burst had to fault its memory back
 // in depended on where unrelated small objects happened to be placed.
@@ -1599,13 +1612,10 @@ uint64_t Runtime::SysBrk(Proc* p, uint64_t addr) {
   if (want < p->brk) {
     // Shrink: the pages stay mapped (high-water mark below), but the
     // freed range must read back as zeros if the heap later regrows over
-    // it — otherwise stale bytes leak across a shrink/regrow cycle.
-    static constexpr uint64_t kChunk = 4096;
-    uint8_t zeros[kChunk] = {};
-    for (uint64_t off = want; off < p->brk; off += kChunk) {
-      const uint64_t n = std::min<uint64_t>(kChunk, p->brk - off);
-      (void)space_.HostWrite(p->base + off, {zeros, n});
-    }
+    // it — otherwise stale bytes leak across a shrink/regrow cycle. Whole
+    // freed pages go back to the shared zero page; a chunk the guest has
+    // munmapped stays unmapped.
+    space_.HostZero(p->base + want, p->brk - want);
   }
   // Grow only past the high-water mark: after a shrink the old pages stay
   // mapped, and Map refuses to clobber live pages.

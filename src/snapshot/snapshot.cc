@@ -147,12 +147,14 @@ std::vector<uint8_t> Serialize(const Snapshot& snap) {
     w.U64(range.first);
     w.U8(range.second);
   }
-  // kind 0 = all-zero page (payload elided), 1 = raw payload follows.
+  // kind 0 = all-zero page (payload elided; Deserialize installs the
+  // shared zero page), 1 = raw payload follows.
   std::vector<uint8_t> zero(snap.pages.size());
   size_t rest = 4 + 4 + 8;  // page count, fd count, checksum
   for (size_t k = 0; k < snap.pages.size(); ++k) {
     const auto& d = snap.pages[k].data;
-    zero[k] = d == nullptr || IsZeroPage(*d);
+    zero[k] = d == nullptr || d == emu::AddressSpace::ZeroPage() ||
+              IsZeroPage(*d);
     rest += kPageRecMin + (zero[k] ? 0 : d->size());
   }
   for (const auto& f : snap.fds) {
@@ -251,7 +253,7 @@ Result<Snapshot> Deserialize(std::span<const uint8_t> bytes) {
       return Error{kTrunc};
     }
     if (kind == 0) {
-      rec.data = std::make_shared<emu::AddressSpace::PageData>();  // zeroed
+      rec.data = emu::AddressSpace::ZeroPage();
     } else if (kind == 1) {
       rec.data =
           std::make_shared_for_overwrite<emu::AddressSpace::PageData>();

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -204,6 +205,143 @@ TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   bumps(as.Map(0x20000, kPageSize, kPermRead, MapMode::kFixed).ok());
   bumps(as.Protect(0x20000, kPageSize, kPermRead | kPermExec).ok());
   bumps(as.Unmap(0x20000, kPageSize).ok());
+}
+
+// ---- The shared zero page -------------------------------------------------
+
+bool AllZero(const AddressSpace::PageData& d) {
+  return std::all_of(d.begin(), d.end(), [](uint8_t b) { return b == 0; });
+}
+
+const AddressSpace::PageData* Payload(const AddressSpace& as, uint64_t addr) {
+  return as.PagePayload(addr, nullptr);
+}
+
+const AddressSpace::PageData* Zero() {
+  return AddressSpace::ZeroPage().get();
+}
+
+TEST(AddressSpace, MapSharesTheZeroPage) {
+  AddressSpace as;
+  ASSERT_TRUE(as.Map(0x40000, 8 * kPageSize, kPermRead | kPermWrite).ok());
+  for (uint64_t a = 0x40000; a < 0x40000 + 8 * kPageSize; a += kPageSize) {
+    EXPECT_EQ(Payload(as, a), Zero());
+  }
+  ASSERT_TRUE(as.Map(0x40000, kPageSize, kPermRead, MapMode::kFixed).ok());
+  EXPECT_EQ(Payload(as, 0x40000), Zero());
+  EXPECT_TRUE(AllZero(*Zero()));
+}
+
+// Every write path copies the zero page first and leaves it all zero.
+TEST(AddressSpace, EveryWritePathCopiesTheZeroPage) {
+  AddressSpace as;
+  ASSERT_TRUE(as.Map(0x40000, 4 * kPageSize, kPermRead | kPermWrite).ok());
+  ASSERT_TRUE(as.Write(0x40008, 0x1234, 8).ok());
+  const uint8_t bytes[3] = {1, 2, 3};
+  ASSERT_TRUE(as.HostWrite(0x40000 + kPageSize - 1, bytes).ok());  // straddle
+  EXPECT_NE(Payload(as, 0x40000), Zero());
+  EXPECT_NE(Payload(as, 0x40000 + kPageSize), Zero());
+  EXPECT_EQ(Payload(as, 0x40000 + 2 * kPageSize), Zero());
+  EXPECT_EQ(*as.Read(0x40008, 8), 0x1234u);
+  EXPECT_EQ(*as.Read(0x40000 + kPageSize, 2), 0x0302u);
+
+  // A page shared out of the zero page by CloneInto or ShareRange copies
+  // on the first write in either space.
+  AddressSpace child;
+  as.CloneInto(&child);
+  const uint64_t last = 0x40000 + 3 * kPageSize;
+  EXPECT_EQ(Payload(child, last), Zero());
+  ASSERT_TRUE(child.Write(last, 7, 8).ok());
+  EXPECT_NE(Payload(child, last), Zero());
+  EXPECT_EQ(Payload(as, last), Zero());
+  ASSERT_TRUE(as.ShareRange(last, 0x100000, kPageSize).ok());
+  EXPECT_EQ(Payload(as, 0x100000), Zero());
+  ASSERT_TRUE(as.Write(0x100000, 9, 1).ok());
+  EXPECT_NE(Payload(as, 0x100000), Zero());
+  EXPECT_EQ(Payload(as, last), Zero());
+  EXPECT_EQ(*as.Read(last, 8), 0u);
+  EXPECT_TRUE(AllZero(*Zero()));
+}
+
+// A load caches the zero page's read pointer in the chained backend's
+// data TLB; the store after it must still copy, never write through it.
+TEST(Machine, ChainedStoreAfterLoadCopiesTheZeroPage) {
+  TestVm vm(R"(
+    movz x10, #0x20, lsl #16   // kData
+    ldr x1, [x10, #16]
+    movz x2, #77
+    str x2, [x10, #16]
+    ldr x3, [x10, #16]
+    ldr x4, [x10, #24]
+    brk #0
+  )");
+  ASSERT_EQ(Payload(vm.space, kData), Zero());
+  EXPECT_EQ(vm.Run(), StopReason::kBrk);
+  EXPECT_EQ(vm.X(1), 0u);
+  EXPECT_EQ(vm.X(3), 77u);
+  EXPECT_EQ(vm.X(4), 0u);
+  EXPECT_NE(Payload(vm.space, kData), Zero());
+  EXPECT_EQ(Payload(vm.space, kData + kPageSize), Zero());
+  EXPECT_TRUE(AllZero(*Zero()));
+}
+
+TEST(AddressSpace, HostZeroReinstallsTheZeroPageAndKeepsHoles) {
+  AddressSpace as;
+  constexpr uint64_t kBase = 0x40000;
+  ASSERT_TRUE(as.Map(kBase, 4 * kPageSize, kPermRead | kPermWrite).ok());
+  std::vector<uint8_t> ones(4 * kPageSize, 0xff);
+  ASSERT_TRUE(as.HostWrite(kBase, ones).ok());
+  ASSERT_TRUE(as.Protect(kBase + 3 * kPageSize, kPageSize, kPermRead).ok());
+  ASSERT_TRUE(as.Unmap(kBase + kPageSize, kPageSize).ok());
+  // From the middle of page 0 to the middle of page 3 (page 1 a hole).
+  as.HostZero(kBase + 100, 3 * kPageSize);
+  EXPECT_EQ(*as.Read(kBase + 99, 1), 0xffu);
+  EXPECT_EQ(*as.Read(kBase + 100, 8), 0u);
+  EXPECT_NE(Payload(as, kBase), Zero());
+  EXPECT_EQ(Payload(as, kBase + kPageSize), nullptr);
+  EXPECT_EQ(Payload(as, kBase + 2 * kPageSize), Zero());
+  uint8_t perms = 0;
+  EXPECT_NE(as.PagePayload(kBase + 3 * kPageSize, &perms), Zero());
+  EXPECT_EQ(perms, kPermRead);
+  uint8_t tail[2] = {};
+  ASSERT_TRUE(as.HostRead(kBase + 3 * kPageSize + 99, tail).ok());
+  EXPECT_EQ(tail[0], 0u);
+  EXPECT_EQ(tail[1], 0xffu);
+  // A whole read-only page keeps its perms on the zero page.
+  as.HostZero(kBase + 3 * kPageSize, kPageSize);
+  EXPECT_EQ(as.PagePayload(kBase + 3 * kPageSize, &perms), Zero());
+  EXPECT_EQ(perms, kPermRead);
+  EXPECT_TRUE(AllZero(*Zero()));
+}
+
+// HostRead/HostWrite move a 1 MiB buffer across 65 page boundaries; when
+// the range ends on an unmapped page, the bytes before it still move.
+TEST(AddressSpace, HostCopiesSpanPagesAndStopAtTheFirstHole) {
+  constexpr uint64_t kMiB = 1 << 20;
+  std::vector<uint8_t> src(kMiB);
+  for (size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<uint8_t>(i * 7 + i / 251);
+  }
+  AddressSpace as;
+  ASSERT_TRUE(as.Map(0x100000, kMiB + kPageSize, kPermRead).ok());
+  ASSERT_TRUE(as.HostWrite(0x100000 + 123, src).ok());
+  std::vector<uint8_t> back(kMiB);
+  ASSERT_TRUE(as.HostRead(0x100000 + 123, back).ok());
+  EXPECT_EQ(back, src);
+  EXPECT_EQ(*as.Read(0x100000 + kPageSize - 1, 2),
+            src[kPageSize - 124] | (uint64_t{src[kPageSize - 123]} << 8));
+
+  // [0x400000, 0x400000 + 1 MiB) is mapped; the copy runs 4 KiB past it.
+  ASSERT_TRUE(as.Map(0x400000, kMiB, kPermRead | kPermWrite).ok());
+  const uint64_t start = 0x400000 + 0x1000;
+  EXPECT_FALSE(as.HostWrite(start, src).ok());
+  std::vector<uint8_t> partial(kMiB, 0xee);
+  EXPECT_FALSE(as.HostRead(start, partial).ok());
+  const size_t mapped = kMiB - 0x1000;
+  EXPECT_TRUE(std::equal(src.begin(), src.begin() + mapped, partial.begin()));
+  EXPECT_TRUE(std::all_of(partial.begin() + mapped, partial.end(),
+                          [](uint8_t b) { return b == 0xee; }));
+  EXPECT_EQ(*as.Read(0x400000 + kMiB - 1, 1), src[mapped - 1]);
 }
 
 TEST(Machine, ArithmeticLoop) {

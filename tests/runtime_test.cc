@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "pipeline_util.h"
 #include "runtime/runtime.h"
 
@@ -805,6 +807,111 @@ TEST(Runtime, BrkShrinkAndRegrow) {
   ASSERT_GE(t.pid, 0);
   t.rt.RunUntilIdle();
   EXPECT_EQ(t.P()->exit_status, 0x60d);
+}
+
+// Heap pages are the shared zero page until written, so a guest that
+// grows its break by 1 GiB costs host memory for none of it.
+TEST(Runtime, BrkGrowthMapsTheSharedZeroPage) {
+  TestRun t(R"(
+    mov x0, #0
+    rtcall #5
+    movz x1, #0x4000, lsl #16
+    add x0, x0, x1
+    rtcall #5           // grow by 1 GiB
+  spin:
+    b spin
+  )");
+  ASSERT_GE(t.pid, 0);
+  t.rt.RunUntilIdle(1000);
+  const Proc* p = t.P();
+  ASSERT_EQ(p->brk, p->brk_start + (uint64_t{1} << 30));
+  const auto* zero = emu::AddressSpace::ZeroPage().get();
+  uint64_t shared = 0;
+  for (uint64_t off = p->brk_start; off < p->brk; off += kPage) {
+    shared += t.rt.space().PagePayload(p->base + off, nullptr) == zero;
+  }
+  EXPECT_EQ(shared, 65536u);
+}
+
+// A shrink zeroes the partial page it lands in and puts every whole freed
+// page back on the zero page: two payloads remain.
+TEST(Runtime, BrkShrinkReinstallsTheZeroPage) {
+  TestRun t(R"(
+    mov x0, #0
+    rtcall #5
+    mov x19, x0
+    movz x1, #0x4, lsl #16
+    add x0, x19, x1
+    rtcall #5           // grow by 16 pages
+    mov x9, x19
+    movz x2, #0x4000
+    mov x3, #16
+  touch:
+    strb w3, [x9]       // dirty every page
+    add x9, x9, x2
+    subs x3, x3, #1
+    b.ne touch
+    add x0, x19, #100
+    rtcall #5           // shrink into the first page
+  spin:
+    b spin
+  )");
+  ASSERT_GE(t.pid, 0);
+  t.rt.RunUntilIdle(10000);
+  const Proc* p = t.P();
+  ASSERT_EQ(p->brk, p->brk_start + 100);
+  std::set<const emu::AddressSpace::PageData*> payloads;
+  for (uint64_t k = 0; k < 16; ++k) {
+    payloads.insert(
+        t.rt.space().PagePayload(p->base + p->brk_start + k * kPage, nullptr));
+  }
+  EXPECT_LE(payloads.size(), 2u);
+  EXPECT_EQ(payloads.count(emu::AddressSpace::ZeroPage().get()), 1u);
+  uint8_t head[2] = {};
+  ASSERT_TRUE(t.rt.space().HostRead(p->base + p->brk_start, {head, 1}).ok());
+  ASSERT_TRUE(
+      t.rt.space().HostRead(p->base + p->brk_start + 100, {head + 1, 1}).ok());
+  EXPECT_EQ(head[0], 16u);  // below the new break: kept
+  EXPECT_EQ(head[1], 0u);
+}
+
+// A brk chunk the guest munmapped stays unmapped across a shrink over it.
+TEST(Runtime, BrkShrinkLeavesMunmappedChunkUnmapped) {
+  TestRun t(R"(
+    mov x0, #0
+    rtcall #5
+    mov x19, x0
+    movz x1, #0x8000
+    add x0, x19, x1
+    rtcall #5           // chunk A: two pages
+    movz x1, #0x1, lsl #16
+    add x0, x19, x1
+    rtcall #5           // chunk B: two more pages
+    movz x1, #0x8000
+    add x0, x19, x1
+    rtcall #7           // munmap(chunk B)
+    cbnz x0, bad
+    mov x0, x19
+    rtcall #5           // shrink over both chunks
+  spin:
+    b spin
+  bad:
+    mov x0, #1
+    rtcall #0
+  )");
+  ASSERT_GE(t.pid, 0);
+  t.rt.RunUntilIdle(10000);
+  const Proc* p = t.P();
+  ASSERT_EQ(p->exit_kind, ExitKind::kRunning);
+  ASSERT_EQ(p->brk, p->brk_start);
+  const uint64_t heap = p->base + p->brk_start;
+  for (uint64_t off : {uint64_t{0}, kPage}) {
+    EXPECT_EQ(t.rt.space().PagePayload(heap + off, nullptr),
+              emu::AddressSpace::ZeroPage().get());
+  }
+  for (uint64_t off : {2 * kPage, 3 * kPage}) {
+    EXPECT_EQ(t.rt.space().PagePayload(heap + off, nullptr), nullptr);
+  }
 }
 
 TEST(Runtime, ExitClosesPipeFdsNoLeak) {

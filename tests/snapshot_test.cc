@@ -687,6 +687,98 @@ TEST(Snapshot, SlotReusedByAnotherImageRunsItsOwnCode) {
   });
 }
 
+// An image loaded from ELF and the same image read back from disk hold
+// the same pages: every page without nonzero bytes is the one zero page.
+TEST(Snapshot, LoadAndDeserializeShareTheZeroPage) {
+  Loaded t(kHelloProg);
+  ASSERT_GE(t.pid, 0);
+  const Snapshot& built = *t.P()->snapshot;
+  const std::vector<uint8_t> bytes = Serialize(built);
+  auto back = Deserialize({bytes.data(), bytes.size()});
+  ASSERT_TRUE(back.ok()) << back.error();
+  ASSERT_EQ(back->pages.size(), built.pages.size());
+  const auto& zero = emu::AddressSpace::ZeroPage();
+  size_t zeros = 0;
+  for (size_t k = 0; k < built.pages.size(); ++k) {
+    const bool is_zero = built.pages[k].data == zero;
+    EXPECT_EQ(back->pages[k].data == zero, is_zero) << "page " << k;
+    if (is_zero) {
+      ++zeros;
+    } else {
+      EXPECT_EQ(*back->pages[k].data, *built.pages[k].data) << "page " << k;
+    }
+  }
+  EXPECT_GE(zeros, runtime::kStackSize / kPage);
+}
+
+// 256 sandboxes parked from one image share one stack payload, and a slot
+// freed by a sandbox that dirtied its stack and heap comes back holding
+// exactly the image's pages.
+TEST(Snapshot, ParkedFleetSharesTheZeroPageAndReusedSlotsAreClean) {
+  Loaded t(R"(
+    mov x0, #0
+    rtcall #5
+    movz x1, #0x4, lsl #16
+    add x0, x0, x1
+    rtcall #5           // grow the heap by 16 pages
+    sub x0, x0, #8
+    movz x1, #0x5ca1
+    str x1, [x0]        // dirty the top heap page
+    sub sp, sp, #16
+    str x1, [sp]        // dirty the top stack page
+  spin:
+    b spin
+  )");
+  ASSERT_GE(t.pid, 0);
+  auto snap = Capture(t.rt, t.pid);
+  ASSERT_NE(snap, nullptr);
+  ASSERT_TRUE(t.rt.Kill(t.pid, "test").ok());
+  std::vector<int> pids;
+  for (int k = 0; k < 256; ++k) {
+    auto pid = t.rt.SpawnFromSnapshot(snap, /*start=*/false);
+    ASSERT_TRUE(pid.ok()) << pid.error();
+    pids.push_back(*pid);
+  }
+  const auto& space = t.rt.space();
+  const auto* zero = emu::AddressSpace::ZeroPage().get();
+  size_t stack_pages = 0;
+  for (int pid : pids) {
+    const uint64_t base = t.rt.proc(pid)->base;
+    for (uint64_t off = runtime::kProgramEnd - runtime::kStackSize; off < runtime::kProgramEnd;
+         off += kPage) {
+      EXPECT_EQ(space.PagePayload(base + off, nullptr), zero);
+      ++stack_pages;
+    }
+  }
+  EXPECT_EQ(stack_pages, 256 * runtime::kStackSize / kPage);
+
+  const size_t parked_pages = space.MappedPages();
+  const int victim = pids.front();
+  const uint64_t slot = t.rt.proc(victim)->slot;
+  ASSERT_TRUE(t.rt.Activate(victim).ok());
+  t.rt.RunUntilIdle(1000);
+  const Proc* v = t.rt.proc(victim);
+  ASSERT_EQ(v->exit_kind, ExitKind::kRunning);
+  EXPECT_NE(space.PagePayload(v->base + runtime::kProgramEnd - kPage, nullptr), zero);
+  EXPECT_GT(space.MappedPages(), parked_pages);
+  ASSERT_TRUE(t.rt.Kill(victim, "test").ok());
+
+  auto again = t.rt.SpawnFromSnapshot(snap, /*start=*/false);
+  ASSERT_TRUE(again.ok()) << again.error();
+  const Proc* q = t.rt.proc(*again);
+  ASSERT_EQ(q->slot, slot);
+  EXPECT_EQ(space.MappedPages(), parked_pages);
+  for (const PageRec& rec : snap->pages) {
+    uint8_t perms = 0;
+    EXPECT_EQ(space.PagePayload(q->base + rec.offset, &perms), rec.data.get())
+        << "offset " << rec.offset;
+    EXPECT_EQ(perms, rec.perms);
+  }
+  EXPECT_EQ(space.PagePayload(q->base + snap->brk_start, nullptr), nullptr);
+  EXPECT_TRUE(std::all_of(zero->begin(), zero->end(),
+                          [](uint8_t b) { return b == 0; }));
+}
+
 // ---- The install boundary (docs/SNAPSHOTS.md "One install path") --------
 //
 // Load, spawn, restore, recycle, fork and restart all put pages into a
