@@ -1,15 +1,22 @@
 // Snapshot instantiation benchmarks (docs/SNAPSHOTS.md).
 //
-//   elf-load        cold instantiation: parse + verify + zero + copy every
-//                   page of the image (the modeled per-page load cost)
+//   elf-load        cold instantiation: parse + verify + lay out every
+//                   page of the image (the modeled per-page load cost; on
+//                   the host only pages with nonzero bytes are copied, the
+//                   rest share one zero page)
 //   snapshot-spawn  warm instantiation from a captured image: COW page
 //                   install only, nothing copied
 //   restart-restore supervisor restart via snapshot restore: only pages
 //                   the crashed run actually dirtied are re-installed
+//   fleet           4096 sandboxes parked from the image in one runtime:
+//                   host memory per parked sandbox (host-only, ungated)
+//                   and spawn cycles at slot 1 against slot 4096
 //
 // Gates (checked here and in BENCH_BASELINE.json): snapshot spawn >= 10x
 // cheaper than ELF load; a snapshot restart >= 5x cheaper than an ELF
 // load of the same image.
+
+#include <unistd.h>
 
 #include "harness.h"
 
@@ -89,6 +96,14 @@ RestartRun RunRestartLoop(const Built& b, int budget) {
   return r;
 }
 
+// The process's resident set in bytes (0 where /proc is unavailable).
+uint64_t ResidentBytes() {
+  std::ifstream statm("/proc/self/statm");
+  uint64_t size = 0, resident = 0;
+  if (!(statm >> size >> resident)) return 0;
+  return resident * static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+}
+
 }  // namespace
 }  // namespace lfi::bench
 
@@ -146,6 +161,34 @@ int main(int argc, char** argv) {
   const double serialize_mb_per_s =
       kSerializeReps * image_bytes / serialize_secs / 1e6;
 
+  // ---- Fleet: 4096 parked sandboxes from one image -----------------------
+  // Every spawn shares the image's payloads, so what a parked sandbox
+  // costs the host is its page table and bookkeeping.
+  constexpr int kFleet = 4096;
+  double fleet_first_cycles = 0, fleet_last_cycles = 0;
+  double fleet_kb_per_sandbox = 0;
+  {
+    lfi::runtime::Runtime fleet(cfg);
+    const uint64_t rss_before = ResidentBytes();
+    for (int k = 1; k <= kFleet; ++k) {
+      auto pid = fleet.SpawnFromSnapshot(snap, /*start=*/false);
+      if (!pid.ok()) {
+        std::fprintf(stderr, "error: fleet spawn %d: %s\n", k,
+                     pid.error().c_str());
+        return 1;
+      }
+      const double cycles =
+          static_cast<double>(fleet.last_instantiation().cycles);
+      if (k == 1) fleet_first_cycles = cycles;
+      if (k == kFleet) fleet_last_cycles = cycles;
+    }
+    const uint64_t rss_after = ResidentBytes();
+    fleet_kb_per_sandbox =
+        static_cast<double>(rss_after > rss_before ? rss_after - rss_before
+                                                   : 0) /
+        1024.0 / kFleet;
+  }
+
   // ---- Restart: snapshot restore vs ELF load of the same image ----------
   const RestartRun restore = RunRestartLoop(b, /*budget=*/100);
   if (!restore.ok) {
@@ -166,6 +209,10 @@ int main(int argc, char** argv) {
               restart_vs_load);
   std::printf("serialize: %.0f MB/s (%.0f image bytes -> %zu bytes)\n",
               serialize_mb_per_s, image_bytes, serialized);
+  std::printf("fleet: %d parked sandboxes, %.1f host KB each; spawn %.0f "
+              "cycles at slot 1, %.0f at slot %d\n",
+              kFleet, fleet_kb_per_sandbox, fleet_first_cycles,
+              fleet_last_cycles, kFleet);
 
   report.Add("snapshot.elf-load.cycles", load_cycles);
   report.Add("snapshot.spawn.cycles", spawn_cycles);
@@ -173,6 +220,9 @@ int main(int argc, char** argv) {
   report.Add("snapshot.restart-restore.cycles", restore_cycles);
   report.Add("snapshot.restart-vs-load.speedup", restart_vs_load);
   report.Add("snapshot.serialize.mb_per_s", serialize_mb_per_s);
+  report.Add("snapshot.fleet.host_kb_per_sandbox", fleet_kb_per_sandbox);
+  report.Add("snapshot.fleet.spawn-slot1.cycles", fleet_first_cycles);
+  report.Add("snapshot.fleet.spawn-slot4096.cycles", fleet_last_cycles);
   if (!report.Write()) return 1;
 
   // Self-gating: the headline claims of docs/SNAPSHOTS.md.
