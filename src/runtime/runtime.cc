@@ -227,19 +227,28 @@ Status CheckSnapshot(const snapshot::Snapshot& snap) {
   return Status::Ok();
 }
 
-// Sandboxes allocate and free page payloads in bursts of up to hundreds of
-// megabytes: a guest that writes a large zero-mapped region (bss, heap,
-// mmap) copies each page it touches, and its exit frees them all. Loads
-// no longer allocate in bursts, since every zero page a load maps is the
-// shared zero page, but copy-on-write still does. By default glibc
-// returns free memory at the top of its heap to the kernel once 128 KiB
-// collects there, so whether the next burst had to fault its memory back
-// in depended on where unrelated small objects happened to be placed.
-// Keeping up to 256 MiB of freed heap mapped makes that cost independent
-// of heap layout; peak memory is unchanged.
-void KeepFreedPayloadMemory() {
-#ifdef M_TRIM_THRESHOLD
-  static const bool done = mallopt(M_TRIM_THRESHOLD, 256 << 20) != 0;
+// Pins the two glibc heap policies that otherwise made host time depend on
+// where unrelated objects happened to be placed:
+// - Sandboxes allocate and free page payloads in bursts of up to hundreds
+//   of megabytes: a guest that writes a large zero-mapped region (bss,
+//   heap, mmap) copies each page it touches, and its exit frees them all.
+//   Loads no longer allocate in bursts, since every zero page a load maps
+//   is the shared zero page, but copy-on-write still does. By default
+//   glibc returns free memory at the top of its heap to the kernel once
+//   128 KiB collects there, so whether the next burst had to fault its
+//   memory back in depended on heap layout. Up to 256 MiB of freed heap
+//   now stays mapped; peak memory is unchanged.
+// - A request of 128 KiB or more that no free heap chunk fits gets a
+//   fresh mmap, faulted in page by page and unmapped again on free. So
+//   whether the toolchain's buffers of a few megabytes were reused or
+//   faulted in on every call depended on how far the heap had happened to
+//   grow. At 4 MiB they stay in the heap; larger arrays (the verifier's
+//   decode of a megabyte module) still get a mapping of their own and
+//   give it back when freed.
+void PinMallocPolicy() {
+#if defined(M_TRIM_THRESHOLD) && defined(M_MMAP_THRESHOLD)
+  static const bool done = mallopt(M_TRIM_THRESHOLD, 256 << 20) != 0 &&
+                           mallopt(M_MMAP_THRESHOLD, 4 << 20) != 0;
   (void)done;
 #endif
 }
@@ -248,7 +257,7 @@ void KeepFreedPayloadMemory() {
 
 Runtime::Runtime(RuntimeConfig cfg)
     : cfg_(std::move(cfg)), machine_(&space_, cfg_.core) {
-  KeepFreedPayloadMemory();
+  PinMallocPolicy();
   machine_.set_dispatch(cfg_.dispatch);
   machine_.SetRuntimeRegion(
       kRuntimeEntryBase,
