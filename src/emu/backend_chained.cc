@@ -64,6 +64,7 @@ using namespace internal;
 // guest store that COWs its page), and it re-syncs before refilling. No
 // other epoch source can run mid-range (syscalls/brk stop the range, and
 // host-side writes happen only between Machine::Run calls).
+//
 // A miss probes the page table once: the probe's pointer both refills the
 // entry and serves the access. Only when it yields none (unmapped,
 // unreadable or unwritable, or an exec-page store) does the access take

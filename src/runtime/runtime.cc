@@ -232,8 +232,8 @@ Status CheckSnapshot(const snapshot::Snapshot& snap) {
 // - Sandboxes allocate and free page payloads in bursts of up to hundreds
 //   of megabytes: a guest that writes a large zero-mapped region (bss,
 //   heap, mmap) copies each page it touches, and its exit frees them all.
-//   Loads no longer allocate in bursts, since every zero page a load maps
-//   is the shared zero page, but copy-on-write still does. By default
+//   Loads do not allocate in bursts, since every zero page a load maps is
+//   the shared zero page, but copy-on-write does. By default
 //   glibc returns free memory at the top of its heap to the kernel once
 //   128 KiB collects there, so whether the next burst had to fault its
 //   memory back in depended on heap layout. Up to 256 MiB of freed heap
