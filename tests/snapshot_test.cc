@@ -744,8 +744,8 @@ TEST(Snapshot, ParkedFleetSharesTheZeroPageAndReusedSlotsAreClean) {
   size_t stack_pages = 0;
   for (int pid : pids) {
     const uint64_t base = t.rt.proc(pid)->base;
-    for (uint64_t off = runtime::kProgramEnd - runtime::kStackSize; off < runtime::kProgramEnd;
-         off += kPage) {
+    for (uint64_t off = runtime::kProgramEnd - runtime::kStackSize;
+         off < runtime::kProgramEnd; off += kPage) {
       EXPECT_EQ(space.PagePayload(base + off, nullptr), zero);
       ++stack_pages;
     }
@@ -759,7 +759,8 @@ TEST(Snapshot, ParkedFleetSharesTheZeroPageAndReusedSlotsAreClean) {
   t.rt.RunUntilIdle(1000);
   const Proc* v = t.rt.proc(victim);
   ASSERT_EQ(v->exit_kind, ExitKind::kRunning);
-  EXPECT_NE(space.PagePayload(v->base + runtime::kProgramEnd - kPage, nullptr), zero);
+  EXPECT_NE(space.PagePayload(v->base + runtime::kProgramEnd - kPage, nullptr),
+            zero);
   EXPECT_GT(space.MappedPages(), parked_pages);
   ASSERT_TRUE(t.rt.Kill(victim, "test").ok());
 
