@@ -85,7 +85,7 @@ Result<std::unique_ptr<Sandbox>> Sandbox::Create(
   auto st = rt.BeginEmbed(*pid);
   if (!st.ok()) return Error{"embed create: " + st.error()};
   EmbedStop stop =
-      rt.RunEmbedded(*pid, p->cpu, 0, opts.init_fuel, EmbedEnter::kInit);
+      rt.RunEmbedded(*pid, p->cpu, 0, kInitFuel, EmbedEnter::kInit);
   if (stop.kind != EmbedStop::Kind::kReady) {
     rt.KillEmbedded(*pid, "module failed embed init");
     return Error{"embed create: module never reached embed-ready (" +

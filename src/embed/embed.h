@@ -286,8 +286,10 @@ struct CallbackArgCursor {
 // return unique_ptr) so host callbacks may safely capture `this`.
 class Sandbox {
  public:
+  // Instructions a module may run to reach embed-ready.
+  static constexpr uint64_t kInitFuel = 10'000'000;
+
   struct Options {
-    uint64_t init_fuel = 10'000'000;  // instructions to reach embed-ready
     uint64_t call_fuel = 10'000'000;  // instructions per host->guest call
     int max_depth = 16;               // nested-call chain bound
     // Per-argument marshalled-buffer cap; keeps scratch inside the guest
@@ -298,7 +300,7 @@ class Sandbox {
   };
 
   // Loads `elf_bytes` as a fresh sandbox, runs it to the embed-ready
-  // announce under init_fuel, parses the export table, and captures the
+  // announce under kInitFuel, parses the export table, and captures the
   // post-ready baseline snapshot that Restart() rolls back to.
   static Result<std::unique_ptr<Sandbox>> Create(
       runtime::Runtime& rt, std::span<const uint8_t> elf_bytes, Options opts);

@@ -43,26 +43,22 @@ bool AddressSpace::NoteExec(uint64_t pageno, uint8_t perms) {
   return exec_pages_.erase(pageno) != 0;
 }
 
-Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms,
-                         MapMode mode) {
+Status AddressSpace::Map(uint64_t addr, uint64_t len, uint8_t perms) {
   if (!PageAligned(addr) || !PageAligned(len)) {
     return Status::Fail("map: unaligned range");
   }
   if (len == 0) return Status::Ok();
   if (RangeWraps(addr, len)) return Status::Fail("map: range wraps");
-  if (mode == MapMode::kNoReplace) {
-    for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-      if (pages_.count(p) != 0) {
-        return Status::Fail("map: range overlaps an existing mapping");
-      }
+  for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
+    if (pages_.count(p) != 0) {
+      return Status::Fail("map: range overlaps an existing mapping");
     }
   }
-  bool exec_touched = (perms & kPermExec) != 0;
   for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-    exec_touched = NoteExec(p, perms) || exec_touched;
+    NoteExec(p, perms);
     pages_[p] = Page{ZeroPage(), perms};
   }
-  if (exec_touched) ++generation_;
+  if ((perms & kPermExec) != 0) ++generation_;
   ++payload_epoch_;
   return Status::Ok();
 }
@@ -81,26 +77,6 @@ Status AddressSpace::Unmap(uint64_t addr, uint64_t len) {
   }
   if (exec_touched) ++generation_;
   if (erased != 0) ++payload_epoch_;
-  return Status::Ok();
-}
-
-Status AddressSpace::Protect(uint64_t addr, uint64_t len, uint8_t perms) {
-  if (!PageAligned(addr) || !PageAligned(len)) {
-    return Status::Fail("protect: unaligned range");
-  }
-  if (len == 0) return Status::Ok();
-  if (RangeWraps(addr, len)) return Status::Fail("protect: range wraps");
-  // Validate the whole range first so a failure leaves no partial change.
-  for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-    if (pages_.count(p) == 0) return Status::Fail("protect: unmapped page");
-  }
-  bool exec_touched = (perms & kPermExec) != 0;
-  for (uint64_t p = addr / kPageSize; p < (addr + len) / kPageSize; ++p) {
-    pages_[p].perms = perms;
-    exec_touched = NoteExec(p, perms) || exec_touched;
-  }
-  if (exec_touched) ++generation_;
-  ++payload_epoch_;
   return Status::Ok();
 }
 
@@ -314,40 +290,6 @@ const AddressSpace::PageData* AddressSpace::PagePayload(
   if (page == nullptr) return nullptr;
   if (perms != nullptr) *perms = page->perms;
   return page->data.get();
-}
-
-void AddressSpace::CloneInto(AddressSpace* child) const {
-  child->pages_ = pages_;  // shared_ptr copy: COW
-  child->exec_pages_ = exec_pages_;
-  ++child->generation_;
-  ++child->payload_epoch_;
-  // The parent's payloads are now shared too: its next write must copy,
-  // so its cached writable pointers are stale as well.
-  ++payload_epoch_;
-}
-
-Status AddressSpace::ShareRange(uint64_t src, uint64_t dst, uint64_t len) {
-  if (!PageAligned(src) || !PageAligned(dst) || !PageAligned(len)) {
-    return Status::Fail("share: unaligned range");
-  }
-  if (len == 0) return Status::Ok();
-  if (RangeWraps(src, len) || RangeWraps(dst, len)) {
-    return Status::Fail("share: range wraps");
-  }
-  bool exec_touched = false;
-  for (uint64_t off = 0; off < len; off += kPageSize) {
-    auto it = pages_.find((src + off) / kPageSize);
-    if (it == pages_.end()) continue;  // holes stay holes
-    const uint64_t dpage = (dst + off) / kPageSize;
-    // Copy out first: pages_[dpage] may rehash and invalidate `it`.
-    Page src_page = it->second;
-    exec_touched = NoteExec(dpage, src_page.perms) ||
-                   (src_page.perms & kPermExec) != 0 || exec_touched;
-    pages_[dpage] = std::move(src_page);
-  }
-  if (exec_touched) ++generation_;
-  ++payload_epoch_;
-  return Status::Ok();
 }
 
 AddressSpace::PageProbe AddressSpace::ProbeDataPage(uint64_t pageno,

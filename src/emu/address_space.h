@@ -8,15 +8,15 @@
 //
 // Mutation generation: every operation that can change what an instruction
 // fetch observes bumps a monotonically increasing counter -- mapping,
-// unmapping, replacing or re-protecting an executable page (Map, Unmap,
-// Protect, InstallPage, ShareRange, CloneInto), a page becoming
-// executable, and any guest/host write that lands on an executable page.
-// The same operations on non-executable pages over non-executable pages
-// leave it alone, so restoring a sandbox's dirty data pages costs the
-// decode cache nothing. The Machine keeps its PC-keyed lookup caches
-// stamped with the generation and resets them on a change, so stale
-// decoded code can never execute after a remap. Writes to non-executable
-// pages stay free: the exec-page set below makes that test one branch.
+// unmapping or replacing an executable page (Map, Unmap, InstallPage), a
+// page becoming executable, and any guest/host write or zeroing that
+// lands on an executable page (Write, HostWrite, HostZero). The same
+// operations on non-executable pages over non-executable pages leave it
+// alone, so restoring a sandbox's dirty data pages costs the decode cache
+// nothing. The Machine keeps its PC-keyed lookup caches stamped with the
+// generation and resets them on a change, so stale decoded code can never
+// execute after a remap. Writes to non-executable pages stay free: the
+// exec-page set below makes that test one branch.
 #ifndef LFI_EMU_ADDRESS_SPACE_H_
 #define LFI_EMU_ADDRESS_SPACE_H_
 
@@ -52,12 +52,6 @@ struct MemFault {
   enum class Kind : uint8_t { kUnmapped, kPermission } kind;
   Access access = Access::kRead;
   uint64_t addr = 0;
-};
-
-// How Map treats pages that are already mapped in the requested range.
-enum class MapMode : uint8_t {
-  kNoReplace,  // error if any page of the range is already mapped
-  kFixed,      // MAP_FIXED-style: silently replace existing pages
 };
 
 // One attempted guest data access. Recorded *before* the permission check,
@@ -111,19 +105,12 @@ class AddressSpace {
   AddressSpace() = default;
 
   // Maps [addr, addr+len) with `perms`. Both must be page-aligned. Newly
-  // mapped pages are the shared zero page. By default overlapping an
-  // existing mapping is an error; pass MapMode::kFixed to replace pages
-  // (the replacement reads as zeros, like mmap(MAP_FIXED) over old
-  // memory).
-  Status Map(uint64_t addr, uint64_t len, uint8_t perms,
-             MapMode mode = MapMode::kNoReplace);
+  // mapped pages are the shared zero page. Overlapping an existing
+  // mapping is an error and maps nothing.
+  Status Map(uint64_t addr, uint64_t len, uint8_t perms);
 
   // Unmaps [addr, addr+len); unmapped holes are ignored.
   Status Unmap(uint64_t addr, uint64_t len);
-
-  // Changes permissions on already-mapped pages. Fails without side
-  // effects if any page of the range is unmapped.
-  Status Protect(uint64_t addr, uint64_t len, uint8_t perms);
 
   // True if every page of [addr, addr+len) is mapped with all `perms` bits.
   // An empty range is vacuously true; a range wrapping 2^64 is false.
@@ -149,21 +136,15 @@ class AddressSpace {
   // place, and unmapped pages stay unmapped.
   void HostZero(uint64_t addr, uint64_t len);
 
-  // Copies all mappings into `child` copy-on-write (both spaces then share
-  // page contents until one writes). Used by fork.
-  void CloneInto(AddressSpace* child) const;
-
-  // Duplicates the pages in [src, src+len) at dst (copy-on-write), used to
-  // place a forked child at a new sandbox base within the same space.
-  Status ShareRange(uint64_t src, uint64_t dst, uint64_t len);
-
   // Snapshot support (src/snapshot/, docs/SNAPSHOTS.md). ExportPage hands
   // out shared ownership of the page's payload plus its perms (nullptr if
   // unmapped): a capture is one shared_ptr copy per page. The Machine's
   // decode cache pins the exec payloads it decoded the same way, which
   // keeps decoded bytes immutable. InstallPage maps `addr`'s page sharing
   // `data` copy-on-write (replacing any existing page); it bumps the
-  // mutation generation when the old or the new page is executable.
+  // mutation generation when the old or the new page is executable. The
+  // two together are how pages are shared between slots (fork, spawn)
+  // and how a page's perms change.
   // PagePayload is the raw observer used for dirty detection and decode
   // lookup: a page is clean w.r.t. a snapshot iff its payload pointer and
   // perms still match the captured ones.
@@ -183,7 +164,7 @@ class AddressSpace {
 
   // Monotonic counter of events that can invalidate a cached raw page
   // payload pointer: mapping/permission changes, payload replacement
-  // (COW), and sharing-state changes (ExportPage/CloneInto make a cached
+  // (COW), and sharing-state changes (ExportPage makes a cached
   // *writable* pointer unsafe, because the next write must copy first).
   // The Machine's data TLB revalidates against this on every access.
   // (In-place byte writes don't bump it: a cached pointer then still
@@ -234,12 +215,12 @@ class AddressSpace {
   std::unordered_map<uint64_t, Page> pages_;  // keyed by addr / kPageSize
   // Page numbers currently mapped executable. Lets the write fast path
   // skip the generation bump entirely when no exec pages exist, and lets
-  // Protect detect exec transitions.
+  // InstallPage detect exec transitions.
   std::unordered_set<uint64_t> exec_pages_;
   uint64_t generation_ = 0;
-  // See payload_epoch(). Mutable because const operations can change
-  // sharing state (ExportPage, CloneInto's parent side): they don't alter
-  // this space's contents, but they do invalidate cached rw pointers.
+  // See payload_epoch(). Mutable because a const operation can change
+  // sharing state (ExportPage): it doesn't alter this space's contents,
+  // but it does invalidate cached rw pointers.
   mutable uint64_t payload_epoch_ = 0;
 };
 

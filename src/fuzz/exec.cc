@@ -75,9 +75,9 @@ bool SlotInvariantChecker::OnInst(const Inst& inst, uint64_t pc,
   if ((after.x[22] >> 32) != 0) {
     return Fail(pc, inst, "x22 holds a 64-bit value: " + Hex(after.x[22]));
   }
-  if (!(after.sp >= cfg_.base - cfg_.guard_bytes - cfg_.sp_slack &&
+  if (!(after.sp >= cfg_.base - cfg_.guard_bytes - kSpSlack &&
         after.sp <
-            cfg_.base + (uint64_t{1} << 32) + cfg_.guard_bytes + cfg_.sp_slack)) {
+            cfg_.base + (uint64_t{1} << 32) + cfg_.guard_bytes + kSpSlack)) {
     return Fail(pc, inst, "sp left the slot+slack window: " + Hex(after.sp));
   }
   if (!LoadsLink(inst) && !InSlot(after.x[30]) && !InRuntime(after.x[30])) {

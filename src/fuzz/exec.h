@@ -45,11 +45,11 @@ class SlotInvariantChecker : public emu::ExecHook {
     uint64_t guard_bytes = 48 * 1024;
     uint64_t rt_base = 0;       // runtime-entry region
     uint64_t rt_len = 0;
-    // Slack around the slot for sp: the verifier admits one small
-    // (<1KiB) adjustment or a +-256B writeback between proving accesses,
-    // so sp may transiently sit that far outside the window.
-    uint64_t sp_slack = 4096;
   };
+  // Slack around the slot for sp: the verifier admits one small (<1KiB)
+  // adjustment or a +-256B writeback between proving accesses, so sp may
+  // transiently sit that far outside the window.
+  static constexpr uint64_t kSpSlack = 4096;
 
   explicit SlotInvariantChecker(const Config& cfg) : cfg_(cfg) {}
 

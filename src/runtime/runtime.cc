@@ -363,8 +363,7 @@ Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
 
   const uint64_t pages = snap->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kElfLoad,
-                         cfg_.elf_load_base_cycles +
-                             cfg_.elf_load_page_cycles * pages,
+                         kElfLoadBaseCycles + kElfLoadPageCycles * pages,
                          pages, 0, 0};
   const int pid = (*p)->pid;
   procs_[pid] = std::move(*p);
@@ -610,8 +609,8 @@ Result<int> Runtime::SpawnFromSnapshot(
 
   const uint64_t pages = (*p)->snapshot->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kSnapshotSpawn,
-                         cfg_.snapshot_spawn_base_cycles +
-                             cfg_.snapshot_spawn_page_cycles * pages,
+                         kSnapshotSpawnBaseCycles +
+                             kSnapshotSpawnPageCycles * pages,
                          pages, 0, 0};
   const int pid = (*p)->pid;
   procs_[pid] = std::move(*p);
@@ -713,9 +712,9 @@ Status Runtime::RestoreFromSnapshot(int pid, const snapshot::Snapshot& snap) {
   }
   p->fds = RestoreFds(snap.fds);
 
-  stats.cycles = cfg_.snapshot_restore_base_cycles +
-                 cfg_.snapshot_restore_page_cycles *
-                     (stats.dirty_pages + stats.unmapped_pages);
+  stats.cycles =
+      kSnapshotRestoreBaseCycles +
+      kSnapshotRestorePageCycles * (stats.dirty_pages + stats.unmapped_pages);
   last_instantiation_ = stats;
   if (sink_ != nullptr) {
     trace::Metrics& m = sink_->metrics(p->pid);
@@ -768,7 +767,7 @@ bool Runtime::TryUnblock(Proc* p) {
             (void)space_.HostWrite(Canon(p, p->block_buf), bytes);
           }
           p->cpu.x[0] = static_cast<uint64_t>(child_pid);
-          ReapChild(p, c);
+          Retire(c);
           p->state = ProcState::kReady;
           return true;
         }
@@ -814,8 +813,8 @@ Proc* Runtime::PickNext() {
 
 void Runtime::SwitchTo(Proc* p, bool fast) {
   if (current_pid_ != p->pid && current_pid_ != 0) {
-    machine_.timing().ChargeFlat(fast ? cfg_.fast_yield_cycles
-                                      : cfg_.context_switch_cycles);
+    machine_.timing().ChargeFlat(fast ? kFastYieldCycles
+                                      : kContextSwitchCycles);
     if (sink_ != nullptr) {
       sink_->metrics(p->pid).Add(fast ? trace::Counter::kFastYields
                                       : trace::Counter::kContextSwitches);
@@ -829,7 +828,7 @@ void Runtime::SwitchTo(Proc* p, bool fast) {
     // SCXTNUM_EL0 write on the domain crossing (Section 7.1).
     machine_.timing().predictor().SetContext(
         static_cast<uint32_t>(p->pid));
-    machine_.timing().ChargeFlat(cfg_.scxtnum_write_cycles);
+    machine_.timing().ChargeFlat(kScxtnumWriteCycles);
   }
   machine_.state() = p->cpu;
   current_pid_ = p->pid;
@@ -849,28 +848,7 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
     if (p == nullptr) break;
     SwitchTo(p, fast_switch);
     fast_switch = false;
-    trace::ExecCounters ctr_before;
-    uint64_t slice_start = 0;
-    if (sink_ != nullptr) {
-      ctr_before = exec_counters_;
-      slice_start = Cycles();
-    }
-    uint64_t slice_insts = cfg_.timeslice_insts;
-    if (chaos_ != nullptr) {
-      chaos_->BeginSlice(p->pid);
-      slice_insts = chaos_->PerturbTimeslice(slice_insts);
-    }
-    const uint64_t cyc0 = Cycles();
-    const uint64_t ret0 = machine_.timing().Retired();
-    const auto stop = machine_.Run(slice_insts);
-    p->cpu = machine_.state();
-    // Per-proc execution accounting (always on; basis for the cpu-quota
-    // watchdog and the containment tests). Runtime-call service time is
-    // charged to the shared clock, not the sandbox.
-    p->cpu_cycles += Cycles() - cyc0;
-    p->insts_retired += machine_.timing().Retired() - ret0;
-    if (sink_ != nullptr) AttributeSlice(p, ctr_before, slice_start, stop);
-    switch (stop) {
+    switch (RunSlice(p, cfg_.timeslice_insts)) {
       case emu::StopReason::kRuntimeEntry: {
         const uint64_t entry = p->cpu.pc;
         HandleRuntimeEntry(p);
@@ -889,20 +867,12 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
         Enqueue(p->pid);
         break;
       case emu::StopReason::kFault:
-        supervisor_.HandleFault(p, machine_.fault(), /*injected=*/false);
-        break;
       case emu::StopReason::kBrk:
         supervisor_.HandleFault(p, machine_.fault(), /*injected=*/false);
         break;
       case emu::StopReason::kHookStop: {
         emu::CpuFault injected;
-        if (chaos_ != nullptr && chaos_->TakePendingFault(&injected)) {
-          if (sink_ != nullptr) {
-            sink_->metrics(p->pid).Add(trace::Counter::kChaosInjections);
-            sink_->EmitInstant(trace::EventKind::kChaosInject, p->pid,
-                               Cycles(),
-                               static_cast<uint64_t>(injected.kind), 0);
-          }
+        if (TakeInjectedFault(p, &injected)) {
           supervisor_.HandleFault(p, injected, /*injected=*/true);
         } else {
           // Some other hook (e.g. a debugger) stopped the machine; just
@@ -919,6 +889,36 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
     }
   }
   return static_cast<int>(live_procs());
+}
+
+emu::StopReason Runtime::RunSlice(Proc* p, uint64_t budget) {
+  if (chaos_ != nullptr) {
+    chaos_->BeginSlice(p->pid);
+    budget = chaos_->PerturbTimeslice(budget);
+  }
+  trace::ExecCounters ctr_before;
+  if (sink_ != nullptr) ctr_before = exec_counters_;
+  const uint64_t cyc0 = Cycles();
+  const uint64_t ret0 = machine_.timing().Retired();
+  const auto stop = machine_.Run(budget);
+  p->cpu = machine_.state();
+  // Per-proc execution accounting (always on; basis for the cpu-quota
+  // watchdog and the containment tests). Runtime-call service time is
+  // charged to the shared clock, not the sandbox.
+  p->cpu_cycles += Cycles() - cyc0;
+  p->insts_retired += machine_.timing().Retired() - ret0;
+  if (sink_ != nullptr) AttributeSlice(p, ctr_before, cyc0, stop);
+  return stop;
+}
+
+bool Runtime::TakeInjectedFault(Proc* p, emu::CpuFault* fault) {
+  if (chaos_ == nullptr || !chaos_->TakePendingFault(fault)) return false;
+  if (sink_ != nullptr) {
+    sink_->metrics(p->pid).Add(trace::Counter::kChaosInjections);
+    sink_->EmitInstant(trace::EventKind::kChaosInject, p->pid, Cycles(),
+                       static_cast<uint64_t>(fault->kind), 0);
+  }
+  return true;
 }
 
 void Runtime::AttributeSlice(Proc* p, const trace::ExecCounters& before,
@@ -968,7 +968,7 @@ Status Runtime::BeginEmbed(int pid) {
   }
   DequeuePid(pid);
   // Parked procs are never enqueued by Activate-less paths, and every
-  // Enqueue a runtime call performs inside DriveEmbedded is immediately
+  // Enqueue a runtime call performs inside RunEmbedded is immediately
   // undone there — the scheduler never sees an embedded sandbox.
   p->parked = true;
   // Faults and exits must keep the slot mapped so the embed layer can
@@ -1026,19 +1026,13 @@ Runtime::EmbedStop Runtime::RunEmbedded(int pid, const emu::CpuState& enter,
               // trace identically whether init happened before or after
               // an unrelated sandbox's work)
     case EmbedEnter::kCall:
-      machine_.timing().ChargeFlat(cfg_.embed_call_cycles);
+      machine_.timing().ChargeFlat(kEmbedCallCycles);
       break;
     case EmbedEnter::kResume:
-      machine_.timing().ChargeFlat(cfg_.embed_hostcall_ret_cycles);
+      machine_.timing().ChargeFlat(kEmbedHostcallRetCycles);
       break;
   }
-  return DriveEmbedded(p, expected_cookie, fuel,
-                       how == EmbedEnter::kInit);
-}
-
-Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
-                                          uint64_t fuel, bool init) {
-  EmbedStop out;
+  const bool init = how == EmbedEnter::kInit;
   const uint64_t start_retired = machine_.timing().Retired();
   machine_.state() = p->cpu;
   current_pid_ = p->pid;
@@ -1053,34 +1047,23 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
       m.AddSyscall(static_cast<int>(call));
     }
   };
+  // Every failure kills p fail-closed (retain_on_exit keeps the slot for
+  // Recycle) and reports the kill's detail.
+  auto fail = [&](EmbedStop::Kind kind, const std::string& why, int signo) {
+    KillProc(p, why, signo);
+    out.kind = kind;
+    out.detail = p->fault_detail;
+    return out;
+  };
   while (true) {
     const uint64_t used = machine_.timing().Retired() - start_retired;
     if (used >= fuel) {
-      KillProc(p, "embedded call exhausted its fuel (" +
-                   std::to_string(fuel) + " insts)", kSigXcpu);
-      out.kind = EmbedStop::Kind::kFuel;
-      out.detail = p->fault_detail;
-      return out;
+      return fail(EmbedStop::Kind::kFuel,
+                  "embedded call exhausted its fuel (" + std::to_string(fuel) +
+                      " insts)",
+                  kSigXcpu);
     }
-    uint64_t slice = std::min(cfg_.timeslice_insts, fuel - used);
-    if (chaos_ != nullptr) {
-      chaos_->BeginSlice(p->pid);
-      slice = chaos_->PerturbTimeslice(slice);
-    }
-    trace::ExecCounters ctr_before;
-    uint64_t slice_start = 0;
-    if (sink_ != nullptr) {
-      ctr_before = exec_counters_;
-      slice_start = Cycles();
-    }
-    const uint64_t cyc0 = Cycles();
-    const uint64_t ret0 = machine_.timing().Retired();
-    const auto stop = machine_.Run(slice);
-    p->cpu = machine_.state();
-    p->cpu_cycles += Cycles() - cyc0;
-    p->insts_retired += machine_.timing().Retired() - ret0;
-    if (sink_ != nullptr) AttributeSlice(p, ctr_before, slice_start, stop);
-    switch (stop) {
+    switch (RunSlice(p, std::min(cfg_.timeslice_insts, fuel - used))) {
       case emu::StopReason::kInstLimit:
         // No preemption here: the embedded call owns the machine until it
         // completes or burns its fuel.
@@ -1090,12 +1073,10 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
             (p->cpu.pc - kRuntimeEntryBase) / kRuntimeEntryGranule);
         if (call == static_cast<int>(Rtcall::kHostcall)) {
           tally(Rtcall::kHostcall);
-          machine_.timing().ChargeFlat(cfg_.embed_hostcall_cycles);
+          machine_.timing().ChargeFlat(kEmbedHostcallCycles);
           if (init) {
-            KillProc(p, "hostcall before embed-ready", kSigSys);
-            out.kind = EmbedStop::Kind::kProtocol;
-            out.detail = p->fault_detail;
-            return out;
+            return fail(EmbedStop::Kind::kProtocol,
+                        "hostcall before embed-ready", kSigSys);
           }
           out.kind = EmbedStop::Kind::kHostcall;
           out.hostcall_index = static_cast<int>(p->cpu.x[9]);
@@ -1107,21 +1088,17 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
         }
         if (call == static_cast<int>(Rtcall::kCallRet)) {
           tally(Rtcall::kCallRet);
-          machine_.timing().ChargeFlat(cfg_.embed_ret_cycles);
+          machine_.timing().ChargeFlat(kEmbedRetCycles);
           if (init) {
-            KillProc(p, "embedded-call return before embed-ready", kSigSys);
-            out.kind = EmbedStop::Kind::kProtocol;
-            out.detail = p->fault_detail;
-            return out;
+            return fail(EmbedStop::Kind::kProtocol,
+                        "embedded-call return before embed-ready", kSigSys);
           }
           if (p->cpu.x[9] != expected_cookie) {
             // A real return arrives through the ret stub, which moves the
             // x19 cookie the host planted at entry into x9. Anything else
             // is a forged or replayed return frame.
-            KillProc(p, "forged embedded-call return (bad cookie)", kSigSys);
-            out.kind = EmbedStop::Kind::kForged;
-            out.detail = p->fault_detail;
-            return out;
+            return fail(EmbedStop::Kind::kForged,
+                        "forged embedded-call return (bad cookie)", kSigSys);
           }
           out.kind = EmbedStop::Kind::kReturned;
           out.x0 = p->cpu.x[0];
@@ -1131,10 +1108,8 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
         if (call == static_cast<int>(Rtcall::kEmbedReady)) {
           tally(Rtcall::kEmbedReady);
           if (!init) {
-            KillProc(p, "embed-ready during an embedded call", kSigSys);
-            out.kind = EmbedStop::Kind::kProtocol;
-            out.detail = p->fault_detail;
-            return out;
+            return fail(EmbedStop::Kind::kProtocol,
+                        "embed-ready during an embedded call", kSigSys);
           }
           out.kind = EmbedStop::Kind::kReady;
           out.x0 = p->cpu.x[0];
@@ -1165,10 +1140,8 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
         }
         // Blocked on I/O: no scheduler runs during an embedded call, so
         // nothing can ever complete it. Fail closed.
-        KillProc(p, "guest blocked during an embedded call", kSigSys);
-        out.kind = EmbedStop::Kind::kBlocked;
-        out.detail = p->fault_detail;
-        return out;
+        return fail(EmbedStop::Kind::kBlocked,
+                    "guest blocked during an embedded call", kSigSys);
       }
       case emu::StopReason::kFault:
       case emu::StopReason::kBrk: {
@@ -1176,37 +1149,24 @@ Runtime::EmbedStop Runtime::DriveEmbedded(Proc* p, uint64_t expected_cookie,
         // suspended inside Call(), so the only sound resolution is to
         // unwind to it. The slot survives (retain_on_exit) for Recycle.
         const emu::CpuFault& f = machine_.fault();
-        KillProc(p, f.detail + " pc=" + std::to_string(f.pc) +
-                     " (during embedded call)", FaultSignal(f.kind));
-        out.kind = EmbedStop::Kind::kFault;
-        out.detail = p->fault_detail;
-        return out;
+        return fail(EmbedStop::Kind::kFault,
+                    f.detail + " pc=" + std::to_string(f.pc) +
+                        " (during embedded call)",
+                    FaultSignal(f.kind));
       }
       case emu::StopReason::kHookStop: {
         emu::CpuFault injected;
-        if (chaos_ != nullptr && chaos_->TakePendingFault(&injected)) {
-          if (sink_ != nullptr) {
-            sink_->metrics(p->pid).Add(trace::Counter::kChaosInjections);
-            sink_->EmitInstant(trace::EventKind::kChaosInject, p->pid,
-                               Cycles(),
-                               static_cast<uint64_t>(injected.kind), 0);
-          }
+        if (TakeInjectedFault(p, &injected)) {
           p->fault_injected = true;
-          KillProc(p, injected.detail + " pc=" +
-                       std::to_string(injected.pc) +
-                       " [chaos] (during embedded call)",
-                   FaultSignal(injected.kind));
-          p->fault_injected = true;
-          out.kind = EmbedStop::Kind::kFault;
-          out.detail = p->fault_detail;
-          return out;
+          return fail(EmbedStop::Kind::kFault,
+                      injected.detail + " pc=" + std::to_string(injected.pc) +
+                          " [chaos] (during embedded call)",
+                      FaultSignal(injected.kind));
         }
         // Some other hook (invariant checker, debugger) stopped the
         // machine; treat it as a fatal condition for this call.
-        KillProc(p, "exec hook stopped the embedded call", kSigKill);
-        out.kind = EmbedStop::Kind::kFault;
-        out.detail = p->fault_detail;
-        return out;
+        return fail(EmbedStop::Kind::kFault,
+                    "exec hook stopped the embedded call", kSigKill);
       }
     }
   }
@@ -1227,8 +1187,8 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
   // program loaded its entry point statically from the call table, so the
   // runtime needs no dispatch work (Section 4.4's "fast direct yield").
   machine_.timing().ChargeFlat(call == static_cast<int>(Rtcall::kYieldTo)
-                                   ? cfg_.rtcall_base_cycles / 4
-                                   : cfg_.rtcall_base_cycles);
+                                   ? kRtcallBaseCycles / 4
+                                   : kRtcallBaseCycles);
   const uint64_t ret = p->cpu.x[30];
   // Return address must be a sandbox address (blr wrote pc+4); paranoia
   // check since the runtime is trusted but the value flows from the
@@ -1258,7 +1218,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
         sink_->Emit(trace::EventKind::kSyscall, p->pid, sys_enter, Cycles(),
                     static_cast<uint64_t>(call), 0);
       }
-      DoExit(p, static_cast<int>(p->cpu.x[0]));
+      DoExit(p, ExitKind::kExited, static_cast<int>(p->cpu.x[0]));
       return;
     case Rtcall::kWrite:
       r = SysWrite(p, p->cpu.x[0], p->cpu.x[1], p->cpu.x[2]);
@@ -1362,7 +1322,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
       return;
     case Rtcall::kHostcall:
       // The embed transition rtcalls only mean something while the host
-      // is driving an embedded call (DriveEmbedded intercepts them before
+      // is driving an embedded call (RunEmbedded intercepts them before
       // this dispatcher runs); a *scheduled* sandbox issuing one is
       // confused or hostile. Each dies with its own distinct message.
       KillProc(p, "hostcall outside an embedded call", kSigSys);
@@ -1394,13 +1354,8 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
   }
 }
 
-void Runtime::ReapChild(Proc* parent, Proc* child) {
-  Retire(child);
-  (void)parent;
-}
-
-void Runtime::DoExit(Proc* p, int status) {
-  p->exit_kind = ExitKind::kExited;
+void Runtime::DoExit(Proc* p, ExitKind kind, int status) {
+  p->exit_kind = kind;
   p->exit_status = status;
   if (sink_ != nullptr) {
     sink_->EmitInstant(trace::EventKind::kProcExit, p->pid, Cycles(),
@@ -1413,7 +1368,7 @@ void Runtime::DoExit(Proc* p, int status) {
   // Orphan our children onto nobody; auto-reap zombies among them.
   for (int child_pid : p->children) {
     Proc* c = proc(child_pid);
-    if (c != nullptr && c->state == ProcState::kZombie) ReapChild(p, c);
+    if (c != nullptr && c->state == ProcState::kZombie) Retire(c);
     if (c != nullptr && c->state != ProcState::kDead) c->ppid = 0;
   }
   Proc* parent = proc(p->ppid);
@@ -1435,10 +1390,7 @@ void Runtime::KillProc(Proc* p, const std::string& why, int signo) {
     sink_->metrics(p->pid).Add(trace::Counter::kFaults);
     sink_->EmitInstant(trace::EventKind::kFault, p->pid, Cycles());
   }
-  p->exit_kind = ExitKind::kKilled;
-  p->exit_status = -1;
-  DoExit(p, -1);
-  p->exit_kind = ExitKind::kKilled;
+  DoExit(p, ExitKind::kKilled, -1);
 }
 
 void Runtime::NoteLimit(Proc* p, LimitKind kind, uint64_t observed) {

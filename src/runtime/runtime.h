@@ -88,7 +88,6 @@ struct Proc {
   uint32_t restarts = 0;          // restarts in the current crash window
                                   // (decays after a healthy run; see
                                   // SupervisorPolicy::restart_reset_after_cycles)
-  uint32_t total_restarts = 0;    // lifetime restarts, never reset
   uint64_t cpu_cycles = 0;        // cycles spent executing in the sandbox
   uint64_t insts_retired = 0;     // instructions retired by the sandbox
   uint64_t mmap_bytes = 0;        // live bytes from SysMmap (limit basis)
@@ -115,6 +114,48 @@ struct Proc {
   std::map<uint64_t, std::pair<uint64_t, uint8_t>> mappings;
 };
 
+// Host-side cycle charges, calibrated to the paper's microbenchmarks
+// (Table 5: syscall ~22ns, pipe ~46ns, yield ~17ns on the M1).
+inline constexpr uint64_t kRtcallBaseCycles = 58;     // runtime entry + exit
+inline constexpr uint64_t kContextSwitchCycles = 48;  // save/restore + pick
+inline constexpr uint64_t kFastYieldCycles = 36;  // callee-saved regs (§5.3)
+// SCXTNUM_EL0 write on a domain crossing under
+// RuntimeConfig::spectre_ctx_isolation (Section 7.1).
+inline constexpr uint64_t kScxtnumWriteCycles = 12;
+// Recovery paths (supervisor.h).
+inline constexpr uint64_t kSignalDeliverCycles = 180;  // frame push + redirect
+inline constexpr uint64_t kSigreturnCycles = 140;  // frame validate + restore
+// Instantiation cost model (docs/SNAPSHOTS.md). An ELF load pays
+// parse/verify/zero/copy work per page; a snapshot spawn pays only
+// refcount + page-table work per page (COW, nothing copied); a snapshot
+// restore pays per page actually touched (dirtied or stray). Load and
+// spawn costs are recorded in last_instantiation() but NOT charged to
+// the shared simulated clock (instantiation happens before the run, and
+// equivalent runs must trace identically); in-run restarts charge
+// theirs via the supervisor.
+inline constexpr uint64_t kElfLoadBaseCycles = 6000;
+inline constexpr uint64_t kElfLoadPageCycles = 140;
+inline constexpr uint64_t kSnapshotSpawnBaseCycles = 400;
+inline constexpr uint64_t kSnapshotSpawnPageCycles = 12;
+inline constexpr uint64_t kSnapshotRestoreBaseCycles = 120;
+inline constexpr uint64_t kSnapshotRestorePageCycles = 25;
+// Embedded-call transition costs (src/embed/, docs/EMBEDDING.md). A
+// typed host->guest call is cheaper than a general runtime call: no
+// dispatch table walk, no fd work, no scheduler — the host writes the
+// argument registers directly and enters, and the return restores only
+// callee-saved state, like the fast direct yield ("Isolation Without
+// Taxation"'s springboard argument). One full call round-trip
+// (entry + return) therefore costs about one kFastYieldCycles.
+inline constexpr uint64_t kEmbedCallCycles = 22;         // host -> guest entry
+inline constexpr uint64_t kEmbedRetCycles = 14;          // guest return to host
+inline constexpr uint64_t kEmbedHostcallCycles = 22;     // guest -> host entry
+inline constexpr uint64_t kEmbedHostcallRetCycles = 14;  // resume into guest
+// Marshalled-buffer copy bandwidth (BufIn/BufOut scratch and Shm host
+// views): modeled as a streaming memcpy. Charged per copy direction so
+// per-call marshalling visibly costs more than an amortized shared
+// mapping (bench_transitions measures the gap).
+inline constexpr uint64_t kEmbedCopyBytesPerCycle = 16;
+
 struct RuntimeConfig {
   arch::CoreParams core;
   verifier::VerifyOptions verify;
@@ -125,53 +166,15 @@ struct RuntimeConfig {
   // testing.
   emu::Dispatch dispatch = emu::Dispatch::kChained;
   uint64_t timeslice_insts = 100000;  // preemption quantum (alarm period)
-  // Host-side cycle charges, calibrated to the paper's microbenchmarks
-  // (Table 5: syscall ~22ns, pipe ~46ns, yield ~17ns on the M1).
-  uint64_t rtcall_base_cycles = 58;       // runtime entry + exit
-  uint64_t context_switch_cycles = 48;    // save/restore + scheduler pick
-  uint64_t fast_yield_cycles = 36;        // callee-saved regs only (§5.3)
   // Section 7.1 Spectre hardening: assign each sandbox its own software
   // context number (modelling FEAT_CSV2_2 / SCXTNUM_EL0), so sandboxes
   // cannot train each other's branch predictions (cross-sandbox
   // poisoning). Writing the context register on every domain crossing
-  // costs `scxtnum_write_cycles`.
+  // costs kScxtnumWriteCycles.
   bool spectre_ctx_isolation = false;
-  uint64_t scxtnum_write_cycles = 12;
   // Fault policy applied to every loaded sandbox (overridable per pid via
-  // Runtime::set_policy) and the cycle charges of the recovery paths.
+  // Runtime::set_policy).
   SupervisorPolicy default_policy;
-  uint64_t signal_deliver_cycles = 180;  // frame push + redirect
-  uint64_t sigreturn_cycles = 140;       // frame validate + restore
-  // Instantiation cost model (docs/SNAPSHOTS.md). An ELF load pays
-  // parse/verify/zero/copy work per page; a snapshot spawn pays only
-  // refcount + page-table work per page (COW, nothing copied); a snapshot
-  // restore pays per page actually touched (dirtied or stray). Load and
-  // spawn costs are recorded in last_instantiation() but NOT charged to
-  // the shared simulated clock (instantiation happens before the run, and
-  // equivalent runs must trace identically); in-run restarts charge
-  // theirs via the supervisor.
-  uint64_t elf_load_base_cycles = 6000;
-  uint64_t elf_load_page_cycles = 140;
-  uint64_t snapshot_spawn_base_cycles = 400;
-  uint64_t snapshot_spawn_page_cycles = 12;
-  uint64_t snapshot_restore_base_cycles = 120;
-  uint64_t snapshot_restore_page_cycles = 25;
-  // Embedded-call transition costs (src/embed/, docs/EMBEDDING.md). A
-  // typed host->guest call is cheaper than a general runtime call: no
-  // dispatch table walk, no fd work, no scheduler — the host writes the
-  // argument registers directly and enters, and the return restores only
-  // callee-saved state, like the fast direct yield ("Isolation Without
-  // Taxation"'s springboard argument). One full call round-trip
-  // (entry + return) therefore costs about one fast_yield_cycles.
-  uint64_t embed_call_cycles = 22;          // host -> guest entry
-  uint64_t embed_ret_cycles = 14;           // guest return to the host
-  uint64_t embed_hostcall_cycles = 22;      // guest -> host callback entry
-  uint64_t embed_hostcall_ret_cycles = 14;  // callback resume into guest
-  // Marshalled-buffer copy bandwidth (BufIn/BufOut scratch and Shm host
-  // views): modeled as a streaming memcpy. Charged per copy direction so
-  // per-call marshalling visibly costs more than an amortized shared
-  // mapping (bench_transitions measures the gap).
-  uint64_t embed_copy_bytes_per_cycle = 16;
 };
 
 // What the most recent instantiation (Load / SpawnFromSnapshot /
@@ -215,7 +218,7 @@ class Runtime {
   // writes), rebases the register file, and rehydrates the fd table. A
   // snapshot that fails the slot bounds check leaves the slot count and
   // the address space unchanged.
-  // Costs no simulated cycles (see RuntimeConfig's cost-model comment);
+  // Costs no simulated cycles (see the instantiation cost model above);
   // the modeled cost lands in last_instantiation(). With start == false
   // the proc is created parked (not enqueued) — the spawn pool's warm
   // state — and runs once Activate() is called.
@@ -312,8 +315,8 @@ class Runtime {
   enum class EmbedEnter : uint8_t {
     kInit,    // initial run to the embed-ready rtcall (uncharged, like
               // instantiation)
-    kCall,    // fresh host->guest call (embed_call_cycles)
-    kResume,  // resuming after a hostcall (embed_hostcall_ret_cycles)
+    kCall,    // fresh host->guest call (kEmbedCallCycles)
+    kResume,  // resuming after a hostcall (kEmbedHostcallRetCycles)
   };
 
   // Detaches pid from the scheduler for embedded use: dequeues it, parks
@@ -344,8 +347,8 @@ class Runtime {
   // bandwidth.
   void ChargeEmbedCopy(uint64_t bytes) {
     if (bytes == 0) return;
-    const uint64_t bpc = cfg_.embed_copy_bytes_per_cycle;
-    machine_.timing().ChargeFlat(bpc == 0 ? 0 : (bytes + bpc - 1) / bpc);
+    machine_.timing().ChargeFlat((bytes + kEmbedCopyBytesPerCycle - 1) /
+                                 kEmbedCopyBytesPerCycle);
   }
 
   Proc* proc(int pid);
@@ -433,9 +436,14 @@ class Runtime {
   void DequeuePid(int pid);
   bool TryUnblock(Proc* p);
 
-  // Embedded-call drive loop (RunEmbedded's body after state install).
-  EmbedStop DriveEmbedded(Proc* p, uint64_t expected_cookie, uint64_t fuel,
-                          bool init);
+  // Runs p, whose state is loaded into the machine, for one timeslice of
+  // at most `budget` instructions (chaos may shorten it), then saves its
+  // registers and charges the slice to its cycle and instruction
+  // accounts. With a sink, also attributes the slice (AttributeSlice).
+  emu::StopReason RunSlice(Proc* p, uint64_t budget);
+  // After a kHookStop: hands over the chaos engine's pending fault, if
+  // any, and records the injection (counter + event) against p.
+  bool TakeInjectedFault(Proc* p, emu::CpuFault* fault);
 
   // Adds the machine-counter deltas of the timeslice that just ran to
   // p's metrics and emits its sched-slice event. Only called with sink_
@@ -445,9 +453,8 @@ class Runtime {
 
   // Runtime-call dispatch.
   void HandleRuntimeEntry(Proc* p);
-  void DoExit(Proc* p, int status);
+  void DoExit(Proc* p, ExitKind kind, int status);
   void KillProc(Proc* p, const std::string& why, int signo = kSigKill);
-  void ReapChild(Proc* parent, Proc* child);
   // Records a graceful limit rejection (counter + event).
   void NoteLimit(Proc* p, LimitKind kind, uint64_t observed);
   // True when `fd` may not be allocated under p's fd-table cap.

@@ -142,7 +142,7 @@ bool Supervisor::DeliverSignal(Proc* p, const emu::CpuFault& f, int signo,
   p->cpu.x[1] = frame;
   p->cpu.sp = frame;
   p->cpu.pc = handler;
-  rt_->machine_.timing().ChargeFlat(rt_->cfg_.signal_deliver_cycles);
+  rt_->machine_.timing().ChargeFlat(kSignalDeliverCycles);
   rt_->Enqueue(p->pid);
   if (rt_->sink_ != nullptr) {
     rt_->sink_->metrics(p->pid).Add(trace::Counter::kSignalsDelivered);
@@ -167,7 +167,6 @@ bool Supervisor::Restart(Proc* p) {
   }
   if (p->restarts >= p->policy.restart_budget) return false;
   ++p->restarts;
-  ++p->total_restarts;
 
   // Capped exponential backoff, charged to the shared clock: a crash-
   // looping sandbox pays, siblings merely observe later timestamps.
@@ -267,7 +266,7 @@ void Supervisor::SysSigreturn(Proc* p, uint64_t frame_ptr) {
   p->sig.in_handler = false;
   p->sig.cookie = 0;
   p->sig.frame_addr = 0;
-  rt_->machine_.timing().ChargeFlat(rt_->cfg_.sigreturn_cycles);
+  rt_->machine_.timing().ChargeFlat(kSigreturnCycles);
   if (rt_->sink_ != nullptr) {
     rt_->sink_->metrics(p->pid).Add(trace::Counter::kSigreturns);
     rt_->sink_->EmitInstant(trace::EventKind::kSigreturn, p->pid,

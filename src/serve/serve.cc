@@ -153,6 +153,10 @@ void TrafficGen::OnComplete(const Request& r, uint64_t now) {
 
 // ---- ValidateServeConfig ----
 
+static_assert(kRetryJitterPercent < 100, "retry jitter must be < 100%");
+static_assert(kDegradeRecoverPercent >= 1 && kDegradeRecoverPercent <= 100,
+              "degrade recovery must be in [1,100]%");
+
 bool ValidateServeConfig(const ServeConfig& cfg, std::string* err) {
   auto fail = [err](const std::string& m) {
     if (err != nullptr) *err = m;
@@ -220,9 +224,6 @@ bool ValidateServeConfig(const ServeConfig& cfg, std::string* err) {
     if (cfg.retry.backoff_base_cycles > cfg.retry.backoff_cap_cycles) {
       return fail("retry.backoff_base_cycles exceeds backoff_cap_cycles");
     }
-    if (cfg.retry.jitter_percent >= 100) {
-      return fail("retry.jitter_percent must be < 100");
-    }
   }
   if (cfg.breaker.failure_threshold > 0) {
     if (cfg.breaker.open_cycles == 0) {
@@ -241,9 +242,6 @@ bool ValidateServeConfig(const ServeConfig& cfg, std::string* err) {
         cfg.degrade.no_retry_depth >= cfg.degrade.fast_fail_depth) {
       return fail("degrade ladder thresholds must be strictly increasing "
                   "(0 < shed_tier_depth < no_retry_depth < fast_fail_depth)");
-    }
-    if (cfg.degrade.recover_percent == 0 || cfg.degrade.recover_percent > 100) {
-      return fail("degrade.recover_percent must be in [1,100]");
     }
   }
   return true;
@@ -534,7 +532,7 @@ void Server::UpdateDegradation(uint64_t now) {
   // Step back down only once the EWMA has fallen well below the level's
   // entry threshold (hysteresis, so an oscillating backlog cannot flap).
   while (level > 0 && ewma_x256_ < threshold_x256(level) *
-                                       cfg_.degrade.recover_percent / 100) {
+                                       kDegradeRecoverPercent / 100) {
     --level;
   }
   if (level != degrade_level_) {
@@ -683,12 +681,10 @@ uint64_t Server::BackoffFor(uint32_t attempt) {
     backoff <<= 1;
   }
   backoff = std::min(backoff, rc.backoff_cap_cycles);
-  if (rc.jitter_percent > 0) {
-    // +/- jitter_percent, drawn from the dedicated retry stream.
-    const uint64_t factor =
-        100 - rc.jitter_percent + retry_rng_.Below(2 * rc.jitter_percent + 1);
-    backoff = backoff * factor / 100;
-  }
+  // +/- kRetryJitterPercent, drawn from the dedicated retry stream.
+  const uint64_t factor = 100 - kRetryJitterPercent +
+                          retry_rng_.Below(2 * kRetryJitterPercent + 1);
+  backoff = backoff * factor / 100;
   return std::max<uint64_t>(backoff, 1);
 }
 

@@ -181,15 +181,16 @@ struct TenantQuota {
 };
 
 // Deadline-aware retry. A failed attempt re-enqueues with capped
-// exponential backoff (base << attempt, capped) jittered by the seeded
-// stream; the request is given up instead when the backed-off dispatch
-// could not finish before its deadline, the budget is spent, the tenant's
-// breaker is not closed, or the ladder has reached the no-retry level.
+// exponential backoff (base << attempt, capped) jittered by
+// +/- kRetryJitterPercent% from the seeded stream; the request is given
+// up instead when the backed-off dispatch could not finish before its
+// deadline, the budget is spent, the tenant's breaker is not closed, or
+// the ladder has reached the no-retry level.
+inline constexpr uint32_t kRetryJitterPercent = 20;
 struct RetryConfig {
   uint32_t budget = 0;                   // retries per request (0 = off)
   uint64_t backoff_base_cycles = 20000;  // doubles per attempt
   uint64_t backoff_cap_cycles = 1000000;
-  uint32_t jitter_percent = 20;          // +/- applied from the seed stream
 };
 
 // Per-tenant circuit breaker: `failure_threshold` consecutive failures
@@ -216,16 +217,16 @@ const char* BreakerStateName(BreakerState s);
 //   2  additionally disable retries
 //   3  fast-fail: shed every arrival
 // A level is entered when the EWMA reaches its threshold and left when
-// the EWMA falls below `recover_percent`% of it (hysteresis, so an
+// the EWMA falls below kDegradeRecoverPercent% of it (hysteresis, so an
 // oscillating backlog does not flap the ladder). Transitions emit
 // kServeDegrade trace events and are counted in the report.
+inline constexpr uint32_t kDegradeRecoverPercent = 50;
 struct DegradeConfig {
   bool enabled = false;
   uint32_t ewma_shift = 4;          // alpha = 1/16 per control-plane step
   uint64_t shed_tier_depth = 48;    // level-1 threshold (EWMA, requests)
   uint64_t no_retry_depth = 96;     // level-2 threshold
   uint64_t fast_fail_depth = 144;   // level-3 threshold
-  uint32_t recover_percent = 50;    // hysteresis for stepping back down
 };
 
 struct ServeConfig {

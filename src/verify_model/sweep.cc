@@ -49,11 +49,10 @@ bool Agree(const Verdict& m, const Verdict& a) {
   return m.kind == a.kind && m.fail_index == a.fail_index;
 }
 
-void Record(SweepResult* res, const SweepOptions& opts, uint32_t w,
-            bool with_suffix, const Verdict& m, const Verdict& a,
-            std::string detail) {
+void Record(SweepResult* res, uint32_t w, bool with_suffix, const Verdict& m,
+            const Verdict& a, std::string detail) {
   ++res->mismatches;
-  if (res->recorded.size() < opts.max_recorded) {
+  if (res->recorded.size() < kMaxRecordedMismatches) {
     res->recorded.push_back({w, with_suffix, m, a, std::move(detail)});
   }
 }
@@ -79,7 +78,6 @@ struct Sampler {
   std::vector<uint32_t>* out;
 
   void Offer(uint32_t w) {
-    if (target == 0) return;
     if (accepted++ % keep_mod == 0) {
       out->push_back(w);
       if (out->size() > target) {
@@ -102,7 +100,7 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
   res.class_name = cls.name;
   res.enumerated = cls.EncodingCount();
 
-  Sampler sampler{opts.sample_per_class, 1, 0, &res.accepted_sample};
+  Sampler sampler{kSamplePerClass, 1, 0, &res.accepted_sample};
   const uint64_t step = opts.stride > 0 ? opts.stride : 1;
 
   const std::span<const arch::EncClassInfo> all = arch::AllEncClasses();
@@ -127,7 +125,7 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
       if (owner_index < cls_index) {
         ++res.shadowed;
       } else {
-        Record(&res, opts, w, false, {}, {},
+        Record(&res, w, false, {}, {},
                "ClassifyWord attributes this word to a later class");
       }
       continue;
@@ -147,7 +145,7 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
     if (opts.model_override) opts.model_override(facts, &model);
     const Verdict actual = ActualBare(w, opts.verify);
     if (!Agree(model, actual)) {
-      Record(&res, opts, w, false, model, actual,
+      Record(&res, w, false, model, actual,
              "bare: model " + VerdictStr(model) + " vs verifier " +
                  VerdictStr(actual));
     }
@@ -171,7 +169,7 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
         if (opts.model_override) opts.model_override(facts, &smodel);
         const Verdict sactual = ActualSeq(words, opts.verify);
         if (!Agree(smodel, sactual)) {
-          Record(&res, opts, w, true, smodel, sactual,
+          Record(&res, w, true, smodel, sactual,
                  "with suffix: model " + VerdictStr(smodel) +
                      " vs verifier " + VerdictStr(sactual));
         }

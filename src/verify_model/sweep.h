@@ -23,18 +23,19 @@
 
 namespace lfi::verify_model {
 
+// How many mismatches to record verbatim per class (counting always
+// continues past this).
+inline constexpr size_t kMaxRecordedMismatches = 16;
+// Target size of the stratified accepted-encoding sample per class (fed
+// to emu cross-validation).
+inline constexpr size_t kSamplePerClass = 48;
+
 struct SweepOptions {
   verifier::VerifyOptions verify;
   // Check every stride-th encoding of each class's enumeration
   // (sanitizer builds dial this up; release sweeps use 1 = every
   // encoding).
   uint64_t stride = 1;
-  // How many mismatches to record verbatim per class (counting always
-  // continues past this).
-  size_t max_recorded = 16;
-  // Target size of the stratified accepted-encoding sample per class
-  // (fed to emu cross-validation).
-  size_t sample_per_class = 48;
   // Meta-test hook: mutates the model's verdict before comparison, to
   // prove the sweep detects a wrong model (seeded-bug test).
   std::function<void(const MFacts&, Verdict*)> model_override;

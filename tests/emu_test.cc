@@ -66,6 +66,29 @@ asmtext::Image AssembleAt(const std::string& src) {
   return *img;
 }
 
+// Re-installs the payloads of [addr, addr+len) with `perms`: how the
+// runtime changes a mapped page's perms.
+Status Reprotect(AddressSpace& as, uint64_t addr, uint64_t len,
+                 uint8_t perms) {
+  for (uint64_t a = addr; a < addr + len; a += kPageSize) {
+    if (auto st = as.InstallPage(a, as.ExportPage(a, nullptr), perms);
+        !st.ok()) {
+      return st;
+    }
+  }
+  return Status::Ok();
+}
+
+// Installs the page at `src` in `from` at `dst` in `to`, sharing its
+// payload copy-on-write and keeping its perms: how fork and spawn share a
+// page between slots.
+Status SharePage(AddressSpace& from, uint64_t src, AddressSpace& to,
+                 uint64_t dst) {
+  uint8_t perms = 0;
+  auto data = from.ExportPage(src, &perms);
+  return to.InstallPage(dst, std::move(data), perms);
+}
+
 TEST(AddressSpace, MapReadWrite) {
   AddressSpace as;
   ASSERT_TRUE(as.Map(0x4000, 0x8000, kPermRead | kPermWrite).ok());
@@ -105,23 +128,12 @@ TEST(AddressSpace, CopyOnWriteSharing) {
   ASSERT_TRUE(a.Map(0x4000, 0x4000, kPermRead | kPermWrite).ok());
   ASSERT_TRUE(a.Write(0x4000, 42, 8).ok());
   AddressSpace b;
-  a.CloneInto(&b);
+  ASSERT_TRUE(SharePage(a, 0x4000, b, 0x4000).ok());
   EXPECT_EQ(*b.Read(0x4000, 8), 42u);
   // Writing in the child must not affect the parent.
   ASSERT_TRUE(b.Write(0x4000, 99, 8).ok());
   EXPECT_EQ(*a.Read(0x4000, 8), 42u);
   EXPECT_EQ(*b.Read(0x4000, 8), 99u);
-}
-
-TEST(AddressSpace, ShareRangePlacesAliasedPages) {
-  AddressSpace a;
-  ASSERT_TRUE(a.Map(0x4000, 0x4000, kPermRead | kPermWrite).ok());
-  ASSERT_TRUE(a.Write(0x4000, 7, 8).ok());
-  ASSERT_TRUE(a.ShareRange(0x4000, 0x40000, 0x4000).ok());
-  EXPECT_EQ(*a.Read(0x40000, 8), 7u);
-  // COW: writing one copy leaves the other intact.
-  ASSERT_TRUE(a.Write(0x40000, 8, 8).ok());
-  EXPECT_EQ(*a.Read(0x4000, 8), 7u);
 }
 
 TEST(AddressSpace, CheckEmptyAndWrappingRanges) {
@@ -135,18 +147,14 @@ TEST(AddressSpace, CheckEmptyAndWrappingRanges) {
   EXPECT_FALSE(as.Check(~uint64_t{0}, 1, kPermRead));
 }
 
-TEST(AddressSpace, MapUnmapProtectRejectWrappingRanges) {
+TEST(AddressSpace, MapAndUnmapRejectWrappingRanges) {
   AddressSpace as;
   const uint64_t top = ~kPageMask;  // last page-aligned address
   EXPECT_FALSE(as.Map(top, 2 * kPageSize, kPermRead).ok());
   EXPECT_FALSE(as.Unmap(top, 2 * kPageSize).ok());
-  EXPECT_FALSE(as.Protect(top, 2 * kPageSize, kPermRead).ok());
-  ASSERT_TRUE(as.Map(0x4000, kPageSize, kPermRead | kPermWrite).ok());
-  EXPECT_FALSE(as.ShareRange(0x4000, top, 2 * kPageSize).ok());
-  EXPECT_FALSE(as.ShareRange(top, 0x40000, 2 * kPageSize).ok());
 }
 
-TEST(AddressSpace, MapRejectsOverlapUnlessFixed) {
+TEST(AddressSpace, MapRejectsOverlap) {
   AddressSpace as;
   ASSERT_TRUE(as.Map(kPageSize, 2 * kPageSize, kPermRead | kPermWrite).ok());
   ASSERT_TRUE(as.Write(kPageSize, 77, 8).ok());
@@ -154,10 +162,9 @@ TEST(AddressSpace, MapRejectsOverlapUnlessFixed) {
   EXPECT_FALSE(as.Map(2 * kPageSize, 2 * kPageSize, kPermRead).ok());
   EXPECT_EQ(*as.Read(kPageSize, 8), 77u);
   EXPECT_FALSE(as.Check(3 * kPageSize, 8, kPermRead));
-  // MAP_FIXED-style replacement succeeds and zero-fills.
-  ASSERT_TRUE(
-      as.Map(kPageSize, kPageSize, kPermRead | kPermWrite, MapMode::kFixed)
-          .ok());
+  // A remap (Unmap, then Map) zero-fills.
+  ASSERT_TRUE(as.Unmap(kPageSize, kPageSize).ok());
+  ASSERT_TRUE(as.Map(kPageSize, kPageSize, kPermRead | kPermWrite).ok());
   EXPECT_EQ(*as.Read(kPageSize, 8), 0u);
 }
 
@@ -165,8 +172,8 @@ TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   AddressSpace as;
   uint64_t g = as.mutation_generation();
   // Nothing an instruction fetch can observe changes while only
-  // non-executable pages are mapped, written, installed, re-protected,
-  // shared or unmapped: none of it may bump the generation.
+  // non-executable pages are mapped, written, zeroed, installed,
+  // re-protected, shared or unmapped: none of it may bump the generation.
   ASSERT_TRUE(as.Map(0x4000, kPageSize, kPermRead | kPermWrite).ok());
   ASSERT_TRUE(as.Write(0x4000, 1, 8).ok());
   uint8_t byte = 0;
@@ -175,14 +182,20 @@ TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   data->fill(0);
   ASSERT_TRUE(as.InstallPage(0x8000, data, kPermRead).ok());
   ASSERT_TRUE(as.InstallPage(0x8000, data, kPermRead | kPermWrite).ok());
-  ASSERT_TRUE(as.Protect(0x8000, kPageSize, kPermRead).ok());
-  ASSERT_TRUE(as.ShareRange(0x4000, 0x10000, kPageSize).ok());
-  ASSERT_TRUE(as.Map(0x10000, kPageSize, kPermRead, MapMode::kFixed).ok());
+  ASSERT_TRUE(Reprotect(as, 0x8000, kPageSize, kPermRead).ok());
+  ASSERT_TRUE(SharePage(as, 0x4000, as, 0x10000).ok());
+  ASSERT_TRUE(as.Unmap(0x10000, kPageSize).ok());
+  ASSERT_TRUE(as.Map(0x10000, kPageSize, kPermRead).ok());
   ASSERT_TRUE(as.Unmap(0x8000, kPageSize).ok());
+  ASSERT_TRUE(as.Write(0x4000, 3, 8).ok());
+  as.HostZero(0x4000, 8);
+  ASSERT_TRUE(as.Write(0x4000, 4, 8).ok());
+  as.HostZero(0x4000, kPageSize);
   EXPECT_EQ(as.mutation_generation(), g);
   // Making the page executable bumps; so does every write to it after.
   ASSERT_TRUE(
-      as.Protect(0x4000, kPageSize, kPermRead | kPermWrite | kPermExec).ok());
+      Reprotect(as, 0x4000, kPageSize, kPermRead | kPermWrite | kPermExec)
+          .ok());
   EXPECT_GT(as.mutation_generation(), g);
   g = as.mutation_generation();
   ASSERT_TRUE(as.Write(0x4000, 2, 8).ok());
@@ -190,8 +203,16 @@ TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   g = as.mutation_generation();
   ASSERT_TRUE(as.HostWrite(0x4000, {&byte, 1}).ok());
   EXPECT_GT(as.mutation_generation(), g);
+  // Zeroing part of an exec page bumps, and so does zeroing all of it.
+  g = as.mutation_generation();
+  as.HostZero(0x4000, 8);
+  EXPECT_GT(as.mutation_generation(), g);
+  g = as.mutation_generation();
+  as.HostZero(0x4000, kPageSize);
+  EXPECT_GT(as.mutation_generation(), g);
   // Mapping, installing, sharing, re-protecting and unmapping exec pages
   // bump, and so does replacing an exec page with a non-exec one.
+  g = as.mutation_generation();
   auto bumps = [&](bool ok) {
     EXPECT_TRUE(ok);
     EXPECT_GT(as.mutation_generation(), g);
@@ -200,10 +221,11 @@ TEST(AddressSpace, MutationGenerationTracksExecRelevantChanges) {
   bumps(as.Map(0x20000, kPageSize, kPermRead | kPermExec).ok());
   bumps(as.InstallPage(0x24000, data, kPermRead | kPermExec).ok());
   bumps(as.InstallPage(0x24000, data, kPermRead).ok());
-  bumps(as.ShareRange(0x20000, 0x30000, kPageSize).ok());
-  bumps(as.Protect(0x30000, kPageSize, kPermRead).ok());
-  bumps(as.Map(0x20000, kPageSize, kPermRead, MapMode::kFixed).ok());
-  bumps(as.Protect(0x20000, kPageSize, kPermRead | kPermExec).ok());
+  bumps(SharePage(as, 0x20000, as, 0x30000).ok());
+  bumps(Reprotect(as, 0x30000, kPageSize, kPermRead).ok());
+  bumps(as.Unmap(0x20000, kPageSize).ok());
+  ASSERT_TRUE(as.Map(0x20000, kPageSize, kPermRead).ok());
+  bumps(Reprotect(as, 0x20000, kPageSize, kPermRead | kPermExec).ok());
   bumps(as.Unmap(0x20000, kPageSize).ok());
 }
 
@@ -227,7 +249,9 @@ TEST(AddressSpace, MapSharesTheZeroPage) {
   for (uint64_t a = 0x40000; a < 0x40000 + 8 * kPageSize; a += kPageSize) {
     EXPECT_EQ(Payload(as, a), Zero());
   }
-  ASSERT_TRUE(as.Map(0x40000, kPageSize, kPermRead, MapMode::kFixed).ok());
+  ASSERT_TRUE(as.Write(0x40000, 1, 8).ok());
+  ASSERT_TRUE(as.Unmap(0x40000, kPageSize).ok());
+  ASSERT_TRUE(as.Map(0x40000, kPageSize, kPermRead).ok());
   EXPECT_EQ(Payload(as, 0x40000), Zero());
   EXPECT_TRUE(AllZero(*Zero()));
 }
@@ -245,16 +269,16 @@ TEST(AddressSpace, EveryWritePathCopiesTheZeroPage) {
   EXPECT_EQ(*as.Read(0x40008, 8), 0x1234u);
   EXPECT_EQ(*as.Read(0x40000 + kPageSize, 2), 0x0302u);
 
-  // A page shared out of the zero page by CloneInto or ShareRange copies
-  // on the first write in either space.
+  // A zero page shared into another space or another address copies on
+  // the first write in either place.
   AddressSpace child;
-  as.CloneInto(&child);
   const uint64_t last = 0x40000 + 3 * kPageSize;
+  ASSERT_TRUE(SharePage(as, last, child, last).ok());
   EXPECT_EQ(Payload(child, last), Zero());
   ASSERT_TRUE(child.Write(last, 7, 8).ok());
   EXPECT_NE(Payload(child, last), Zero());
   EXPECT_EQ(Payload(as, last), Zero());
-  ASSERT_TRUE(as.ShareRange(last, 0x100000, kPageSize).ok());
+  ASSERT_TRUE(SharePage(as, last, as, 0x100000).ok());
   EXPECT_EQ(Payload(as, 0x100000), Zero());
   ASSERT_TRUE(as.Write(0x100000, 9, 1).ok());
   EXPECT_NE(Payload(as, 0x100000), Zero());
@@ -291,7 +315,7 @@ TEST(AddressSpace, HostZeroReinstallsTheZeroPageAndKeepsHoles) {
   ASSERT_TRUE(as.Map(kBase, 4 * kPageSize, kPermRead | kPermWrite).ok());
   std::vector<uint8_t> ones(4 * kPageSize, 0xff);
   ASSERT_TRUE(as.HostWrite(kBase, ones).ok());
-  ASSERT_TRUE(as.Protect(kBase + 3 * kPageSize, kPageSize, kPermRead).ok());
+  ASSERT_TRUE(Reprotect(as, kBase + 3 * kPageSize, kPageSize, kPermRead).ok());
   ASSERT_TRUE(as.Unmap(kBase + kPageSize, kPageSize).ok());
   // From the middle of page 0 to the middle of page 3 (page 1 a hole).
   as.HostZero(kBase + 100, 3 * kPageSize);
@@ -646,9 +670,8 @@ TEST(Machine, RemapInvalidatesDecodedCode) {
   ASSERT_EQ(vm.Run(), StopReason::kBrk);
   EXPECT_EQ(vm.X(0), 1u);
   // Remap the code region (fresh zero pages) and install different code.
-  ASSERT_TRUE(
-      vm.space.Map(kCode, 0x40000, kPermRead | kPermExec, MapMode::kFixed)
-          .ok());
+  ASSERT_TRUE(vm.space.Unmap(kCode, 0x40000).ok());
+  ASSERT_TRUE(vm.space.Map(kCode, 0x40000, kPermRead | kPermExec).ok());
   const asmtext::Image img = AssembleAt("  mov x0, #2\n  brk #0\n");
   ASSERT_TRUE(
       vm.space.HostWrite(img.text_addr, {img.text.data(), img.text.size()})
@@ -679,7 +702,7 @@ TEST(Machine, ProtectDropsExecAndRerunFetchFaults) {
   TestVm vm("  mov x0, #1\n  brk #0\n");
   const uint64_t entry = vm.machine.state().pc;
   ASSERT_EQ(vm.Run(), StopReason::kBrk);
-  ASSERT_TRUE(vm.space.Protect(kCode, 0x40000, kPermRead).ok());
+  ASSERT_TRUE(Reprotect(vm.space, kCode, 0x40000, kPermRead).ok());
   vm.machine.state().pc = entry;
   ASSERT_EQ(vm.Run(), StopReason::kFault);
   EXPECT_EQ(vm.machine.fault().kind, CpuFault::Kind::kFetch);
@@ -708,9 +731,8 @@ TEST(Machine, ChainedSelfModifyingStoreSeversChainsMidLoop) {
   for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
     SCOPED_TRACE("dispatch " + std::to_string(int(d)));
     TestVm vm(src);
-    ASSERT_TRUE(vm.space
-                    .Protect(kCode, 0x40000,
-                             kPermRead | kPermWrite | kPermExec)
+    ASSERT_TRUE(Reprotect(vm.space, kCode, 0x40000,
+                          kPermRead | kPermWrite | kPermExec)
                     .ok());
     vm.machine.set_dispatch(d);
     vm.machine.state().x[3] = vm.machine.state().pc + 24;  // the patch site
@@ -727,8 +749,8 @@ TEST(Machine, ChainedSelfModifyingStoreSeversChainsMidLoop) {
   }
 }
 
-// Host-side mutations between runs — HostWrite code patching, a Protect
-// permission cycle, and a full remap — must each leave the chained backend
+// Host-side mutations between runs — HostWrite code patching, a perms
+// round-trip, and a full remap — must each leave the chained backend
 // executing fresh code on the reference backend's exact simulated
 // schedule. Every phase reuses the same machine, so chains built in one
 // phase are live bait for the next.
@@ -775,18 +797,17 @@ TEST(Machine, ChainedHostMutationsMatchReferenceAcrossRuns) {
     vm.machine.state().pc = entry;
     record(vm.Run());
 
-    // Phase 3: a Protect round-trip (perms unchanged in the end) still
+    // Phase 3: a perms round-trip (perms unchanged in the end) still
     // bumps the generation; the rerun must redecode, not trust chains.
-    EXPECT_TRUE(vm.space.Protect(kCode, 0x40000, kPermRead).ok());
+    EXPECT_TRUE(Reprotect(vm.space, kCode, 0x40000, kPermRead).ok());
     EXPECT_TRUE(
-        vm.space.Protect(kCode, 0x40000, kPermRead | kPermExec).ok());
+        Reprotect(vm.space, kCode, 0x40000, kPermRead | kPermExec).ok());
     vm.machine.state().pc = entry;
     record(vm.Run());
 
     // Phase 4: full remap with different code.
-    EXPECT_TRUE(
-        vm.space.Map(kCode, 0x40000, kPermRead | kPermExec, MapMode::kFixed)
-            .ok());
+    EXPECT_TRUE(vm.space.Unmap(kCode, 0x40000).ok());
+    EXPECT_TRUE(vm.space.Map(kCode, 0x40000, kPermRead | kPermExec).ok());
     const asmtext::Image img3 = AssembleAt(kLoop3);
     EXPECT_TRUE(
         vm.space.HostWrite(img3.text_addr, {img3.text.data(), img3.text.size()})
@@ -814,6 +835,47 @@ void ExpectSameCounters(const trace::ExecCounters& a,
   EXPECT_EQ(a.block_hits, b.block_hits);
   EXPECT_EQ(a.block_misses, b.block_misses);
   EXPECT_EQ(a.block_invalidations, b.block_invalidations);
+}
+
+// Zeroing an exec page from the host (HostZero, which a brk shrink uses)
+// must invalidate decoded code like any other write: the rerun decodes
+// the zero word and faults instead of running the stale chained loop, on
+// the same schedule and counters in both backends.
+TEST(Machine, HostZeroOfExecPageInvalidatesDecodedCode) {
+  trace::ExecCounters want;
+  uint64_t want_cycles = 0;
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(
+        "  movz x9, #20\n"
+        "loop:\n"
+        "  subs x9, x9, #1\n"
+        "  b.ne loop\n"
+        "  mov x0, #1\n"
+        "  brk #0\n");
+    trace::ExecCounters c;
+    vm.machine.set_dispatch(d);
+    vm.machine.set_counters(&c);
+    const uint64_t entry = vm.machine.state().pc;
+    ASSERT_EQ(vm.Run(), StopReason::kBrk);
+    EXPECT_EQ(vm.X(0), 1u);
+    const uint64_t gen = vm.space.mutation_generation();
+    vm.space.HostZero(kCode, kPageSize);
+    EXPECT_GT(vm.space.mutation_generation(), gen);
+    vm.machine.state().x[0] = 0;
+    vm.machine.state().pc = entry;
+    ASSERT_EQ(vm.Run(), StopReason::kFault);
+    EXPECT_EQ(vm.machine.fault().kind, CpuFault::Kind::kDecode);
+    EXPECT_EQ(vm.machine.fault().pc, entry);
+    EXPECT_EQ(vm.X(0), 0u);  // the stale block would have set it to 1
+    if (d == Dispatch::kChained) {
+      want = c;
+      want_cycles = vm.machine.timing().Cycles();
+      continue;
+    }
+    EXPECT_EQ(vm.machine.timing().Cycles(), want_cycles);
+    ExpectSameCounters(c, want);
+  }
 }
 
 // More distinct blocks than the block cache holds (kMaxCachedBlocks, 32768

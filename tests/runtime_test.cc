@@ -625,6 +625,60 @@ TEST(Runtime, SlotReservationCapEnforced) {
   EXPECT_LE(SlotBase(kMaxSlots) + kSlotSize, uint64_t{1} << 48);
 }
 
+// With every slot but one reserved, the last Load takes the last slot,
+// and every further instantiation (Load, SpawnFromSnapshot, a guest fork)
+// fails closed: no slot, page or pid is consumed. A retained sandbox
+// still recycles in its own slot. Reserved slots map nothing, so this
+// stays cheap.
+TEST(Runtime, SlotExhaustionFailsClosedOnEveryInstantiationPath) {
+  Runtime rt(TestConfig());
+  for (uint64_t k = 1; k < kMaxSlots; ++k) ASSERT_TRUE(rt.ReserveSlot().ok());
+  // fork(), then exit with its result: 0 in a child, ENOMEM (-12) when
+  // there is no slot for one.
+  auto e = test::BuildElf("rtcall #8\nrtcall #0\n");
+  ASSERT_TRUE(e.ok()) << e.error();
+  auto pid = rt.Load({e->data(), e->size()});
+  ASSERT_TRUE(pid.ok()) << pid.error();
+  const uint64_t slot = rt.proc(*pid)->slot;
+  EXPECT_EQ(slot, kMaxSlots);
+  EXPECT_EQ(rt.slots_in_use(), kMaxSlots);
+  const uint64_t pages = rt.space().MappedPages();
+  auto unchanged = [&] {
+    EXPECT_EQ(rt.slots_in_use(), kMaxSlots);
+    EXPECT_EQ(rt.space().MappedPages(), pages);
+  };
+
+  EXPECT_FALSE(rt.Load({e->data(), e->size()}).ok());
+  unchanged();
+  EXPECT_FALSE(rt.SpawnFromSnapshot(rt.proc(*pid)->snapshot).ok());
+  unchanged();
+
+  rt.set_retain_on_exit(*pid, true);
+  EXPECT_EQ(rt.RunUntilIdle(), 0);
+  EXPECT_EQ(rt.proc(*pid)->exit_kind, ExitKind::kExited);
+  EXPECT_EQ(rt.proc(*pid)->exit_status, -12);  // fork: ENOMEM
+  EXPECT_TRUE(rt.proc(*pid)->children.empty());
+  unchanged();
+
+  // The retained zombie recycles in place and runs again.
+  ASSERT_TRUE(rt.Recycle(*pid).ok());
+  EXPECT_EQ(rt.proc(*pid)->slot, slot);
+  unchanged();
+  ASSERT_TRUE(rt.Activate(*pid).ok());
+  EXPECT_EQ(rt.RunUntilIdle(), 0);
+  EXPECT_EQ(rt.proc(*pid)->exit_status, -12);
+  unchanged();
+
+  // Releasing the slot lets the next Load take it, with the very next
+  // pid: none of the failures above allocated one.
+  ASSERT_TRUE(rt.Kill(*pid, "release").ok());
+  EXPECT_EQ(rt.slots_in_use(), kMaxSlots - 1);
+  auto next = rt.Load({e->data(), e->size()});
+  ASSERT_TRUE(next.ok()) << next.error();
+  EXPECT_EQ(*next, *pid + 1);
+  EXPECT_EQ(rt.proc(*next)->slot, slot);
+}
+
 TEST(Runtime, LseekOnFile) {
   TestRun t(R"(
     adrp x0, path

@@ -354,9 +354,12 @@ TEST(Supervisor, RestartBudgetDecaysAfterHealthyRun) {
   // Regression: backoff/budget never reset, so a tenant faulting once a
   // day burned restart budget like a crash loop. With the reset window
   // below each incarnation's healthy runtime, the crash-window count
-  // must stay at one while lifetime restarts sail past the budget.
+  // must stay at one while lifetime restarts (the trace counter) sail
+  // past the budget.
+  trace::TraceSink sink(/*ring_capacity=*/1024);
   TestRun t(kHealthyThenFaultProg, /*rewrite=*/false);
   ASSERT_GE(t.pid, 0);
+  t.rt.set_trace_sink(&sink);
   SupervisorPolicy pol;
   pol.on_fault = FaultAction::kRestart;
   pol.restart_budget = 2;
@@ -366,15 +369,18 @@ TEST(Supervisor, RestartBudgetDecaysAfterHealthyRun) {
   // Bounded run: the proc restarts forever now, which is the point.
   t.rt.RunUntilIdle(/*max_total_insts=*/600000);
   EXPECT_LE(t.P()->restarts, 1u);
-  EXPECT_GT(t.P()->total_restarts, pol.restart_budget);
+  EXPECT_GT(sink.metrics(t.pid).Get(trace::Counter::kRestarts),
+            pol.restart_budget);
   EXPECT_NE(t.P()->exit_kind, ExitKind::kKilled);
 }
 
 TEST(Supervisor, RestartBudgetStillExhaustsWithDecayDisabled) {
   // restart_reset_after_cycles = 0 keeps the legacy semantics: healthy
   // incarnations don't matter, the budget only ever shrinks.
+  trace::TraceSink sink(/*ring_capacity=*/1024);
   TestRun t(kHealthyThenFaultProg, /*rewrite=*/false);
   ASSERT_GE(t.pid, 0);
+  t.rt.set_trace_sink(&sink);
   SupervisorPolicy pol;
   pol.on_fault = FaultAction::kRestart;
   pol.restart_budget = 2;
@@ -383,15 +389,17 @@ TEST(Supervisor, RestartBudgetStillExhaustsWithDecayDisabled) {
   t.rt.set_policy(t.pid, pol);
   t.rt.RunUntilIdle();
   EXPECT_EQ(t.P()->restarts, 2u);
-  EXPECT_EQ(t.P()->total_restarts, 2u);
+  EXPECT_EQ(sink.metrics(t.pid).Get(trace::Counter::kRestarts), 2u);
   EXPECT_EQ(t.P()->exit_kind, ExitKind::kKilled);
 }
 
 TEST(Supervisor, RestartBackoffResetsWithBudget) {
   // After a healthy run, the next fault pays base backoff again instead
   // of continuing up the exponential curve.
+  trace::TraceSink sink(/*ring_capacity=*/1024);
   TestRun t(kHealthyThenFaultProg, /*rewrite=*/false);
   ASSERT_GE(t.pid, 0);
+  t.rt.set_trace_sink(&sink);
   SupervisorPolicy pol;
   pol.on_fault = FaultAction::kRestart;
   pol.restart_budget = 8;
@@ -401,7 +409,7 @@ TEST(Supervisor, RestartBackoffResetsWithBudget) {
   t.rt.set_policy(t.pid, pol);
   const uint64_t before = t.rt.Cycles();
   t.rt.RunUntilIdle(/*max_total_insts=*/200000);
-  const uint32_t n = t.P()->total_restarts;
+  const uint64_t n = sink.metrics(t.pid).Get(trace::Counter::kRestarts);
   ASSERT_GE(n, 3u);
   // Every restart charged base (shift 0). Without the reset the first
   // four alone would charge 50k+100k+200k+400k = 750k cycles.
