@@ -22,6 +22,7 @@ namespace {
 using fuzz::CrashArtifact;
 using fuzz::FuzzOptions;
 using fuzz::FuzzReport;
+using fuzz::Outcome;
 using fuzz::Rng;
 
 // The fuzz module: benign exports exercising every marshalling class plus
@@ -161,59 +162,55 @@ struct Harness {
 }  // namespace
 
 FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "embed";
-
   Harness h;
-  auto crash = [&](uint64_t it, uint64_t iseed, std::string what) {
+  if (auto st = h.Up(); !st.ok()) {
+    FuzzReport report;
+    report.mode = "embed";
     CrashArtifact a;
     a.mode = "embed";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = std::move(what);
+    a.seed = opts.seed;
+    a.detail = "harness setup failed: " + st.error();
     a.asm_source = h.source;
-    if (!opts.artifact_dir.empty()) {
-      a.path = fuzz::WriteArtifact(a, opts.artifact_dir);
-    }
-    report.crashes.push_back(std::move(a));
-  };
-
-  if (auto st = h.Up(); !st.ok()) {
-    crash(0, opts.seed, "harness setup failed: " + st.error());
+    fuzz::RecordCrash(opts, &report, std::move(a));
     return report;
   }
 
-  // A hostile op killed the guest as intended; bring it back and prove
-  // the revival worked (restartability is part of the contract).
-  auto revive = [&](uint64_t it, uint64_t iseed) {
-    if (auto st = h.sb->Restart(); !st.ok()) {
-      crash(it, iseed, "restart after fail-closed kill failed: " + st.error());
-      return false;
-    }
-    if (!h.sb->alive()) {
-      crash(it, iseed, "sandbox not alive after restart");
-      return false;
-    }
-    return true;
-  };
-
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    if (report.crashes.size() >= opts.max_crashes) break;
-    const uint64_t iseed = fuzz::DeriveSeed(opts.seed, it);
-    Rng rng(iseed);
-    ++report.iters;
-    ++report.accepted;
+  // Every iteration calls into the one sandbox `h` holds.
+  return fuzz::Drive("embed", opts, [&h](uint64_t, uint64_t iseed) {
+    Outcome o;
+    o.verdict = Outcome::Verdict::kExecuted;
+    auto crash = [&](std::string what) {
+      CrashArtifact a;
+      a.detail = std::move(what);
+      a.asm_source = h.source;
+      o.crashes.push_back(std::move(a));
+    };
+    // A hostile op killed the guest as intended; bring it back and prove
+    // the revival worked (restartability is part of the contract).
+    auto revive = [&] {
+      if (auto st = h.sb->Restart(); !st.ok()) {
+        crash("restart after fail-closed kill failed: " + st.error());
+        return false;
+      }
+      if (!h.sb->alive()) {
+        crash("sandbox not alive after restart");
+        return false;
+      }
+      return true;
+    };
     bool bad = false;
+    // A result that broke its contract: what was expected, then its Err.
+    auto fail = [&](const std::string& what, const auto& r) {
+      crash(what + ErrName(r.err) + " " + r.detail);
+      bad = true;
+    };
+    Rng rng(iseed);
     switch (rng.Below(10)) {
       case 0: {  // scalar marshalling, wrapping add
         const uint64_t a = rng.Next(), b = rng.Next(), c = rng.Next();
         auto r = h.sb->Call<uint64_t(uint64_t, uint64_t, uint64_t)>(
             "add3", a, b, c);
-        if (!r.ok() || r.value != a + b + c) {
-          crash(it, iseed, "add3 mismatch: " + std::string(ErrName(r.err)) +
-                               " " + r.detail);
-          bad = true;
-        }
+        if (!r.ok() || r.value != a + b + c) fail("add3 mismatch: ", r);
         break;
       }
       case 1: {  // BufIn marshalling
@@ -225,11 +222,7 @@ FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
         }
         auto r = h.sb->Call<uint64_t(BufIn, uint64_t)>(
             "sum_buf", BufIn{buf.data(), buf.size()}, buf.size());
-        if (!r.ok() || r.value != want) {
-          crash(it, iseed, "sum_buf mismatch: " + std::string(ErrName(r.err)) +
-                               " " + r.detail);
-          bad = true;
-        }
+        if (!r.ok() || r.value != want) fail("sum_buf mismatch: ", r);
         break;
       }
       case 2: {  // stack-spill marshalling (10 integer args)
@@ -243,11 +236,7 @@ FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
                                      uint64_t, uint64_t)>(
             "sum10", v[0], v[1], v[2], v[3], v[4], v[5], v[6], v[7], v[8],
             v[9]);
-        if (!r.ok() || r.value != want) {
-          crash(it, iseed, "sum10 mismatch: " + std::string(ErrName(r.err)) +
-                               " " + r.detail);
-          bad = true;
-        }
+        if (!r.ok() || r.value != want) fail("sum10 mismatch: ", r);
         break;
       }
       case 3: {  // float-register marshalling (exact small-int doubles)
@@ -256,30 +245,20 @@ FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
         const double b = static_cast<double>(static_cast<int64_t>(
             rng.Below(2000)) - 1000);
         auto r = h.sb->Call<double(double, double)>("fmix", a, b);
-        if (!r.ok() || r.value != a + b) {
-          crash(it, iseed, "fmix mismatch: " + std::string(ErrName(r.err)) +
-                               " " + r.detail);
-          bad = true;
-        }
+        if (!r.ok() || r.value != a + b) fail("fmix mismatch: ", r);
         break;
       }
       case 4: {  // callback round-trip
         const uint64_t x = rng.Next() >> 1;
         auto r = h.sb->Call<uint64_t(uint64_t)>("echo", x);
-        if (!r.ok() || r.value != 2 * x + 1) {
-          crash(it, iseed, "echo mismatch: " + std::string(ErrName(r.err)) +
-                               " " + r.detail);
-          bad = true;
-        }
+        if (!r.ok() || r.value != 2 * x + 1) fail("echo mismatch: ", r);
         break;
       }
       case 5: {  // nested host->guest->host chain
         const int64_t n = static_cast<int64_t>(rng.Below(6));
         auto r = h.sb->Call<int64_t(int64_t)>("recurse", n);
         if (!r.ok() || r.value != n * (n + 1) / 2) {
-          crash(it, iseed, "recurse mismatch: " + std::string(ErrName(r.err)) +
-                               " " + r.detail);
-          bad = true;
+          fail("recurse mismatch: ", r);
         }
         break;
       }
@@ -290,20 +269,14 @@ FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
             "fill", BufOut{buf.data(), buf.size()}, buf.size(), v);
         bool filled = r.ok() && r.value == 0;
         for (uint8_t x : buf) filled = filled && x == v;
-        if (!filled) {
-          crash(it, iseed, "fill copy-back mismatch: " +
-                               std::string(ErrName(r.err)) + " " + r.detail);
-          bad = true;
-        }
+        if (!filled) fail("fill copy-back mismatch: ", r);
         break;
       }
       case 7: {  // guest-corrupted return state (cookie clobber)
         auto r = h.sb->Call<uint64_t()>("clobber");
         if (r.err != Err::kForgedReturn) {
-          crash(it, iseed, "clobber expected forged-return, got " +
-                               std::string(ErrName(r.err)) + " " + r.detail);
-          bad = true;
-        } else if (!revive(it, iseed)) {
+          fail("clobber expected forged-return, got ", r);
+        } else if (!revive()) {
           bad = true;
         }
         break;
@@ -312,19 +285,15 @@ FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
         if (rng.Below(2) == 0) {
           auto r = h.sb->Call<GuestPtr()>("wildptr");
           if (r.err != Err::kBadGuestPointer) {
-            crash(it, iseed, "wildptr expected bad-guest-pointer, got " +
-                                 std::string(ErrName(r.err)) + " " + r.detail);
-            bad = true;
-          } else if (!revive(it, iseed)) {
+            fail("wildptr expected bad-guest-pointer, got ", r);
+          } else if (!revive()) {
             bad = true;
           }
         } else {
           auto r = h.sb->Call<uint64_t()>("badcb");
           if (r.err != Err::kBadCallbackIndex) {
-            crash(it, iseed, "badcb expected bad-callback-index, got " +
-                                 std::string(ErrName(r.err)) + " " + r.detail);
-            bad = true;
-          } else if (!revive(it, iseed)) {
+            fail("badcb expected bad-callback-index, got ", r);
+          } else if (!revive()) {
             bad = true;
           }
         }
@@ -334,38 +303,32 @@ FuzzReport RunEmbedFuzz(const FuzzOptions& opts) {
         if (rng.Below(2) == 0) {
           auto r = h.sb->Call<uint64_t()>("badread");
           if (r.err != Err::kGuestFault) {
-            crash(it, iseed, "badread expected guest-fault, got " +
-                                 std::string(ErrName(r.err)) + " " + r.detail);
-            bad = true;
-          } else if (!revive(it, iseed)) {
+            fail("badread expected guest-fault, got ", r);
+          } else if (!revive()) {
             bad = true;
           }
         } else {
           auto r = h.sb->Call<uint64_t()>("exit");
           if (r.err != Err::kGuestExited) {
-            crash(it, iseed, "exit expected guest-exited, got " +
-                                 std::string(ErrName(r.err)) + " " + r.detail);
-            bad = true;
-          } else if (!revive(it, iseed)) {
+            fail("exit expected guest-exited, got ", r);
+          } else if (!revive()) {
             bad = true;
           }
         }
         break;
       }
     }
-    ++report.executed;
     if (!h.checker->violation().empty()) {
-      crash(it, iseed,
-            "slot invariant violated: " + h.checker->violation());
-      break;  // the checker latches; later iterations would re-report it
-    }
-    if (bad && !h.sb->alive()) {
+      // The checker latches; later iterations would re-report it.
+      crash("slot invariant violated: " + h.checker->violation());
+      o.stop = true;
+    } else if (bad && !h.sb->alive()) {
       // A mismatch left the guest dead; revive so later iterations are
       // still meaningful (their ops assume a live sandbox).
-      if (!revive(it, iseed)) break;
+      o.stop = !revive();
     }
-  }
-  return report;
+    return o;
+  });
 }
 
 }  // namespace lfi::embed

@@ -217,6 +217,34 @@ ExecEnv::Checkpoint ExecEnv::Capture() const {
   return ck;
 }
 
+uint64_t ExecEnv::MemoryDigest() const {
+  constexpr uint64_t kBasis = 0xcbf29ce484222325ull;
+  auto fnv = [](uint64_t h, const uint8_t* p, size_t n) {
+    for (size_t k = 0; k < n; ++k) h = (h ^ p[k]) * 0x100000001b3ull;
+    return h;
+  };
+  // Each page is digested alone, so a page still shared with the zero
+  // page costs one cached value rather than 4 KiB of hashing.
+  const emu::AddressSpace::PageData* zero =
+      emu::AddressSpace::ZeroPage().get();
+  static const uint64_t kZeroDigest = fnv(kBasis, zero->data(), zero->size());
+  uint64_t h = kBasis;
+  for (const auto& [addr, len] : ranges_) {
+    for (uint64_t a = addr; a < addr + len; a += emu::kPageSize) {
+      uint8_t perms = 0;
+      const auto* page = space_.PagePayload(a, &perms);
+      if (a - base_ >= runtime::kSlotSize || !(perms & emu::kPermWrite)) {
+        continue;  // not data or stack
+      }
+      const uint64_t d = page == zero
+                             ? kZeroDigest
+                             : fnv(kBasis, page->data(), page->size());
+      h = fnv(h, reinterpret_cast<const uint8_t*>(&d), sizeof d);
+    }
+  }
+  return h;
+}
+
 uint64_t ExecEnv::Restore(const Checkpoint& ck) {
   uint64_t dirty = 0;
   for (const auto& page : ck.pages) {
@@ -256,6 +284,7 @@ ExecResult Execute(std::span<const uint32_t> words, const ExecOptions& opts,
   res.cycles = machine.timing().Cycles();
   res.final_state = machine.state();
   res.violation = checker.violation();
+  res.memory = env.MemoryDigest();
 
   const uint64_t base = env.base();
   if (res.violation.empty() && res.stop == emu::StopReason::kFault) {

@@ -102,6 +102,7 @@ struct ExecResult {
   uint64_t retired = 0;
   uint64_t cycles = 0;
   emu::CpuState final_state;
+  uint64_t memory = 0;  // ExecEnv::MemoryDigest() after the run
 };
 
 // Executes `words` (which should already be verifier-accepted; the harness
@@ -149,6 +150,8 @@ class ExecEnv {
   };
 
   Checkpoint Capture() const;
+  // FNV-1a digest of the writable pages inside the slot (data and stack).
+  uint64_t MemoryDigest() const;
   // Rolls cpu + memory back to `ck`; returns how many pages had actually
   // diverged (payload pointer or perms) and were re-installed.
   uint64_t Restore(const Checkpoint& ck);

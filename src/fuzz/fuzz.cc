@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 
 #include "arch/decode.h"
 #include "asmtext/assemble.h"
@@ -24,6 +25,12 @@ std::span<const uint8_t> AsBytes(const std::vector<uint32_t>& words) {
 std::string HexWord(uint32_t w) {
   char buf[16];
   snprintf(buf, sizeof buf, "%08x", w);
+  return buf;
+}
+
+std::string Hex64(uint64_t v) {
+  char buf[32];
+  snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
   return buf;
 }
 
@@ -55,14 +62,6 @@ std::string VerdictText(const verifier::VerifyResult& v) {
          " at +0x" + HexWord(uint32_t(v.fail_offset)) + ": " + v.reason;
 }
 
-void RecordCrash(const FuzzOptions& opts, FuzzReport* report,
-                 CrashArtifact a) {
-  if (!opts.artifact_dir.empty()) {
-    a.path = WriteArtifact(a, opts.artifact_dir);
-  }
-  report->crashes.push_back(std::move(a));
-}
-
 // Soundness/differential stream generation shared policy: a mix of raw
 // random words, template streams, and near-miss mutants.
 std::vector<uint32_t> GenStream(Rng& rng) {
@@ -71,51 +70,6 @@ std::vector<uint32_t> GenStream(Rng& rng) {
   std::vector<uint32_t> words = GenTemplateStream(rng, 2 + rng.Below(24));
   if (pct >= 65) MutateStream(rng, &words);
   return words;
-}
-
-// Differential comparison: first discrepancy between two runs, or "".
-// `an`/`bn` label the two runs in the message ("block"/"stepwise",
-// "chained"/"block").
-std::string DescribeDiff(const ExecResult& a, const ExecResult& b,
-                         const std::string& an, const std::string& bn) {
-  auto hx = [](uint64_t v) {
-    char buf[32];
-    snprintf(buf, sizeof buf, "0x%llx", static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  if (a.stop != b.stop) {
-    return "stop reason differs: " + an + "=" + std::to_string(int(a.stop)) +
-           " " + bn + "=" + std::to_string(int(b.stop));
-  }
-  if (a.retired != b.retired) {
-    return "retired differs: " + an + "=" + std::to_string(a.retired) + " " +
-           bn + "=" + std::to_string(b.retired);
-  }
-  if (a.cycles != b.cycles) {
-    return "cycles differ: " + an + "=" + std::to_string(a.cycles) + " " + bn +
-           "=" + std::to_string(b.cycles);
-  }
-  const emu::CpuState& s = a.final_state;
-  const emu::CpuState& t = b.final_state;
-  for (int r = 0; r < 31; ++r) {
-    if (s.x[r] != t.x[r]) {
-      return "x" + std::to_string(r) + " differs: " + an + "=" + hx(s.x[r]) +
-             " " + bn + "=" + hx(t.x[r]);
-    }
-  }
-  if (s.sp != t.sp) {
-    return "sp differs: " + an + "=" + hx(s.sp) + " " + bn + "=" + hx(t.sp);
-  }
-  if (s.pc != t.pc) {
-    return "pc differs: " + an + "=" + hx(s.pc) + " " + bn + "=" + hx(t.pc);
-  }
-  if (s.n != t.n || s.z != t.z || s.c != t.c || s.v != t.v) {
-    return "flags differ";
-  }
-  for (size_t v = 0; v < s.vr.size(); ++v) {
-    if (!(s.vr[v] == t.vr[v])) return "v" + std::to_string(v) + " differs";
-  }
-  return "";
 }
 
 // Runs one completeness pipeline; returns a failure description or "".
@@ -215,10 +169,7 @@ std::string FormatArtifact(const CrashArtifact& a) {
   std::string out;
   out += "mode: " + a.mode + "\n";
   out += "iter: " + std::to_string(a.iter) + "\n";
-  char seedbuf[32];
-  snprintf(seedbuf, sizeof seedbuf, "0x%llx",
-           static_cast<unsigned long long>(a.seed));
-  out += "seed: " + std::string(seedbuf) + "\n";
+  out += "seed: " + Hex64(a.seed) + "\n";
   out += "detail: " + a.detail + "\n";
   if (!a.verdict.empty()) out += "verdict: " + a.verdict + "\n";
   if (!a.words.empty()) {
@@ -245,6 +196,35 @@ std::string FormatArtifact(const CrashArtifact& a) {
     }
   }
   return out;
+}
+
+CrashArtifact ParseArtifact(const std::string& text) {
+  CrashArtifact a;
+  std::istringstream in(text);
+  std::string line;
+  bool in_source = false;
+  while (std::getline(in, line)) {
+    if (in_source && line.rfind("  ", 0) == 0) {
+      a.asm_source += line.substr(2) + "\n";
+      continue;
+    }
+    in_source = line == "source: |";
+    const size_t colon = std::min(line.find(": "), line.size());
+    const std::string key = line.substr(0, colon);
+    const char* value = line.c_str() + std::min(colon + 2, line.size());
+    if (key == "mode") a.mode = value;
+    if (key == "iter") a.iter = strtoull(value, nullptr, 10);
+    if (key == "seed") a.seed = strtoull(value, nullptr, 16);
+    if (key == "words") {
+      char* end = nullptr;
+      for (const char* p = value;; p = end) {
+        const unsigned long long w = strtoull(p, &end, 16);
+        if (end == p) break;
+        a.words.push_back(static_cast<uint32_t>(w));
+      }
+    }
+  }
+  return a;
 }
 
 std::string WriteArtifact(const CrashArtifact& a, const std::string& dir) {
@@ -299,162 +279,120 @@ std::string RejectHistogram(const FuzzReport& r) {
   return out;
 }
 
-FuzzReport RunSoundness(const FuzzOptions& opts) {
+void RecordCrash(const FuzzOptions& opts, FuzzReport* report,
+                 CrashArtifact a) {
+  if (!opts.artifact_dir.empty()) {
+    a.path = WriteArtifact(a, opts.artifact_dir);
+  }
+  report->crashes.push_back(std::move(a));
+}
+
+FuzzReport Drive(const std::string& mode, const FuzzOptions& opts,
+                 const Step& step) {
   FuzzReport report;
-  report.mode = "soundness";
-  const auto corpus = SeedCorpusWords();
+  report.mode = mode;
   for (uint64_t it = 0; it < opts.iters; ++it) {
     const uint64_t iseed = DeriveSeed(opts.seed, it);
-    Rng rng(iseed);
-    std::vector<uint32_t> words =
-        it < corpus.size() ? corpus[it] : GenStream(rng);
+    Outcome o = step(it, iseed);
+    using V = Outcome::Verdict;
     ++report.iters;
-    const auto v = verifier::Verify(AsBytes(words), opts.verify);
-    if (!v.ok) {
-      ++report.rejected;
-      ++report.reject_kinds[size_t(v.kind)];
-      continue;
+    report.rejected += o.verdict == V::kRejected;
+    report.accepted += o.verdict == V::kAccepted || o.verdict == V::kExecuted;
+    report.executed += o.verdict == V::kExecuted;
+    if (o.reject_kind) ++report.reject_kinds[size_t(*o.reject_kind)];
+    for (CrashArtifact& a : o.crashes) {
+      a.mode = mode;
+      a.iter = it;
+      a.seed = iseed;
+      RecordCrash(opts, &report, std::move(a));
     }
-    ++report.accepted;
-    ExecOptions eo;
-    eo.seed = iseed;
-    eo.max_insts = opts.max_exec_insts;
-    eo.guard_bytes = opts.verify.guard_bytes;
-    eo.table_bytes = opts.verify.table_bytes;
-    const ExecResult res = ExecuteWords(words, eo);
-    ++report.executed;
-    if (res.violation.empty()) continue;
-
-    auto fails = [&](const std::vector<uint32_t>& w) {
-      if (!verifier::Verify(AsBytes(w), opts.verify).ok) return false;
-      return !ExecuteWords(w, eo).violation.empty();
-    };
-    CrashArtifact a;
-    a.mode = "soundness";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = "SANDBOX ESCAPE: " + res.violation;
-    a.verdict = VerdictText(v);
-    a.full_words = words;
-    a.words = MinimizeWords(words, fails);
-    RecordCrash(opts, &report, std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
+    if (o.stop ||
+        (!o.crashes.empty() && report.crashes.size() >= opts.max_crashes)) {
+      break;
+    }
   }
   return report;
 }
 
-FuzzReport RunDifferential(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "differential";
-  const auto corpus = SeedCorpusWords();
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    const uint64_t iseed = DeriveSeed(opts.seed, it);
-    Rng rng(iseed);
-    std::vector<uint32_t> words =
-        it < corpus.size() ? corpus[it] : GenStream(rng);
-    ++report.iters;
-    const auto v = verifier::Verify(AsBytes(words), opts.verify);
-    if (!v.ok) {
-      ++report.rejected;
-      ++report.reject_kinds[size_t(v.kind)];
-      continue;
+std::string DescribeDiff(const ExecResult& a, const ExecResult& b,
+                         const std::string& an, const std::string& bn) {
+  auto differ = [&](const std::string& what, const std::string& x,
+                    const std::string& y) {
+    return what + ": " + an + "=" + x + " " + bn + "=" + y;
+  };
+  using std::to_string;
+  if (a.stop != b.stop) {
+    return differ("stop reason differs", to_string(int(a.stop)),
+                  to_string(int(b.stop)));
+  }
+  if (a.retired != b.retired) {
+    return differ("retired differs", to_string(a.retired),
+                  to_string(b.retired));
+  }
+  if (a.cycles != b.cycles) {
+    return differ("cycles differ", to_string(a.cycles), to_string(b.cycles));
+  }
+  const emu::CpuState& s = a.final_state;
+  const emu::CpuState& t = b.final_state;
+  for (int r = 0; r < 31; ++r) {
+    if (s.x[r] != t.x[r]) {
+      return differ("x" + to_string(r) + " differs", Hex64(s.x[r]),
+                    Hex64(t.x[r]));
     }
-    ++report.accepted;
-    ExecOptions eo;
-    eo.seed = iseed;
-    eo.max_insts = opts.max_exec_insts;
-    eo.guard_bytes = opts.verify.guard_bytes;
-    eo.table_bytes = opts.verify.table_bytes;
-    eo.dispatch = emu::Dispatch::kBlock;
-    const ExecResult rb = ExecuteWords(words, eo);
-    const ExecResult rs = ExecuteWordsStepwise(words, eo);
-    ++report.executed;
-    const std::string diff = DescribeDiff(rb, rs, "block", "stepwise");
-    const std::string viol =
-        !rb.violation.empty() ? rb.violation : rs.violation;
-    if (diff.empty() && viol.empty()) continue;
+  }
+  if (s.sp != t.sp) return differ("sp differs", Hex64(s.sp), Hex64(t.sp));
+  if (s.pc != t.pc) return differ("pc differs", Hex64(s.pc), Hex64(t.pc));
+  if (s.n != t.n || s.z != t.z || s.c != t.c || s.v != t.v) {
+    return "flags differ";
+  }
+  for (size_t v = 0; v < s.vr.size(); ++v) {
+    if (!(s.vr[v] == t.vr[v])) return "v" + to_string(v) + " differs";
+  }
+  if (s.excl_valid != t.excl_valid || s.excl_addr != t.excl_addr) {
+    return "exclusive monitor differs";
+  }
+  if (a.stop == emu::StopReason::kFault) {
+    const emu::CpuFault& f = a.fault;
+    const emu::CpuFault& g = b.fault;
+    if (f.kind != g.kind) {
+      return differ("fault kind differs", to_string(int(f.kind)),
+                    to_string(int(g.kind)));
+    }
+    if (f.pc != g.pc) {
+      return differ("fault pc differs", Hex64(f.pc), Hex64(g.pc));
+    }
+    if (f.mem.addr != g.mem.addr) {
+      return differ("fault address differs", Hex64(f.mem.addr),
+                    Hex64(g.mem.addr));
+    }
+    if (f.detail != g.detail) return "fault detail differs";
+  }
+  if (a.memory != b.memory) return "data/stack memory differs";
+  return "";
+}
 
-    CrashArtifact a;
-    a.mode = "differential";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = !diff.empty() ? "block/stepwise divergence: " + diff
-                             : "SANDBOX ESCAPE (during differential): " + viol;
-    a.verdict = VerdictText(v);
-    a.full_words = words;
+std::string CheckParseRoundTrip(const std::string& src, bool* accepted) {
+  const auto first = asmtext::Parse(src);
+  *accepted = first.ok();
+  if (!first.ok()) return "";
+  const std::string printed = asmtext::Print(*first);
+  const auto second = asmtext::Parse(printed);
+  if (!second.ok()) return "printed text does not parse: " + second.error();
+  const auto& a = first->stmts;
+  const auto& b = second->stmts;
+  for (size_t k = 0; k < std::min(a.size(), b.size()); ++k) {
+    const std::string diff = StmtDiff(a[k], b[k]);
     if (!diff.empty()) {
-      auto fails = [&](const std::vector<uint32_t>& w) {
-        if (!verifier::Verify(AsBytes(w), opts.verify).ok) return false;
-        return !DescribeDiff(ExecuteWords(w, eo), ExecuteWordsStepwise(w, eo),
-                             "block", "stepwise")
-                    .empty();
-      };
-      a.words = MinimizeWords(words, fails);
-    } else {
-      a.words = words;
+      return "statement " + std::to_string(k) + " (line " +
+             std::to_string(a[k].line) + ", printed `" +
+             asmtext::PrintStmt(a[k]) + "`) differs in " + diff;
     }
-    RecordCrash(opts, &report, std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
   }
-  return report;
-}
-
-FuzzReport RunChainedDifferential(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "chained";
-  const auto corpus = SeedCorpusWords();
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    const uint64_t iseed = DeriveSeed(opts.seed, it);
-    Rng rng(iseed);
-    std::vector<uint32_t> words =
-        it < corpus.size() ? corpus[it] : GenStream(rng);
-    ++report.iters;
-    const auto v = verifier::Verify(AsBytes(words), opts.verify);
-    if (!v.ok) {
-      ++report.rejected;
-      ++report.reject_kinds[size_t(v.kind)];
-      continue;
-    }
-    ++report.accepted;
-    // Both runs are hook-free: with an ExecHook attached the chained
-    // backend delegates to the reference loop and the comparison proves
-    // nothing. The soundness oracle still covers these streams in the
-    // soundness/differential modes.
-    ExecOptions eo;
-    eo.seed = iseed;
-    eo.max_insts = opts.max_exec_insts;
-    eo.guard_bytes = opts.verify.guard_bytes;
-    eo.table_bytes = opts.verify.table_bytes;
-    eo.attach_checker = false;
-    eo.dispatch = emu::Dispatch::kChained;
-    const ExecResult rc = ExecuteWords(words, eo);
-    eo.dispatch = emu::Dispatch::kBlock;
-    const ExecResult rb = ExecuteWords(words, eo);
-    ++report.executed;
-    const std::string diff = DescribeDiff(rc, rb, "chained", "block");
-    if (diff.empty()) continue;
-
-    CrashArtifact a;
-    a.mode = "chained";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = "chained/block divergence: " + diff;
-    a.verdict = VerdictText(v);
-    a.full_words = words;
-    auto fails = [&](const std::vector<uint32_t>& w) {
-      if (!verifier::Verify(AsBytes(w), opts.verify).ok) return false;
-      ExecOptions e2 = eo;
-      e2.dispatch = emu::Dispatch::kChained;
-      const ExecResult c2 = ExecuteWords(w, e2);
-      e2.dispatch = emu::Dispatch::kBlock;
-      const ExecResult b2 = ExecuteWords(w, e2);
-      return !DescribeDiff(c2, b2, "chained", "block").empty();
-    };
-    a.words = MinimizeWords(words, fails);
-    RecordCrash(opts, &report, std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
+  if (a.size() != b.size()) {
+    return "statement count " + std::to_string(a.size()) + " -> " +
+           std::to_string(b.size());
   }
-  return report;
+  return "";
 }
 
 namespace {
@@ -492,207 +430,279 @@ class TraceHashRecorder : public emu::ExecHook {
   uint64_t insts_ = 0;
 };
 
+
+// The word modes' oracles: each runs one accepted stream and returns ""
+// or what went wrong.
+using Oracle = std::string (*)(std::span<const uint32_t>, const ExecOptions&);
+
+std::string SoundnessOracle(std::span<const uint32_t> words,
+                            const ExecOptions& eo) {
+  const std::string v = ExecuteWords(words, eo).violation;
+  return v.empty() ? "" : "SANDBOX ESCAPE: " + v;
+}
+
+std::string DifferentialOracle(std::span<const uint32_t> words,
+                               const ExecOptions& eo) {
+  const ExecResult rb = ExecuteWords(words, eo);
+  const ExecResult rs = ExecuteWordsStepwise(words, eo);
+  const std::string diff = DescribeDiff(rb, rs, "block", "stepwise");
+  if (!diff.empty()) return "block/stepwise divergence: " + diff;
+  const std::string& v = !rb.violation.empty() ? rb.violation : rs.violation;
+  return v.empty() ? "" : "SANDBOX ESCAPE (during differential): " + v;
+}
+
+// Both runs are hook-free: with an ExecHook attached the chained backend
+// delegates to the reference loop and the comparison proves nothing. The
+// soundness and differential modes run the checker over these streams.
+std::string ChainedOracle(std::span<const uint32_t> words,
+                          const ExecOptions& eo) {
+  ExecOptions e = eo;
+  e.attach_checker = false;
+  e.dispatch = emu::Dispatch::kChained;
+  const ExecResult rc = ExecuteWords(words, e);
+  e.dispatch = emu::Dispatch::kBlock;
+  const std::string diff =
+      DescribeDiff(rc, ExecuteWords(words, e), "chained", "block");
+  return diff.empty() ? "" : "chained/block divergence: " + diff;
+}
+
+std::string SnapshotOracle(std::span<const uint32_t> words,
+                           const ExecOptions& eo) {
+  ExecEnv env(words, eo);
+  emu::Machine& m = env.machine();
+
+  // Phase 1: run the first half of the budget, then freeze mid-flight
+  // (whatever state the program reached — a mid-loop checkpoint is the
+  // interesting case; a program that already stopped just makes the
+  // comparison trivially exact).
+  const uint64_t n = eo.max_insts / 2;
+  (void)m.Run(n);
+  const ExecEnv::Checkpoint ck = env.Capture();
+
+  // Phase 2 (reference): run the second half, hashing the trace.
+  const uint64_t budget = eo.max_insts - n;
+  TraceHashRecorder ref;
+  m.set_exec_hook(&ref);
+  const emu::StopReason stop_ref = m.Run(budget);
+  m.set_exec_hook(nullptr);
+  const emu::CpuState end_ref = m.state();
+
+  // Roll back and check the restore converged exactly: registers equal
+  // the checkpoint's and every page payload is pointer-identical again.
+  (void)env.Restore(ck);
+  std::string divergence;
+  if (!(m.state() == ck.cpu)) {
+    divergence = "registers differ immediately after restore";
+  }
+  const ExecEnv::Checkpoint ck2 = env.Capture();
+  if (divergence.empty() && ck2.pages.size() != ck.pages.size()) {
+    divergence = "mapped page set changed across snapshot/restore";
+  }
+  for (size_t k = 0; divergence.empty() && k < ck.pages.size(); ++k) {
+    if (ck2.pages[k].data.get() != ck.pages[k].data.get() ||
+        ck2.pages[k].perms != ck.pages[k].perms) {
+      divergence = "page " + Hex64(ck.pages[k].addr) +
+                   " not restored to the captured payload";
+    }
+  }
+
+  // Phase 3 (replay): re-run the same budget from the restored state.
+  TraceHashRecorder rep;
+  m.set_exec_hook(&rep);
+  const emu::StopReason stop_rep = m.Run(budget);
+  m.set_exec_hook(nullptr);
+  const emu::CpuState end_rep = m.state();
+
+  if (divergence.empty()) {
+    auto u64 = [](uint64_t x) { return std::to_string(x); };
+    if (stop_rep != stop_ref) {
+      divergence = "stop reason differs: reference " +
+                   u64(uint64_t(stop_ref)) + " vs replay " +
+                   u64(uint64_t(stop_rep));
+    } else if (ref.insts() != rep.insts()) {
+      divergence = "retired count differs: reference " + u64(ref.insts()) +
+                   " vs replay " + u64(rep.insts());
+    } else if (ref.hash() != rep.hash()) {
+      divergence = "pc/access trace hash differs across restore";
+    } else if (!(end_ref == end_rep)) {
+      divergence = "final registers differ across restore";
+    }
+  }
+  return divergence.empty() ? "" : "snapshot/restore divergence: " + divergence;
+}
+
+const struct {
+  const char* mode;
+  Oracle oracle;
+} kWordModes[] = {
+    {"soundness", SoundnessOracle},
+    {"differential", DifferentialOracle},
+    {"chained", ChainedOracle},
+    {"snapshot", SnapshotOracle},
+};
+
+Oracle WordOracle(const std::string& mode) {
+  for (const auto& m : kWordModes) {
+    if (mode == m.mode) return m.oracle;
+  }
+  return nullptr;
+}
+
+// The word modes' check: Verify, then the oracle on the accepted stream.
+// A finding carries the stream minimized under the same two conditions.
+Outcome CheckWords(const std::vector<uint32_t>& words, uint64_t iseed,
+                   const FuzzOptions& opts, Oracle oracle) {
+  Outcome o;
+  const auto v = verifier::Verify(AsBytes(words), opts.verify);
+  if (!v.ok) {
+    o.verdict = Outcome::Verdict::kRejected;
+    o.reject_kind = v.kind;
+    return o;
+  }
+  o.verdict = Outcome::Verdict::kExecuted;
+  ExecOptions eo;
+  eo.seed = iseed;
+  eo.max_insts = opts.max_exec_insts;
+  eo.guard_bytes = opts.verify.guard_bytes;
+  eo.table_bytes = opts.verify.table_bytes;
+  std::string detail = oracle(words, eo);
+  if (detail.empty()) return o;
+  CrashArtifact a;
+  a.detail = std::move(detail);
+  a.verdict = VerdictText(v);
+  a.full_words = words;
+  a.words = MinimizeWords(words, [&](const std::vector<uint32_t>& w) {
+    return verifier::Verify(AsBytes(w), opts.verify).ok &&
+           !oracle(w, eo).empty();
+  });
+  o.crashes.push_back(std::move(a));
+  return o;
+}
+
+FuzzReport RunWords(const std::string& mode, const FuzzOptions& opts) {
+  const Oracle oracle = WordOracle(mode);
+  const auto corpus = SeedCorpusWords();
+  return Drive(mode, opts, [&](uint64_t it, uint64_t iseed) {
+    Rng rng(iseed);
+    return CheckWords(it < corpus.size() ? corpus[it] : GenStream(rng), iseed,
+                      opts, oracle);
+  });
+}
+
+// The completeness check: the pipeline's options come from Rng(iseed).
+Outcome CheckPipeline(const std::string& src, uint64_t iseed,
+                      const FuzzOptions& opts) {
+  auto run = [&](const std::string& s, std::string* verdict) {
+    Rng rng(iseed);
+    return RunPipeline(s, rng, opts, verdict);
+  };
+  Outcome o;
+  CrashArtifact a;
+  a.detail = run(src, &a.verdict);
+  if (a.detail.empty()) {
+    o.verdict = Outcome::Verdict::kAccepted;
+    return o;
+  }
+  a.asm_source = MinimizeAsm(src, [&](const std::string& s) {
+    std::string verdict;
+    return !s.empty() && !run(s, &verdict).empty();
+  });
+  o.crashes.push_back(std::move(a));
+  return o;
+}
+
+Outcome CheckParse(const std::string& src) {
+  Outcome o;
+  bool accepted = false;
+  CrashArtifact a;
+  a.detail = CheckParseRoundTrip(src, &accepted);
+  o.verdict = accepted ? Outcome::Verdict::kExecuted  // round trip checked
+                       : Outcome::Verdict::kRejected;
+  if (a.detail.empty()) return o;
+  a.asm_source = MinimizeAsm(src, [](const std::string& s) {
+    bool ok = false;
+    return !CheckParseRoundTrip(s, &ok).empty();
+  });
+  o.crashes.push_back(std::move(a));
+  return o;
+}
+
 }  // namespace
 
+FuzzReport RunSoundness(const FuzzOptions& opts) {
+  return RunWords("soundness", opts);
+}
+
+FuzzReport RunDifferential(const FuzzOptions& opts) {
+  return RunWords("differential", opts);
+}
+
+FuzzReport RunChainedDifferential(const FuzzOptions& opts) {
+  return RunWords("chained", opts);
+}
+
 FuzzReport RunSnapshotOracle(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "snapshot";
-  const auto corpus = SeedCorpusWords();
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    const uint64_t iseed = DeriveSeed(opts.seed, it);
-    Rng rng(iseed);
-    std::vector<uint32_t> words =
-        it < corpus.size() ? corpus[it] : GenStream(rng);
-    ++report.iters;
-    const auto v = verifier::Verify(AsBytes(words), opts.verify);
-    if (!v.ok) {
-      ++report.rejected;
-      ++report.reject_kinds[size_t(v.kind)];
-      continue;
-    }
-    ++report.accepted;
-
-    ExecOptions eo;
-    eo.seed = iseed;
-    eo.max_insts = opts.max_exec_insts;
-    eo.guard_bytes = opts.verify.guard_bytes;
-    eo.table_bytes = opts.verify.table_bytes;
-
-    ExecEnv env(words, eo);
-    emu::Machine& m = env.machine();
-
-    // Phase 1: run the first half of the budget, then freeze mid-flight
-    // (whatever state the program reached — a mid-loop checkpoint is the
-    // interesting case; a program that already stopped just makes the
-    // comparison trivially exact).
-    const uint64_t n = opts.max_exec_insts / 2;
-    (void)m.Run(n);
-    const ExecEnv::Checkpoint ck = env.Capture();
-
-    // Phase 2 (reference): run the second half, hashing the trace.
-    const uint64_t budget = opts.max_exec_insts - n;
-    TraceHashRecorder ref;
-    m.set_exec_hook(&ref);
-    const emu::StopReason stop_ref = m.Run(budget);
-    m.set_exec_hook(nullptr);
-    const emu::CpuState end_ref = m.state();
-
-    // Roll back and check the restore converged exactly: registers equal
-    // the checkpoint's and every page payload is pointer-identical again.
-    (void)env.Restore(ck);
-    std::string divergence;
-    if (!(m.state() == ck.cpu)) {
-      divergence = "registers differ immediately after restore";
-    }
-    const ExecEnv::Checkpoint ck2 = env.Capture();
-    if (divergence.empty() && ck2.pages.size() != ck.pages.size()) {
-      divergence = "mapped page set changed across snapshot/restore";
-    }
-    if (divergence.empty()) {
-      for (size_t k = 0; k < ck.pages.size(); ++k) {
-        if (ck2.pages[k].data.get() != ck.pages[k].data.get() ||
-            ck2.pages[k].perms != ck.pages[k].perms) {
-          char buf[64];
-          snprintf(buf, sizeof buf,
-                   "page 0x%llx not restored to the captured payload",
-                   static_cast<unsigned long long>(ck.pages[k].addr));
-          divergence = buf;
-          break;
-        }
-      }
-    }
-
-    // Phase 3 (replay): re-run the same budget from the restored state.
-    TraceHashRecorder rep;
-    m.set_exec_hook(&rep);
-    const emu::StopReason stop_rep = m.Run(budget);
-    m.set_exec_hook(nullptr);
-    const emu::CpuState end_rep = m.state();
-    ++report.executed;
-
-    if (divergence.empty()) {
-      auto u64 = [](uint64_t x) { return std::to_string(x); };
-      if (stop_rep != stop_ref) {
-        divergence = "stop reason differs: reference " +
-                     u64(uint64_t(stop_ref)) + " vs replay " +
-                     u64(uint64_t(stop_rep));
-      } else if (ref.insts() != rep.insts()) {
-        divergence = "retired count differs: reference " + u64(ref.insts()) +
-                     " vs replay " + u64(rep.insts());
-      } else if (ref.hash() != rep.hash()) {
-        divergence = "pc/access trace hash differs across restore";
-      } else if (!(end_ref == end_rep)) {
-        divergence = "final registers differ across restore";
-      }
-    }
-    if (divergence.empty()) continue;
-
-    CrashArtifact a;
-    a.mode = "snapshot";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = "snapshot/restore divergence: " + divergence;
-    a.verdict = VerdictText(v);
-    a.words = words;
-    a.full_words = words;
-    RecordCrash(opts, &report, std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
-  }
-  return report;
+  return RunWords("snapshot", opts);
 }
 
 FuzzReport RunCompleteness(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "completeness";
   const auto corpus = SeedCorpusAsm();
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    const uint64_t iseed = DeriveSeed(opts.seed, it);
+  return Drive("completeness", opts, [&](uint64_t it, uint64_t iseed) {
     Rng rng(iseed);
-    const std::string src =
-        it < corpus.size() ? corpus[it] : GenAsmProgram(rng);
-    ++report.iters;
-    std::string verdict;
-    Rng pipe_rng(iseed);  // pipeline options derive from the same seed
-    const std::string err = RunPipeline(src, pipe_rng, opts, &verdict);
-    if (err.empty()) {
-      ++report.accepted;
-      continue;
-    }
-    auto fails = [&](const std::string& s) {
-      if (s.empty()) return false;
-      Rng r2(iseed);
-      std::string v2;
-      return !RunPipeline(s, r2, opts, &v2).empty();
-    };
-    CrashArtifact a;
-    a.mode = "completeness";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = err;
-    a.verdict = verdict;
-    a.asm_source = MinimizeAsm(src, fails);
-    RecordCrash(opts, &report, std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
-  }
-  return report;
-}
-
-std::string CheckParseRoundTrip(const std::string& src, bool* accepted) {
-  const auto first = asmtext::Parse(src);
-  *accepted = first.ok();
-  if (!first.ok()) return "";
-  const std::string printed = asmtext::Print(*first);
-  const auto second = asmtext::Parse(printed);
-  if (!second.ok()) return "printed text does not parse: " + second.error();
-  const auto& a = first->stmts;
-  const auto& b = second->stmts;
-  for (size_t k = 0; k < std::min(a.size(), b.size()); ++k) {
-    const std::string diff = StmtDiff(a[k], b[k]);
-    if (!diff.empty()) {
-      return "statement " + std::to_string(k) + " (line " +
-             std::to_string(a[k].line) + ", printed `" +
-             asmtext::PrintStmt(a[k]) + "`) differs in " + diff;
-    }
-  }
-  if (a.size() != b.size()) {
-    return "statement count " + std::to_string(a.size()) + " -> " +
-           std::to_string(b.size());
-  }
-  return "";
+    return CheckPipeline(it < corpus.size() ? corpus[it] : GenAsmProgram(rng),
+                         iseed, opts);
+  });
 }
 
 FuzzReport RunParseFuzz(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "parse";
   const auto corpus = SeedCorpusAsm();
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    const uint64_t iseed = DeriveSeed(opts.seed, it);
+  return Drive("parse", opts, [&](uint64_t it, uint64_t iseed) {
     Rng rng(iseed);
     std::string src = it < corpus.size() ? corpus[it] : GenAsmProgram(rng);
     MutateAsmText(rng, &src);
-    ++report.iters;
-    bool accepted = false;
-    const std::string err = CheckParseRoundTrip(src, &accepted);
-    if (!accepted) {
-      ++report.rejected;
-      continue;
-    }
-    ++report.accepted;
-    ++report.executed;  // round trips checked
-    if (err.empty()) continue;
-    CrashArtifact a;
-    a.mode = "parse";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = err;
-    a.asm_source = MinimizeAsm(src, [](const std::string& s) {
-      bool ok = false;
-      return !CheckParseRoundTrip(s, &ok).empty();
-    });
-    RecordCrash(opts, &report, std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
+    return CheckParse(src);
+  });
+}
+
+int Replay(const CrashArtifact& a, const FuzzOptions& opts, std::string* out) {
+  if (a.mode.empty()) {
+    *out = "no mode: line";
+    return 2;
   }
-  return report;
+  *out = a.mode + " seed=" + Hex64(a.seed) + ": ";
+  Outcome o;
+  if (const Oracle oracle = WordOracle(a.mode)) {
+    if (a.words.empty()) {
+      *out += "no words: line";
+      return 2;
+    }
+    o = CheckWords(a.words, a.seed, opts, oracle);
+  } else if (a.mode == "completeness" || a.mode == "parse") {
+    if (a.asm_source.empty()) {
+      *out += "no source: block";
+      return 2;
+    }
+    o = a.mode == "parse" ? CheckParse(a.asm_source)
+                          : CheckPipeline(a.asm_source, a.seed, opts);
+  } else if (a.mode == "snapshot-file") {
+    o = SnapshotFileStep()(a.iter, a.seed);
+  } else {
+    *out += "not replayable in isolation";
+    return 2;
+  }
+  if (!o.crashes.empty()) {
+    *out += "STILL FAILS: " + o.crashes[0].detail;
+    return 1;
+  }
+  if (o.verdict != Outcome::Verdict::kRejected) {
+    *out += "passes -- fixed";
+  } else if (o.reject_kind) {
+    *out += std::string("now rejected (") +
+            verifier::FailKindName(*o.reject_kind) + ") -- fixed";
+  } else {
+    *out += "now rejected -- fixed";
+  }
+  return 0;
 }
 
 }  // namespace lfi::fuzz

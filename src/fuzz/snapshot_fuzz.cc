@@ -284,41 +284,36 @@ std::string CheckSnapshotBytes(std::span<const uint8_t> bytes,
   return "";
 }
 
-FuzzReport RunSnapshotFormatFuzz(const FuzzOptions& opts) {
-  FuzzReport report;
-  report.mode = "snapshot-file";
-  const auto seeds = SeedSnapshots();
-  if (seeds.empty()) return report;
-  for (uint64_t it = 0; it < opts.iters; ++it) {
-    const uint64_t iseed = DeriveSeed(opts.seed, it);
+Step SnapshotFileStep() {
+  return [seeds = SeedSnapshots()](uint64_t, uint64_t iseed) {
+    Outcome o;
+    CrashArtifact a;
+    if (seeds.empty()) {
+      a.detail = "no seed snapshot could be built";
+      o.crashes.push_back(std::move(a));
+      o.stop = true;
+      return o;
+    }
     Rng rng(iseed);
     const size_t base = rng.Below(seeds.size());
     std::vector<uint8_t> bytes = seeds[base];
     const std::string log = MutateSnapshot(rng, &bytes);
-    ++report.iters;
     bool accepted = false;
-    const std::string err =
-        CheckSnapshotBytes({bytes.data(), bytes.size()}, &accepted);
+    a.detail = CheckSnapshotBytes({bytes.data(), bytes.size()}, &accepted);
     if (accepted) {
-      ++report.accepted;
-      ++report.executed;  // fixpoints checked
-    } else if (err.empty()) {
-      ++report.rejected;
+      o.verdict = Outcome::Verdict::kExecuted;  // fixpoint checked
+    } else if (a.detail.empty()) {
+      o.verdict = Outcome::Verdict::kRejected;
     }
-    if (err.empty()) continue;
-    CrashArtifact a;
-    a.mode = "snapshot-file";
-    a.iter = it;
-    a.seed = iseed;
-    a.detail = err + " (seed snapshot " + std::to_string(base) + ": " + log +
-               ")";
-    if (!opts.artifact_dir.empty()) {
-      a.path = WriteArtifact(a, opts.artifact_dir);
-    }
-    report.crashes.push_back(std::move(a));
-    if (report.crashes.size() >= opts.max_crashes) break;
-  }
-  return report;
+    if (a.detail.empty()) return o;
+    a.detail += " (seed snapshot " + std::to_string(base) + ": " + log + ")";
+    o.crashes.push_back(std::move(a));
+    return o;
+  };
+}
+
+FuzzReport RunSnapshotFormatFuzz(const FuzzOptions& opts) {
+  return Drive("snapshot-file", opts, SnapshotFileStep());
 }
 
 }  // namespace lfi::fuzz

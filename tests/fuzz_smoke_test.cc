@@ -1,4 +1,4 @@
-// Bounded smoke runs of the three fuzzing modes, plus meta-tests that
+// Bounded smoke runs of the fuzzing modes, plus meta-tests that
 // prove the soundness oracle itself works: hand-built escape programs
 // (bypassing the verifier) must be convicted by the SlotInvariantChecker,
 // and the seed-corpus escape probes must stay verifier-rejected. The
@@ -251,6 +251,41 @@ TEST(SoundnessOracle, AcceptsLegalGuardedProgram) {
   EXPECT_GE(res.retired, 3u);
 }
 
+// --- Differential meta-tests: DescribeDiff must see every part of a
+// result docs/DISPATCH.md promises is identical across backends. Each
+// pair below differs in exactly one of them.
+
+TEST(DifferentialOracle, SeesTheExclusiveMonitor) {
+  const fuzz::ExecResult a = fuzz::ExecuteWords({{fuzz::kNopWord}}, {});
+  fuzz::ExecResult b = a;
+  EXPECT_EQ(fuzz::DescribeDiff(a, b, "a", "b"), "");
+  b.final_state.excl_valid = !a.final_state.excl_valid;
+  EXPECT_NE(fuzz::DescribeDiff(a, b, "a", "b"), "");
+}
+
+TEST(DifferentialOracle, SeesTheFaultPc) {
+  // Word 0 is undecodable: both runs stop on a decode fault.
+  const fuzz::ExecResult a = fuzz::ExecuteWords({{0u}}, {});
+  ASSERT_EQ(a.stop, emu::StopReason::kFault);
+  fuzz::ExecResult b = a;
+  b.fault.pc += 4;
+  EXPECT_NE(fuzz::DescribeDiff(a, b, "a", "b").find("fault pc"),
+            std::string::npos);
+}
+
+TEST(DifferentialOracle, SeesOneMemoryByte) {
+  // Store 1 or 2 to the data region, then zero x0 again: the two runs
+  // end in the same registers, stop and cycles, one stored byte apart.
+  auto run = [](uint16_t v) {
+    const std::vector<uint32_t> words = {Enc(Movz(0, v, 0)), Enc(Str(0, 18)),
+                                         Enc(Movz(0, 0, 0))};
+    return fuzz::ExecuteWords(words, {});
+  };
+  EXPECT_EQ(fuzz::DescribeDiff(run(1), run(1), "a", "b"), "");
+  EXPECT_EQ(fuzz::DescribeDiff(run(1), run(2), "a", "b"),
+            "data/stack memory differs");
+}
+
 // --- Seed corpus: legal entries execute clean, escape probes stay
 // rejected (regression tests for the verifier rules they target).
 
@@ -344,6 +379,89 @@ TEST(Artifact, FormatContainsReplayableWords) {
   EXPECT_NE(text.find("d503201f"), std::string::npos);  // the nop, in hex
   EXPECT_NE(text.find("disasm:"), std::string::npos);
   EXPECT_NE(text.find("movz"), std::string::npos);
+}
+
+TEST(Artifact, ParseReadsBackWhatFormatWrote) {
+  fuzz::CrashArtifact a;
+  a.mode = "completeness";
+  a.iter = 12;
+  a.seed = 0xfeedface1234;
+  a.detail = "parse failed: line 1: x";
+  a.words = {Enc(Movz(25, 0xFFFF, 1)), fuzz::kNopWord};
+  a.full_words = {fuzz::kNopWord, fuzz::kNopWord, fuzz::kNopWord};
+  a.asm_source = "_start:\n\n  ret\n";
+  const fuzz::CrashArtifact b = fuzz::ParseArtifact(fuzz::FormatArtifact(a));
+  EXPECT_EQ(b.mode, a.mode);
+  EXPECT_EQ(b.iter, a.iter);
+  EXPECT_EQ(b.seed, a.seed);
+  EXPECT_EQ(b.words, a.words);
+  EXPECT_EQ(b.asm_source, a.asm_source);
+}
+
+// --- The driver and replay. ---
+
+TEST(Drive, CountsVerdictsAndStopsAtMaxCrashes) {
+  fuzz::FuzzOptions opts;
+  opts.seed = 9;
+  opts.iters = 100;
+  opts.max_crashes = 2;
+  std::vector<uint64_t> seeds;
+  const auto r = fuzz::Drive("test", opts, [&](uint64_t it, uint64_t iseed) {
+    seeds.push_back(iseed);
+    fuzz::Outcome o;
+    o.verdict = it % 2 == 0 ? fuzz::Outcome::Verdict::kExecuted
+                            : fuzz::Outcome::Verdict::kRejected;
+    if (it % 2 == 1) o.reject_kind = verifier::FailKind::kUndecodable;
+    if (it % 5 == 4) o.crashes.emplace_back().detail = "found";
+    return o;
+  });
+  // Iterations 4 and 9 crash; the second ends the run.
+  EXPECT_EQ(r.mode, "test");
+  EXPECT_EQ(r.iters, 10u);
+  EXPECT_EQ(r.accepted, 5u);
+  EXPECT_EQ(r.executed, 5u);
+  EXPECT_EQ(r.rejected, 5u);
+  EXPECT_EQ(r.reject_kinds[size_t(verifier::FailKind::kUndecodable)], 5u);
+  ASSERT_EQ(r.crashes.size(), 2u);
+  EXPECT_EQ(r.crashes[1].mode, "test");
+  EXPECT_EQ(r.crashes[1].iter, 9u);
+  EXPECT_EQ(r.crashes[1].seed, fuzz::DeriveSeed(9, 9));
+  EXPECT_EQ(seeds[9], fuzz::DeriveSeed(9, 9));
+}
+
+TEST(Replay, RunsTheCheckOfTheArtifactsMode) {
+  const fuzz::FuzzOptions opts;
+  std::string out;
+  // An escape the verifier rejects: replay re-verifies the words.
+  fuzz::CrashArtifact sound;
+  sound.mode = "soundness";
+  sound.seed = 0x77;
+  sound.words = {Enc(Movz(25, 0xFFFF, 1)), Enc(Str(0, 25))};
+  EXPECT_EQ(fuzz::Replay(sound, opts, &out), 0);
+  EXPECT_EQ(out,
+            "soundness seed=0x77: now rejected (bad-addressing-mode) -- fixed");
+  // Completeness runs the pipeline on the source, which here fails.
+  fuzz::CrashArtifact comp;
+  comp.mode = "completeness";
+  comp.seed = 5;
+  comp.asm_source = "not an instruction\n";
+  EXPECT_EQ(fuzz::Replay(comp, opts, &out), 1);
+  EXPECT_EQ(out.rfind("completeness seed=0x5: STILL FAILS: parse failed", 0),
+            0u)
+      << out;
+  // Snapshot-file rebuilds its mutant from the seed alone.
+  fuzz::CrashArtifact file;
+  file.mode = "snapshot-file";
+  file.seed = 0x1234;
+  EXPECT_EQ(fuzz::Replay(file, opts, &out), 0);
+  EXPECT_NE(out.find("-- fixed"), std::string::npos) << out;
+  // Embed iterations share one harness.
+  fuzz::CrashArtifact embed;
+  embed.mode = "embed";
+  EXPECT_EQ(fuzz::Replay(embed, opts, &out), 2);
+  EXPECT_EQ(out, "embed seed=0x0: not replayable in isolation");
+  EXPECT_EQ(fuzz::Replay(fuzz::CrashArtifact{}, opts, &out), 2);
+  EXPECT_EQ(out, "no mode: line");
 }
 
 }  // namespace
