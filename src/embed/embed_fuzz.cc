@@ -136,12 +136,7 @@ struct Harness {
     auto made = Sandbox::Create(*rt, {elf_bytes->data(), elf_bytes->size()});
     if (!made.ok()) return Status::Fail(made.error());
     sb = std::move(*made);
-    fuzz::SlotInvariantChecker::Config ccfg;
-    ccfg.base = sb->base();
-    ccfg.rt_base = runtime::kRuntimeEntryBase;
-    ccfg.rt_len = runtime::kRuntimeEntryGranule *
-                  static_cast<uint64_t>(runtime::Rtcall::kCount);
-    checker = std::make_unique<fuzz::SlotInvariantChecker>(ccfg);
+    checker = std::make_unique<fuzz::SlotInvariantChecker>(sb->base());
     rt->machine().set_exec_hook(checker.get());
     // Callback 0: double the argument (echo round-trip).
     sb->BindCallback(0, std::function<uint64_t(uint64_t)>(

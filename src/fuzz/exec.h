@@ -1,19 +1,25 @@
 // Sandboxed execution harness + slot-invariant checker.
 //
-// ExecuteWords places a verified instruction stream into a realistic slot
-// (call table at the base, text at kProgramStart, data, stack, unmapped
-// guard regions) and runs it under a Machine with the SlotInvariantChecker
-// hook attached. The checker is the soundness oracle: it asserts, per
-// retired instruction, the Section 3/4 invariants the verifier is supposed
-// to guarantee. Any violation is a sandbox escape the verifier let through.
+// ExecuteWords loads an instruction stream the way the runtime loads any
+// program: as an ELF image (the stream at kProgramStart, a 4-page bss
+// segment at 0x200000) through Runtime::LoadImage, so the call table,
+// text, data, stack and guard regions are the loader's own. It adds only
+// what no runtime path provides, tripwire pages outside the slot and a
+// hostile register file, and runs the stream on the runtime's machine
+// with the SlotInvariantChecker hook attached. The checker is the
+// soundness oracle: it asserts, per retired instruction, the Section 3/4
+// invariants the verifier is supposed to guarantee. Any violation is a
+// sandbox escape the verifier let through.
 //
 // What counts as an escape vs. a contained trap:
 //   - any *attempted* load/store outside [base-guard, base+4GiB+guard):
 //     escape (on real hardware nothing promises a fault there; the
 //     emulator additionally maps RW "tripwire" pages just outside the
 //     window so near escapes retire and are caught red-handed);
-//   - an indirect branch whose landing pc is outside the slot and outside
-//     the runtime-entry region: escape (could be neighbor code);
+//   - an indirect branch whose landing pc is outside the slot and not
+//     runtime-owned (the runtime-entry region, or kCallTableTrap, which
+//     the call table's unused entries hold): escape (could be neighbor
+//     code);
 //   - reserved-register invariant broken after a retire (x21 moved, x22
 //     grew past 32 bits, x18/x23/x24 left the slot, sp left its slack
 //     window, x30 invalid outside the one-instruction load window): escape;
@@ -27,31 +33,26 @@
 #define LFI_FUZZ_EXEC_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "emu/machine.h"
+#include "runtime/layout.h"
+#include "runtime/runtime.h"
 
 namespace lfi::fuzz {
 
-// Per-instruction invariant checker (the ExecHook soundness oracle).
+// Per-instruction invariant checker (the ExecHook soundness oracle) for
+// the slot at `base`. The guard size and the runtime-owned addresses come
+// from runtime/layout.h.
 class SlotInvariantChecker : public emu::ExecHook {
  public:
-  struct Config {
-    uint64_t base = 0;          // slot base (4GiB aligned)
-    uint64_t guard_bytes = 48 * 1024;
-    uint64_t rt_base = 0;       // runtime-entry region
-    uint64_t rt_len = 0;
-  };
   // Slack around the slot for sp: the verifier admits one small (<1KiB)
   // adjustment or a +-256B writeback between proving accesses, so sp may
   // transiently sit that far outside the window.
   static constexpr uint64_t kSpSlack = 4096;
 
-  explicit SlotInvariantChecker(const Config& cfg) : cfg_(cfg) {}
+  explicit SlotInvariantChecker(uint64_t base) : base_(base) {}
 
   bool OnInst(const arch::Inst& inst, uint64_t pc, const emu::CpuState& after,
               std::span<const emu::AccessRecord> accesses,
@@ -65,17 +66,22 @@ class SlotInvariantChecker : public emu::ExecHook {
   bool Fail(uint64_t pc, const arch::Inst& inst, std::string what);
 
   bool InWindow(uint64_t addr, uint64_t len) const {
-    return addr >= cfg_.base - cfg_.guard_bytes &&
-           addr + len <= cfg_.base + (uint64_t{1} << 32) + cfg_.guard_bytes;
+    return addr >= base_ - runtime::kGuardSize &&
+           addr + len <= base_ + runtime::kSlotSize + runtime::kGuardSize;
   }
   bool InSlot(uint64_t addr) const {
-    return addr >= cfg_.base && addr < cfg_.base + (uint64_t{1} << 32);
+    return addr >= base_ && addr < base_ + runtime::kSlotSize;
   }
-  bool InRuntime(uint64_t addr) const {
-    return addr >= cfg_.rt_base && addr < cfg_.rt_base + cfg_.rt_len;
+  // The runtime-entry region, plus the one address the runtime itself
+  // writes into the read-only call table for unused entries.
+  static bool RuntimeOwned(uint64_t addr) {
+    return addr - runtime::kRuntimeEntryBase <
+               runtime::kRuntimeEntryGranule *
+                   uint64_t(runtime::Rtcall::kCount) ||
+           addr == runtime::kCallTableTrap;
   }
 
-  Config cfg_;
+  uint64_t base_;
   std::string violation_;
   uint64_t checked_ = 0;
 };
@@ -84,8 +90,6 @@ class SlotInvariantChecker : public emu::ExecHook {
 struct ExecOptions {
   uint64_t seed = 1;            // scratch-register entropy (hostile values)
   uint64_t max_insts = 2000;
-  uint64_t guard_bytes = 48 * 1024;
-  uint64_t table_bytes = 4096;
   emu::Dispatch dispatch = emu::Dispatch::kBlock;
   // When false, ExecuteWords runs without the SlotInvariantChecker hook
   // (ExecResult::violation stays empty except for the fault-based belt-and-
@@ -117,51 +121,33 @@ ExecResult ExecuteWords(std::span<const uint32_t> words,
 ExecResult ExecuteWordsStepwise(std::span<const uint32_t> words,
                                 const ExecOptions& opts);
 
-// The slot environment ExecuteWords builds, kept alive so callers can run
-// in phases with page-level checkpoints in between (the snapshot oracle).
-// Construction maps the slot (call table, text, data, stack, tripwires)
-// and seeds the registers from opts.seed exactly as ExecuteWords does; the
-// caller attaches whatever ExecHook it wants and calls Run.
-//
-// Capture/Restore exercise the same primitives the runtime snapshot layer
-// uses — ExportPage / PagePayload / InstallPage — so divergence after a
-// restore convicts the copy-on-write payload-sharing machinery itself.
-// (Sandboxed code cannot map or unmap pages here — there is no runtime —
-// so the page *set* is fixed at construction and only contents change.)
+// The slot ExecuteWords builds, kept alive so callers can run in phases
+// (the snapshot oracle captures and restores the proc through
+// Runtime::CaptureSnapshot and RestoreFromSnapshot). Construction loads
+// the stream into a fresh Runtime with verification off, maps the
+// tripwires and seeds the machine's registers from opts.seed exactly as
+// ExecuteWords does; the caller attaches whatever ExecHook it wants and
+// drives machine() directly, as Runtime::RunEmbedded does. The proc's
+// saved registers (Proc::cpu) are the caller's to sync around a capture.
 class ExecEnv {
  public:
   ExecEnv(std::span<const uint32_t> words, const ExecOptions& opts);
 
-  emu::Machine& machine() { return machine_; }
-  emu::AddressSpace& space() { return space_; }
+  // Empty unless the loader refused the stream (it reaches the bss).
+  const std::string& error() const { return error_; }
+  runtime::Runtime& runtime() { return rt_; }
+  emu::Machine& machine() { return rt_.machine(); }
+  int pid() const { return pid_; }
   uint64_t base() const { return base_; }
-  const SlotInvariantChecker::Config& checker_config() const { return ccfg_; }
 
-  // One captured page; `data` is shared with the live space until the
-  // space's next write to that page copies (COW).
-  struct CheckpointPage {
-    uint64_t addr = 0;
-    uint8_t perms = 0;
-    std::shared_ptr<emu::AddressSpace::PageData> data;
-  };
-  struct Checkpoint {
-    emu::CpuState cpu;
-    std::vector<CheckpointPage> pages;
-  };
-
-  Checkpoint Capture() const;
   // FNV-1a digest of the writable pages inside the slot (data and stack).
-  uint64_t MemoryDigest() const;
-  // Rolls cpu + memory back to `ck`; returns how many pages had actually
-  // diverged (payload pointer or perms) and were re-installed.
-  uint64_t Restore(const Checkpoint& ck);
+  uint64_t MemoryDigest();
 
  private:
+  runtime::Runtime rt_;
+  int pid_ = 0;
   uint64_t base_ = 0;
-  std::vector<std::pair<uint64_t, uint64_t>> ranges_;  // mapped [addr, len)
-  SlotInvariantChecker::Config ccfg_;
-  emu::AddressSpace space_;
-  emu::Machine machine_;
+  std::string error_;
 };
 
 }  // namespace lfi::fuzz

@@ -14,6 +14,7 @@
 #include "fuzz/gen.h"
 #include "rewriter/rewriter.h"
 #include "runtime/layout.h"
+#include "runtime/runtime.h"
 
 namespace lfi::fuzz {
 namespace {
@@ -466,42 +467,85 @@ std::string ChainedOracle(std::span<const uint32_t> words,
   return diff.empty() ? "" : "chained/block divergence: " + diff;
 }
 
+// True when the runtime can capture `s` faithfully. Capture keeps the low
+// 32 bits of pc, sp, x18, x23, x24 and x30 and restore ORs the slot base
+// back in, so each must already be in the slot: a run stopped at a
+// runtime entry, for one, is not capturable.
+bool Capturable(const emu::CpuState& s, uint64_t base) {
+  for (uint64_t v : {s.pc, s.sp, s.x[18], s.x[23], s.x[24], s.x[30]}) {
+    if (v - base >= runtime::kSlotSize) return false;
+  }
+  return true;
+}
+
+// `s` as a snapshot records it: an invalid exclusive monitor's address is
+// architecturally dead, and capture drops it.
+emu::CpuState Architectural(emu::CpuState s) {
+  if (!s.excl_valid) s.excl_addr = 0;
+  return s;
+}
+
+// Capture and restore are the runtime's own (Runtime::CaptureSnapshot and
+// RestoreFromSnapshot, the path serving's Recycle takes), applied to the
+// harness's proc.
 std::string SnapshotOracle(std::span<const uint32_t> words,
                            const ExecOptions& eo) {
+  // Phase 1: run to half of the stream's own retired count (a hook-free
+  // dry run counts it), then on to the first boundary the runtime can
+  // capture, and freeze there. A stream that stops first compares
+  // nothing.
+  ExecOptions dry = eo;
+  dry.attach_checker = false;
+  uint64_t at = ExecuteWords(words, dry).retired / 2;
   ExecEnv env(words, eo);
+  if (!env.error().empty()) {
+    return "the loader refused the stream: " + env.error();
+  }
   emu::Machine& m = env.machine();
+  runtime::Runtime& rt = env.runtime();
+  runtime::Proc& proc = *rt.proc(env.pid());
+  if (m.Run(at) != emu::StopReason::kInstLimit) return "";
+  while (!Capturable(m.state(), env.base())) {
+    if (at == eo.max_insts || m.Run(1) != emu::StopReason::kInstLimit) {
+      return "";
+    }
+    ++at;
+  }
+  const emu::CpuState frozen = Architectural(m.state());
+  proc.cpu = m.state();
+  const auto ck = rt.CaptureSnapshot(env.pid());
+  if (!ck.ok()) return "capture failed: " + ck.error();
 
-  // Phase 1: run the first half of the budget, then freeze mid-flight
-  // (whatever state the program reached — a mid-loop checkpoint is the
-  // interesting case; a program that already stopped just makes the
-  // comparison trivially exact).
-  const uint64_t n = eo.max_insts / 2;
-  (void)m.Run(n);
-  const ExecEnv::Checkpoint ck = env.Capture();
-
-  // Phase 2 (reference): run the second half, hashing the trace.
-  const uint64_t budget = eo.max_insts - n;
+  // Phase 2 (reference): run the rest of the budget, hashing the trace.
+  const uint64_t budget = eo.max_insts - at;
   TraceHashRecorder ref;
   m.set_exec_hook(&ref);
   const emu::StopReason stop_ref = m.Run(budget);
   m.set_exec_hook(nullptr);
-  const emu::CpuState end_ref = m.state();
+  const emu::CpuState end_ref = Architectural(m.state());
 
   // Roll back and check the restore converged exactly: registers equal
-  // the checkpoint's and every page payload is pointer-identical again.
-  (void)env.Restore(ck);
+  // the captured ones and every page payload is pointer-identical again.
+  if (auto st = rt.RestoreFromSnapshot(env.pid(), *ck); !st.ok()) {
+    return "restore failed: " + st.error();
+  }
+  m.state() = proc.cpu;
   std::string divergence;
-  if (!(m.state() == ck.cpu)) {
+  if (!(m.state() == frozen)) {
     divergence = "registers differ immediately after restore";
   }
-  const ExecEnv::Checkpoint ck2 = env.Capture();
-  if (divergence.empty() && ck2.pages.size() != ck.pages.size()) {
+  const auto ck2 = rt.CaptureSnapshot(env.pid());
+  if (divergence.empty() &&
+      (!ck2.ok() || ck2->mappings != ck->mappings ||
+       ck2->pages.size() != ck->pages.size())) {
     divergence = "mapped page set changed across snapshot/restore";
   }
-  for (size_t k = 0; divergence.empty() && k < ck.pages.size(); ++k) {
-    if (ck2.pages[k].data.get() != ck.pages[k].data.get() ||
-        ck2.pages[k].perms != ck.pages[k].perms) {
-      divergence = "page " + Hex64(ck.pages[k].addr) +
+  for (size_t k = 0; divergence.empty() && k < ck->pages.size(); ++k) {
+    const snapshot::PageRec& want = ck->pages[k];
+    const snapshot::PageRec& got = ck2->pages[k];
+    if (got.offset != want.offset || got.data != want.data ||
+        got.perms != want.perms) {
+      divergence = "page " + Hex64(want.offset) +
                    " not restored to the captured payload";
     }
   }
@@ -511,7 +555,7 @@ std::string SnapshotOracle(std::span<const uint32_t> words,
   m.set_exec_hook(&rep);
   const emu::StopReason stop_rep = m.Run(budget);
   m.set_exec_hook(nullptr);
-  const emu::CpuState end_rep = m.state();
+  const emu::CpuState end_rep = Architectural(m.state());
 
   if (divergence.empty()) {
     auto u64 = [](uint64_t x) { return std::to_string(x); };
@@ -563,8 +607,6 @@ Outcome CheckWords(const std::vector<uint32_t>& words, uint64_t iseed,
   ExecOptions eo;
   eo.seed = iseed;
   eo.max_insts = opts.max_exec_insts;
-  eo.guard_bytes = opts.verify.guard_bytes;
-  eo.table_bytes = opts.verify.table_bytes;
   std::string detail = oracle(words, eo);
   if (detail.empty()) return o;
   CrashArtifact a;

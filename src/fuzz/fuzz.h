@@ -22,13 +22,14 @@
 //                machine delegates chained execution to the reference
 //                loop, which would make the comparison vacuous. Same
 //                DescribeDiff bar as differential.
-//   snapshot     the stream runs N instructions, checkpoints (page
-//                payloads + registers, the snapshot layer's COW export),
-//                runs M more hashing the pc/access trace, rolls back, and
-//                re-runs M. Stop reason, retired count, trace hash, and
-//                final registers must match exactly; cycle counts are
-//                exempt (timing state is history-dependent and not part
-//                of a snapshot).
+//   snapshot     the stream runs to half its own retired count and on
+//                to the first boundary the runtime can capture, is
+//                captured (Runtime::CaptureSnapshot), runs M more hashing
+//                the pc/access trace, is rolled back
+//                (Runtime::RestoreFromSnapshot), and re-runs M. Stop
+//                reason, retired count, trace hash, and final registers
+//                must match exactly; cycle counts are exempt (timing
+//                state is history-dependent and not part of a snapshot).
 //
 // The other modes check other inputs:
 //

@@ -47,6 +47,10 @@ constexpr uint64_t SlotBase(uint64_t idx) { return idx * kSlotSize; }
 // address by unsandboxed baseline runs, can alias it.
 inline constexpr uint64_t kRuntimeEntryBase = 0x8000;
 inline constexpr uint64_t kRuntimeEntryGranule = 16;
+// Where the call table's unused entries (Rtcall::kCount and up) point: an
+// address in slot 0 that is never mapped, so a call through one of them
+// faults on the fetch and reaches neither the runtime nor a neighbor.
+inline constexpr uint64_t kCallTableTrap = 0x4000;
 
 // Runtime call numbers (indices into the call table).
 enum class Rtcall : int {

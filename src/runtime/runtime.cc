@@ -61,12 +61,12 @@ static_assert(static_cast<int>(snapshot::FdRec::Kind::kPipeWrite) ==
 using PageData = emu::AddressSpace::PageData;
 
 // The runtime-call table every slot holds read-only at offset 0: entry n
-// points at runtime entry n; unused entries point at an unmapped page.
+// points at runtime entry n; unused entries point at kCallTableTrap.
 const PageData& CallTablePage() {
   static const PageData table = [] {
     PageData page{};
     for (uint64_t n = 0; n < kPage / 8; ++n) {
-      uint64_t entry = 0x4000;
+      uint64_t entry = kCallTableTrap;
       if (n < static_cast<uint64_t>(Rtcall::kCount)) {
         entry = kRuntimeEntryBase + n * kRuntimeEntryGranule;
       }

@@ -27,6 +27,12 @@ using emu::StopReason;
 // immediate offset from x18/x21/x23/x24 stays inside data1 (or falls off
 // the mapped space entirely, which PredictEffect models as a fault), and
 // every uxtw-guarded access lands in data1.
+// This is deliberately not the loader's slot (runtime/layout.h, which the
+// fuzz harness uses): data1 maps the call-table page and the leading
+// guard region read-write and patterned, so that x21-relative loads,
+// call-table loads included, read bytes PatternByte predicts. CheckSnapshot
+// forbids both: the table page must be the read-only call table, and
+// nothing else may be mapped below kProgramStart.
 constexpr uint64_t kBase = uint64_t{1} << 32;
 constexpr uint64_t kText = kBase + 0x10000;
 constexpr uint64_t kData2 = kBase + 0x20000;

@@ -206,6 +206,37 @@ TEST(SoundnessOracle, ConvictsUnguardedIndirectBranch) {
       << res.violation;
 }
 
+TEST(SoundnessOracle, UnusedCallTableEntryTrapsWithoutViolation) {
+  // Entry 30 is past the last runtime call, so the loader's table holds
+  // kCallTableTrap there: the verified call sequence lands on an unmapped
+  // runtime-owned page and faults on the fetch.
+  Inst ldr = Str(30, 21, 240);
+  ldr.mn = Mn::kLdr;
+  Inst blr;
+  blr.mn = Mn::kBlr;
+  blr.rn = arch::kRegLink;
+  const std::vector<uint32_t> words = {Enc(ldr), Enc(blr)};
+  ASSERT_TRUE(verifier::Verify(AsBytes(words), {}).ok);
+  const auto res = fuzz::ExecuteWords(words, {});
+  EXPECT_TRUE(res.violation.empty()) << res.violation;
+  ASSERT_EQ(res.stop, emu::StopReason::kFault);
+  EXPECT_EQ(res.fault.kind, emu::CpuFault::Kind::kFetch);
+  EXPECT_EQ(res.fault.pc, runtime::kCallTableTrap);
+}
+
+TEST(SoundnessOracle, ConvictsBranchNextToTheCallTableTrap) {
+  // Only the trap address itself is runtime-owned.
+  Inst blr;
+  blr.mn = Mn::kBlr;
+  blr.rn = Reg::X(9);
+  const std::vector<uint32_t> words = {
+      Enc(Movz(9, uint16_t(runtime::kCallTableTrap + 16), 0)), Enc(blr)};
+  const auto res = fuzz::ExecuteWords(words, {});
+  EXPECT_NE(res.violation.find("indirect branch escaped to 0x4010"),
+            std::string::npos)
+      << res.violation;
+}
+
 TEST(SoundnessOracle, ConvictsBaseRegisterClobber) {
   Inst add;
   add.mn = Mn::kAddImm;
