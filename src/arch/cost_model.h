@@ -29,7 +29,7 @@ struct CoreParams {
   int l2_latency = 14;       // additional cycles for an L1 miss, L2 hit
   int mem_latency = 90;      // additional cycles for an L2 miss
   int tlb_walk_cycles = 22;  // page-walk cost on a TLB miss
-  int tlb_entries = 1024;    // modeled (fully-associative) TLB capacity
+  int tlb_entries = 1024;    // modeled (direct-mapped) TLB capacity
   int l1d_kib = 64;          // modeled L1 data cache size
   int mispredict_penalty = 13;  // branch misprediction bubble
   int mlp = 8;                  // max overlapping cache misses (MSHRs)

@@ -92,11 +92,12 @@ enum class AddrMode : uint8_t {
   kRegSxtw,   // [xN, wM, sxtw {#s}]
 };
 
-// The memory operand of a load/store.
+// The memory operand of a load/store. `imm` comes first so the four
+// one-byte fields pack behind it into 16 bytes.
 struct MemOperand {
+  int64_t imm = 0;                // byte offset for the kImm/index modes
   Reg base;                       // xN or sp
   AddrMode mode = AddrMode::kImm;
-  int64_t imm = 0;                // byte offset for the kImm/index modes
   Reg index = Reg::None();        // for the register-offset modes
   uint8_t shift = 0;              // left-shift amount for register offsets
 
@@ -156,6 +157,10 @@ struct Inst {
 
   bool operator==(const Inst&) const = default;
 };
+
+// The emulator's decoded blocks, the verifier and the assembly AST each
+// hold one Inst per instruction.
+static_assert(sizeof(MemOperand) <= 16 && sizeof(Inst) <= 56);
 
 // --- Classification helpers used by the rewriter and verifier. ---
 

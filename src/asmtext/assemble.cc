@@ -18,9 +18,10 @@ uint64_t AlignUp(uint64_t v, uint64_t a) { return (v + a - 1) / a * a; }
 // this also bounds the section streams Assemble reserves.
 constexpr uint64_t kMaxSection = uint64_t{1} << 32;
 
-// Size in bytes a directive contributes to its section. `addr` is the
-// current offset, needed for alignment.
-uint64_t DirectiveSize(const Directive& d, uint64_t addr) {
+// Size in bytes a directive statement contributes to its section. `addr`
+// is the current offset, needed for alignment.
+uint64_t DirectiveSize(const AsmStmt& s, uint64_t addr) {
+  const Directive& d = s.dir;
   switch (d.kind) {
     case Directive::Kind::kSection:
     case Directive::Kind::kGlobl:
@@ -34,7 +35,7 @@ uint64_t DirectiveSize(const Directive& d, uint64_t addr) {
     case Directive::Kind::kQuad:
       return d.values.size() * 8;
     case Directive::Kind::kAsciz:
-      return d.text.size() + 1;
+      return s.sym.size() + 1;
     case Directive::Kind::kZero:
       return static_cast<uint64_t>(d.values.at(0));
   }
@@ -64,8 +65,8 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
     auto& sz = sizes[static_cast<int>(cur)];
     switch (s.kind) {
       case AsmStmt::Kind::kLabel: {
-        auto [it, fresh] = img.symbols.try_emplace(s.label, sz);
-        if (!fresh) return Error{"assemble: duplicate label " + s.label};
+        auto [it, fresh] = img.symbols.try_emplace(s.sym, sz);
+        if (!fresh) return Error{"assemble: duplicate label " + s.sym};
         rebase.emplace_back(&it->second, cur);
         break;
       }
@@ -77,7 +78,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
               s.dir.kind != Directive::Kind::kBalign) {
             return Error{"assemble: initialized data in .bss"};
           }
-          const uint64_t n = DirectiveSize(s.dir, sz);
+          const uint64_t n = DirectiveSize(s, sz);
           if (n > kMaxSection - sz) {
             return Error{"assemble: section larger than the 4GiB sandbox"};
           }
@@ -140,7 +141,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
           cur = d.section;
           break;
         }
-        const uint64_t n = DirectiveSize(d, off);
+        const uint64_t n = DirectiveSize(s, off);
         if (cur == Section::kBss) {
           off += n;
           break;
@@ -169,7 +170,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
             break;
           }
           case Directive::Kind::kAsciz:
-            out->insert(out->end(), d.text.begin(), d.text.end());
+            out->insert(out->end(), s.sym.begin(), s.sym.end());
             out->push_back(0);
             break;
           default:
@@ -186,7 +187,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
         Inst inst = s.inst;
         const uint64_t addr = img.text_addr + off;
         if (s.reloc == Reloc::kBranch) {
-          auto target = resolve(s.target);
+          auto target = resolve(s.sym);
           if (!target) return Error{target.error()};
           if (inst.mn == Mn::kAdrp) {
             inst.imm = static_cast<int64_t>((*target & ~uint64_t{0xfff}) -
@@ -195,7 +196,7 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
             inst.imm = static_cast<int64_t>(*target - addr);
           }
         } else if (s.reloc == Reloc::kLo12) {
-          auto target = resolve(s.target);
+          auto target = resolve(s.sym);
           if (!target) return Error{target.error()};
           inst.imm = static_cast<int64_t>(*target & 0xfff);
         }

@@ -19,7 +19,8 @@ namespace lfi::asmtext {
 // Sections an assembly file can place content in.
 enum class Section : uint8_t { kText, kRodata, kData, kBss };
 
-// Non-instruction statements.
+// Non-instruction statements. A directive's name or string payload
+// (`.globl`, `.asciz`) lives in its statement's `sym`.
 struct Directive {
   enum class Kind : uint8_t {
     kSection,  // .text/.data/.rodata/.bss (section in `section`)
@@ -36,17 +37,28 @@ struct Directive {
   std::vector<int64_t> values;     // numeric payload
   std::vector<std::string> syms;   // symbol payload, parallel to values;
                                    // empty string = use numeric value
-  std::string text;                // .globl name / .asciz content
 };
 
 // Relocation kind attached to an instruction's immediate.
 enum class Reloc : uint8_t {
   kNone,
-  kBranch,  // direct-branch / adr / adrp target: `target` label
+  kBranch,  // direct-branch / adr / adrp target: the `sym` label
   kLo12,    // :lo12:sym in an add/ldr/str immediate
 };
 
-// One statement in an assembly file.
+// One statement in an assembly file. Which fields a statement uses
+// depends on its kind; the rest stay default-initialized:
+//
+//   kind        sym                               dir  inst  reloc
+//   kLabel      the name being bound              -    -     -
+//   kDirective  .globl symbol / .asciz bytes      yes  -     -
+//   kInst       branch or :lo12: target, if any   -    yes   yes
+//   kRtcall,
+//   kHostcall   -                                 -    imm   -
+//
+// Parsing a large module keeps hundreds of thousands of these alive at
+// once, so the layout is kept tight: one string serves every kind, and
+// the small fields share the first 8 bytes.
 struct AsmStmt {
   // kRtcall is the `rtcall #n` pseudo-instruction: a call into the LFI
   // runtime through the call table at the sandbox base (Section 4.4). The
@@ -59,20 +71,17 @@ struct AsmStmt {
   // `inst.imm`.
   enum class Kind : uint8_t { kLabel, kDirective, kInst, kRtcall, kHostcall };
   Kind kind = Kind::kInst;
-
-  std::string label;  // kLabel: the name being bound
-  Directive dir;      // kDirective
-
-  arch::Inst inst;    // kInst
-  Reloc reloc = Reloc::kNone;
-  std::string target;  // label referenced by the instruction, if any
-
+  Reloc reloc = Reloc::kNone;  // kInst
   int line = 0;  // 1-based source line, for diagnostics
+
+  std::string sym;  // the name or bytes the statement carries (see above)
+  Directive dir;    // kDirective
+  arch::Inst inst;  // kInst, kRtcall, kHostcall
 
   static AsmStmt Label(std::string name) {
     AsmStmt s;
     s.kind = Kind::kLabel;
-    s.label = std::move(name);
+    s.sym = std::move(name);
     return s;
   }
   static AsmStmt OfInst(arch::Inst i) {
@@ -84,7 +93,7 @@ struct AsmStmt {
   static AsmStmt Branch(arch::Inst i, std::string target_label) {
     AsmStmt s = OfInst(i);
     s.reloc = Reloc::kBranch;
-    s.target = std::move(target_label);
+    s.sym = std::move(target_label);
     return s;
   }
 };

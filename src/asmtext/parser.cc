@@ -545,7 +545,7 @@ Status BuildAddSub(bool sub, bool setflags, const Operand& rd,
     if (sub || setflags) return Status::Fail(":lo12: only valid on add");
     i.mn = Mn::kAddImm;
     s->reloc = Reloc::kLo12;
-    s->target = src.sym;
+    s->sym = src.sym;
     return Status::Ok();
   }
   if (!IsReg(src)) return Status::Fail("add/sub source");
@@ -699,7 +699,7 @@ Status BuildBranch(Mn mn, const Line& l, Cond cond, AsmStmt* s) {
   }
   if (!IsLabel(ops[lab])) return Status::Fail("bad target");
   s->reloc = Reloc::kBranch;
-  s->target = ops[lab].sym;
+  s->sym = ops[lab].sym;
   return Status::Ok();
 }
 
@@ -994,7 +994,7 @@ Status BuildInst(const Line& l, AsmStmt* s) {
       i.mn = m == Key("adr") ? Mn::kAdr : Mn::kAdrp;
       i.rd = ops[0].reg;
       s->reloc = Reloc::kBranch;
-      s->target = ops[1].sym;
+      s->sym = ops[1].sym;
       return Status::Ok();
     case Key("ldr"): case Key("str"): case Key("ldur"): case Key("stur"):
     case Key("ldrb"): case Key("strb"): case Key("ldrh"): case Key("strh"):
@@ -1181,7 +1181,7 @@ Status BuildDirective(std::string_view line, AsmStmt* s) {
     }
     case Key(".globl"): case Key(".global"):
       d.kind = Directive::Kind::kGlobl;
-      d.text = Trim(rest);
+      s->sym = Trim(rest);
       return Status::Ok();
     case Key(".balign"): case Key(".align"): case Key(".p2align"): {
       d.kind = Directive::Kind::kBalign;
@@ -1217,13 +1217,13 @@ Status BuildDirective(std::string_view line, AsmStmt* s) {
         if (t[j] == '\\' && j + 2 < t.size()) {
           ++j;
           switch (t[j]) {
-            case 'n': d.text.push_back('\n'); break;
-            case 't': d.text.push_back('\t'); break;
-            case '0': d.text.push_back('\0'); break;
-            default: d.text.push_back(t[j]);  // \\, \" and the rest
+            case 'n': s->sym.push_back('\n'); break;
+            case 't': s->sym.push_back('\t'); break;
+            case '0': s->sym.push_back('\0'); break;
+            default: s->sym.push_back(t[j]);  // \\, \" and the rest
           }
         } else {
-          d.text.push_back(t[j]);
+          s->sym.push_back(t[j]);
         }
       }
       return Status::Ok();
@@ -1288,7 +1288,7 @@ Result<AsmFile> Parse(std::string_view source) {
       if (k == 0 || k == line.size() || line[k] != ':') break;
       AsmStmt& s = file.stmts.emplace_back();
       s.kind = AsmStmt::Kind::kLabel;
-      s.label = line.substr(0, k);
+      s.sym = line.substr(0, k);
       s.line = lineno;
       line = Trim(line.substr(k + 1));
     }

@@ -100,7 +100,7 @@ std::string InstStr(const AsmStmt& s) {
     case Mn::kAddImm: case Mn::kAddsImm: case Mn::kSubImm: case Mn::kSubsImm:
       os << reg(i.rd) << ", " << reg(i.rn) << ", ";
       if (s.reloc == Reloc::kLo12) {
-        os << ":lo12:" << s.target;
+        os << ":lo12:" << s.sym;
       } else {
         os << "#" << i.imm;
       }
@@ -165,7 +165,7 @@ std::string InstStr(const AsmStmt& s) {
       os << reg(i.rd) << ", " << reg(i.rn);
       break;
     case Mn::kAdr: case Mn::kAdrp:
-      os << RegName(i.rd, Width::kX) << ", " << s.target;
+      os << RegName(i.rd, Width::kX) << ", " << s.sym;
       break;
     case Mn::kLdr: case Mn::kStr:
       os << RtName(i) << ", " << MemStr(i);
@@ -184,13 +184,13 @@ std::string InstStr(const AsmStmt& s) {
       os << VRegName(i.vt, i.fsize) << ", " << MemStr(i);
       break;
     case Mn::kB: case Mn::kBl: case Mn::kBCond:
-      os << s.target;
+      os << s.sym;
       break;
     case Mn::kCbz: case Mn::kCbnz:
-      os << reg(i.rt) << ", " << s.target;
+      os << reg(i.rt) << ", " << s.sym;
       break;
     case Mn::kTbz: case Mn::kTbnz:
-      os << RegName(i.rt, i.width) << ", #" << int{i.bit} << ", " << s.target;
+      os << RegName(i.rt, i.width) << ", #" << int{i.bit} << ", " << s.sym;
       break;
     case Mn::kBr: case Mn::kBlr:
       os << RegName(i.rn, Width::kX);
@@ -242,7 +242,8 @@ std::string InstStr(const AsmStmt& s) {
   return out;
 }
 
-std::string DirectiveStr(const Directive& d) {
+std::string DirectiveStr(const AsmStmt& s) {
+  const Directive& d = s.dir;
   std::ostringstream os;
   switch (d.kind) {
     case Directive::Kind::kSection:
@@ -254,7 +255,7 @@ std::string DirectiveStr(const Directive& d) {
       }
       break;
     case Directive::Kind::kGlobl:
-      os << ".globl " << d.text;
+      os << ".globl " << s.sym;
       break;
     case Directive::Kind::kBalign:
       os << ".balign " << d.values.at(0);
@@ -277,8 +278,8 @@ std::string DirectiveStr(const Directive& d) {
     }
     case Directive::Kind::kAsciz: {
       os << ".asciz \"";
-      for (size_t k = 0; k < d.text.size(); ++k) {
-        const char c = d.text[k];
+      for (size_t k = 0; k < s.sym.size(); ++k) {
+        const char c = s.sym[k];
         switch (c) {
           case '\n': os << "\\n"; break;
           case '\t': os << "\\t"; break;
@@ -286,7 +287,7 @@ std::string DirectiveStr(const Directive& d) {
           case '\\': os << "\\\\"; break;
           case '"': os << "\\\""; break;
           case '/':  // a second `/` in a row would start a comment
-            os << (k > 0 && d.text[k - 1] == '/' ? "\\/" : "/");
+            os << (k > 0 && s.sym[k - 1] == '/' ? "\\/" : "/");
             break;
           default: os << c;
         }
@@ -306,9 +307,9 @@ std::string DirectiveStr(const Directive& d) {
 std::string PrintStmt(const AsmStmt& s) {
   switch (s.kind) {
     case AsmStmt::Kind::kLabel:
-      return s.label + ":";
+      return s.sym + ":";
     case AsmStmt::Kind::kDirective:
-      return DirectiveStr(s.dir);
+      return DirectiveStr(s);
     case AsmStmt::Kind::kRtcall:
       return "rtcall #" + std::to_string(s.inst.imm);
     case AsmStmt::Kind::kHostcall:

@@ -60,10 +60,12 @@ using arch::Width;
 using namespace internal;
 
 // dtlb_epoch_ is synced once per ExecChainedRange call, not per access:
-// within a range, only FastWrite's miss path can move payload_epoch (a
-// guest store that COWs its page), and it re-syncs before refilling. No
-// other epoch source can run mid-range (syscalls/brk stop the range, and
-// host-side writes happen only between Machine::Run calls).
+// within a range, only FastWrite can move payload_epoch (a guest store
+// that COWs a page), and it re-syncs after each way it can: the probe on
+// a miss, and the AddressSpace::Write fallback for a store that straddles
+// a page or hits an exec page, which may copy a page whose read pointer
+// is cached. No other epoch source can run mid-range (syscalls/brk stop
+// the range, and host-side writes happen only between Machine::Run calls).
 //
 // A miss probes the page table once: the probe's pointer both refills the
 // entry and serves the access. Only when it yields none (unmapped,
@@ -99,16 +101,22 @@ bool Machine::FastWrite(uint64_t addr, uint64_t value, unsigned size) {
     DtlbEntry& e = dtlb_[pg & (kDtlbSize - 1)];
     if (e.pageno != pg || e.rw == nullptr) {
       const AddressSpace::PageProbe pr = mem_->ProbeDataPage(pg, true);
-      if (pr.rw == nullptr) return mem_->Write(addr, value, size).ok();
-      // The probe may have copied the page (COW) and bumped the payload
-      // epoch: adopt the epoch before filling.
+      // The probe or the write may have copied the page (COW) and bumped
+      // the payload epoch: adopt the epoch before the next access.
+      if (pr.rw == nullptr) return SlowWrite(addr, value, size);
       SyncDtlbEpoch();
       e = {pg, pr.ro, pr.rw};
     }
     std::memcpy(e.rw + (addr & kPageMask), &value, size <= 8 ? size : 8);
     return true;
   }
-  return mem_->Write(addr, value, size).ok();  // straddle: uncached
+  return SlowWrite(addr, value, size);  // straddle: uncached
+}
+
+bool Machine::SlowWrite(uint64_t addr, uint64_t value, unsigned size) {
+  const bool ok = mem_->Write(addr, value, size).ok();
+  SyncDtlbEpoch();
+  return ok;
 }
 
 template <bool kCounting>

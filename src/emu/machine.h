@@ -410,8 +410,8 @@ class Machine {
   // dereference. Entries are only trusted while dtlb_epoch_ matches
   // AddressSpace::payload_epoch(), which bumps whenever any payload
   // pointer, sharing state, or permission can change (COW, snapshot
-  // export, fork, Protect, ...) — checked on every access because a
-  // store inside the current block can itself trigger a COW. rw is
+  // export, fork, Protect, ...) — synced at the start of every chained
+  // range and after every store that can itself trigger a COW. rw is
   // cached only for writable non-executable pages, so stores that must
   // bump the mutation generation always take the slow path.
   struct DtlbEntry {
@@ -435,6 +435,9 @@ class Machine {
   LFI_EMU_ALWAYS_INLINE FastVal FastRead(uint64_t addr, unsigned size);
   LFI_EMU_ALWAYS_INLINE bool FastWrite(uint64_t addr, uint64_t value,
                                        unsigned size);
+  // FastWrite's fallback: AddressSpace::Write, then adopt the payload
+  // epoch the write may have moved.
+  bool SlowWrite(uint64_t addr, uint64_t value, unsigned size);
   void SyncDtlbEpoch() {
     const uint64_t e = mem_->payload_epoch();
     if (e != dtlb_epoch_) {

@@ -114,15 +114,13 @@ std::string RunPipeline(const std::string& src, Rng& rng,
 // First difference between two statements, line numbers aside, or "".
 std::string StmtDiff(const asmtext::AsmStmt& a, const asmtext::AsmStmt& b) {
   if (a.kind != b.kind) return "kind";
-  if (a.label != b.label) return "label";
+  if (a.sym != b.sym) return "sym";
   if (a.dir.kind != b.dir.kind || a.dir.section != b.dir.section ||
-      a.dir.values != b.dir.values || a.dir.syms != b.dir.syms ||
-      a.dir.text != b.dir.text) {
+      a.dir.values != b.dir.values || a.dir.syms != b.dir.syms) {
     return "directive";
   }
   if (!(a.inst == b.inst)) return "inst";
   if (a.reloc != b.reloc) return "reloc";
-  if (a.target != b.target) return "target";
   return "";
 }
 

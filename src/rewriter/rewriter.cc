@@ -703,15 +703,15 @@ Status RewriterImpl::RewriteInst(const AsmFile& in, size_t idx) {
 void RewriterImpl::Track(const AsmStmt& s, size_t idx) {
   switch (s.kind) {
     case AsmStmt::Kind::kLabel:
-      label_addrs_.emplace_back(s.label, EstimatedAddr());
+      label_addrs_.emplace_back(s.sym, EstimatedAddr());
       break;
     case AsmStmt::Kind::kDirective:
       ++out_dirs_;
       break;
     case AsmStmt::Kind::kInst:
       if ((s.inst.mn == Mn::kTbz || s.inst.mn == Mn::kTbnz) &&
-          !s.target.empty()) {
-        test_branches_.push_back({idx, EstimatedAddr(), s.target});
+          !s.sym.empty()) {
+        test_branches_.push_back({idx, EstimatedAddr(), s.sym});
       }
       ++out_insts_;
       break;
@@ -760,10 +760,10 @@ void RewriterImpl::FixShortBranches() {
       from = k + 1;
       // tbz rt,#b,far  =>  tbnz rt,#b,skip ; b far ; skip:
       AsmStmt& inv = next.emplace_back(std::move(out_.stmts[k]));
-      std::string target = std::move(inv.target);
+      std::string target = std::move(inv.sym);
       inv.inst.mn = inv.inst.mn == Mn::kTbz ? Mn::kTbnz : Mn::kTbz;
-      inv.target = FreshLabel();
-      std::string skip = inv.target;
+      inv.sym = FreshLabel();
+      std::string skip = inv.sym;
       Inst b;
       b.mn = Mn::kB;
       next.push_back(AsmStmt::Branch(b, std::move(target)));

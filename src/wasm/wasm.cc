@@ -291,7 +291,7 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
       case AsmStmt::Kind::kLabel:
         base_valid_ = false;  // joins invalidate the hoisted base
         EmitStmt(s);
-        if (!prologue_emitted && s.label == "_start") {
+        if (!prologue_emitted && s.sym == "_start") {
           // Store the linear-memory base (== sandbox base, from x21 set up
           // by the loader) into the context struct, and pin it if the
           // engine does.
@@ -306,7 +306,7 @@ Result<AsmFile> Instrumenter::Run(const AsmFile& in) {
           lo.rn = kCtx;
           AsmStmt lo_s = AsmStmt::OfInst(lo);
           lo_s.reloc = asmtext::Reloc::kLo12;
-          lo_s.target = "__wasm_ctx";
+          lo_s.sym = "__wasm_ctx";
           EmitStmt(lo_s);
           Inst st;
           st.mn = Mn::kStr;

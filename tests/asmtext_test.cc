@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <sstream>
 
@@ -151,7 +152,7 @@ TEST(Parser, LoadStoreVariants) {
 TEST(Parser, BranchesAndLabels) {
   auto b = ParseInst("b .Lloop");
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(b->target, ".Lloop");
+  EXPECT_EQ(b->sym, ".Lloop");
   auto bc = ParseInst("b.ne .Lexit");
   ASSERT_TRUE(bc.ok());
   EXPECT_EQ(bc->inst.cond, Cond::kNe);
@@ -237,6 +238,52 @@ buf:
   EXPECT_EQ(labels, 6);
   EXPECT_EQ(insts, 6);
   EXPECT_GE(dirs, 7);
+}
+
+// A statement's one string holds the name its kind carries: a label's
+// name, a .globl symbol, the bytes of an .asciz, a branch or :lo12:
+// target. Printing a statement and parsing it again gives it back.
+TEST(Parser, SymHoldsTheNameEachKindCarries) {
+  auto f = Parse(
+      ".globl _start\n"
+      "_start:\n"
+      "  tbz x3, #1, far\n"
+      "  add x0, x0, :lo12:msg\n"
+      "  b.ne _start\n"
+      ".data\n"
+      "msg: .asciz \"a\\0b\\nc\"\n");
+  ASSERT_TRUE(f.ok()) << f.error();
+  using Kind = AsmStmt::Kind;
+  const struct {
+    Kind kind;
+    Reloc reloc;
+    std::string sym;
+  } want[] = {
+      {Kind::kDirective, Reloc::kNone, "_start"},
+      {Kind::kLabel, Reloc::kNone, "_start"},
+      {Kind::kInst, Reloc::kBranch, "far"},
+      {Kind::kInst, Reloc::kLo12, "msg"},
+      {Kind::kInst, Reloc::kBranch, "_start"},
+      {Kind::kDirective, Reloc::kNone, ""},
+      {Kind::kLabel, Reloc::kNone, "msg"},
+      {Kind::kDirective, Reloc::kNone, std::string("a\0b\nc", 5)},
+  };
+  ASSERT_EQ(f->stmts.size(), std::size(want));
+  for (size_t k = 0; k < std::size(want); ++k) {
+    const AsmStmt& s = f->stmts[k];
+    SCOPED_TRACE(PrintStmt(s));
+    EXPECT_EQ(s.kind, want[k].kind);
+    EXPECT_EQ(s.reloc, want[k].reloc);
+    EXPECT_EQ(s.sym, want[k].sym);
+    auto again = Parse(PrintStmt(s));
+    ASSERT_TRUE(again.ok()) << again.error();
+    ASSERT_EQ(again->stmts.size(), 1u);
+    EXPECT_EQ(again->stmts[0].kind, s.kind);
+    EXPECT_EQ(again->stmts[0].reloc, s.reloc);
+    EXPECT_EQ(again->stmts[0].sym, s.sym);
+  }
+  EXPECT_EQ(f->stmts[0].dir.kind, Directive::Kind::kGlobl);
+  EXPECT_EQ(f->stmts[7].dir.kind, Directive::Kind::kAsciz);
 }
 
 TEST(Printer, RoundTripsThroughParser) {
@@ -444,14 +491,22 @@ std::string DumpInst(const arch::Inst& i) {
   return os.str();
 }
 
+// `sym` is dumped under the name its statement kind gives it: a label's
+// label=, a directive's text= and an instruction's target=.
 std::string DumpStmt(const AsmStmt& s) {
+  using Kind = AsmStmt::Kind;
+  const bool is_inst = s.kind != Kind::kLabel && s.kind != Kind::kDirective;
+  const std::string_view text =
+      s.kind == Kind::kDirective ? std::string_view(s.sym) : "";
   std::ostringstream os;
   os << "L" << s.line << " kind=" << int(s.kind);
-  if (!s.label.empty()) os << " label=\"" << Escape(s.label) << "\"";
+  if (s.kind == Kind::kLabel && !s.sym.empty()) {
+    os << " label=\"" << Escape(s.sym) << "\"";
+  }
   const Directive& d = s.dir;
   const Directive dd;
   if (d.kind != dd.kind || d.section != dd.section || !d.values.empty() ||
-      !d.syms.empty() || !d.text.empty()) {
+      !d.syms.empty() || !text.empty()) {
     os << " dir=" << int(d.kind) << " section=" << int(d.section)
        << " values=[";
     for (size_t k = 0; k < d.values.size(); ++k) {
@@ -461,15 +516,15 @@ std::string DumpStmt(const AsmStmt& s) {
     for (size_t k = 0; k < d.syms.size(); ++k) {
       os << (k ? "," : "") << "\"" << Escape(d.syms[k]) << "\"";
     }
-    os << "] text=\"" << Escape(d.text) << "\"";
+    os << "] text=\"" << Escape(text) << "\"";
   }
-  if (s.kind != AsmStmt::Kind::kLabel && s.kind != AsmStmt::Kind::kDirective) {
+  if (is_inst) {
     os << " " << DumpInst(s.inst);
   } else if (!(s.inst == arch::Inst{})) {
     os << " inst: " << DumpInst(s.inst);
   }
   if (s.reloc != Reloc::kNone) os << " reloc=" << int(s.reloc);
-  if (!s.target.empty()) os << " target=\"" << Escape(s.target) << "\"";
+  if (is_inst && !s.sym.empty()) os << " target=\"" << Escape(s.sym) << "\"";
   return os.str();
 }
 

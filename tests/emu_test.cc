@@ -309,6 +309,59 @@ TEST(Machine, ChainedStoreAfterLoadCopiesTheZeroPage) {
   EXPECT_TRUE(AllZero(*Zero()));
 }
 
+// A store the chained backend's data TLB cannot serve goes through
+// AddressSpace::Write, which may copy a page whose read pointer an
+// earlier load cached. A load after the store must read the store, on
+// both backends. Here the store straddles two zero pages.
+TEST(Machine, LoadAfterStraddlingStoreSeesTheStore) {
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(R"(
+      movz x10, #0x20, lsl #16
+      movk x10, #0x3000          // kData + 0x3000
+      add x11, x10, #0xffc       // 4 bytes before the next page
+      ldr x1, [x10, #0xff8]
+      ldr w5, [x10, #0x1000]
+      movz x2, #77
+      movk x2, #5, lsl #32
+      str x2, [x11]
+      ldr x3, [x10, #0xff8]
+      ldr w4, [x10, #0x1000]
+      brk #0
+    )");
+    vm.machine.set_dispatch(d);
+    EXPECT_EQ(vm.Run(), StopReason::kBrk);
+    EXPECT_EQ(vm.X(1), 0u);
+    EXPECT_EQ(vm.X(5), 0u);
+    EXPECT_EQ(vm.X(3), uint64_t{77} << 32);
+    EXPECT_EQ(vm.X(4), 5u);
+  }
+}
+
+// The same for a store to a writable exec page: the data TLB never
+// caches its write pointer, and the write copies the zero page.
+TEST(Machine, LoadAfterStoreToWritableExecPageSeesTheStore) {
+  for (Dispatch d : {Dispatch::kChained, Dispatch::kBlock}) {
+    SCOPED_TRACE("dispatch " + std::to_string(int(d)));
+    TestVm vm(R"(
+      movz x10, #0x20, lsl #16   // kData
+      ldr x1, [x10, #16]
+      movz x2, #77
+      str x2, [x10, #16]
+      ldr x3, [x10, #16]
+      brk #0
+    )");
+    ASSERT_TRUE(Reprotect(vm.space, kData, kPageSize,
+                          kPermRead | kPermWrite | kPermExec)
+                    .ok());
+    ASSERT_EQ(Payload(vm.space, kData), Zero());
+    vm.machine.set_dispatch(d);
+    EXPECT_EQ(vm.Run(), StopReason::kBrk);
+    EXPECT_EQ(vm.X(1), 0u);
+    EXPECT_EQ(vm.X(3), 77u);
+  }
+}
+
 TEST(AddressSpace, HostZeroReinstallsTheZeroPageAndKeepsHoles) {
   AddressSpace as;
   constexpr uint64_t kBase = 0x40000;

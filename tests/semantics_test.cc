@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <ostream>
+#include <string>
+
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
 #include "asmtext/printer.h"
@@ -239,6 +243,13 @@ struct BoundCase {
   bool accept;
 };
 
+// gtest would print the raw bytes, padding included, into every test
+// name: names that change from build to build.
+void PrintTo(const BoundCase& c, std::ostream* os) {
+  *os << c.size << "-byte load at #" << c.imm
+      << (c.accept ? ", accepted" : ", rejected");
+}
+
 class GuardBoundary : public ::testing::TestWithParam<BoundCase> {};
 
 TEST_P(GuardBoundary, OffsetLimitEnforced) {
@@ -271,7 +282,13 @@ INSTANTIATE_TEST_SUITE_P(
         BoundCase{8, -256, true},            // unscaled negative
         BoundCase{16, 49136, true},          // 49136+16 == 49152 exactly
         BoundCase{16, 49152, false},         // first byte past the guard
-        BoundCase{16, 65520, false}));       // encodable but way out
+        BoundCase{16, 65520, false}),        // encodable but way out
+    [](const ::testing::TestParamInfo<BoundCase>& info) {
+      const BoundCase& c = info.param;
+      return "size" + std::to_string(c.size) + "_imm" +
+             (c.imm < 0 ? "neg" : "") + std::to_string(std::abs(c.imm)) +
+             (c.accept ? "_accept" : "_reject");
+    });
 
 }  // namespace
 }  // namespace lfi
