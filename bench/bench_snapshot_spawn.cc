@@ -9,14 +9,17 @@
 //   restart-restore supervisor restart via snapshot restore: only pages
 //                   the crashed run actually dirtied are re-installed
 //   fleet           4096 sandboxes parked from the image in one runtime:
-//                   host memory per parked sandbox (host-only, ungated)
-//                   and spawn cycles at slot 1 against slot 4096
+//                   host memory per parked sandbox (host-only, ungated),
+//                   and spawn and Recycle cycles at slot 1 against slot
+//                   4096
 //
 // Gates (checked here and in BENCH_BASELINE.json): snapshot spawn >= 10x
 // cheaper than ELF load; a snapshot restart >= 5x cheaper than an ELF
 // load of the same image.
 
 #include <unistd.h>
+
+#include <utility>
 
 #include "harness.h"
 
@@ -166,10 +169,12 @@ int main(int argc, char** argv) {
   // costs the host is its page table and bookkeeping.
   constexpr int kFleet = 4096;
   double fleet_first_cycles = 0, fleet_last_cycles = 0;
+  double recycle_first_cycles = 0, recycle_last_cycles = 0;
   double fleet_kb_per_sandbox = 0;
   {
     lfi::runtime::Runtime fleet(cfg);
     const uint64_t rss_before = ResidentBytes();
+    int first_pid = 0, last_pid = 0;
     for (int k = 1; k <= kFleet; ++k) {
       auto pid = fleet.SpawnFromSnapshot(snap, /*start=*/false);
       if (!pid.ok()) {
@@ -179,14 +184,31 @@ int main(int argc, char** argv) {
       }
       const double cycles =
           static_cast<double>(fleet.last_instantiation().cycles);
-      if (k == 1) fleet_first_cycles = cycles;
-      if (k == kFleet) fleet_last_cycles = cycles;
+      if (k == 1) {
+        fleet_first_cycles = cycles;
+        first_pid = *pid;
+      }
+      if (k == kFleet) {
+        fleet_last_cycles = cycles;
+        last_pid = *pid;
+      }
     }
     const uint64_t rss_after = ResidentBytes();
     fleet_kb_per_sandbox =
         static_cast<double>(rss_after > rss_before ? rss_after - rss_before
                                                    : 0) /
         1024.0 / kFleet;
+    // Recycling a parked sandbox rolls it back to the image it was spawned
+    // from; its cost should not depend on the slot either.
+    for (auto [pid, cycles] : {std::pair{first_pid, &recycle_first_cycles},
+                               std::pair{last_pid, &recycle_last_cycles}}) {
+      if (auto st = fleet.Recycle(pid); !st.ok()) {
+        std::fprintf(stderr, "error: fleet recycle %d: %s\n", pid,
+                     st.error().c_str());
+        return 1;
+      }
+      *cycles = static_cast<double>(fleet.last_instantiation().cycles);
+    }
   }
 
   // ---- Restart: snapshot restore vs ELF load of the same image ----------
@@ -210,9 +232,10 @@ int main(int argc, char** argv) {
   std::printf("serialize: %.0f MB/s (%.0f image bytes -> %zu bytes)\n",
               serialize_mb_per_s, image_bytes, serialized);
   std::printf("fleet: %d parked sandboxes, %.1f host KB each; spawn %.0f "
-              "cycles at slot 1, %.0f at slot %d\n",
+              "cycles at slot 1, %.0f at slot %d; recycle %.0f, %.0f\n",
               kFleet, fleet_kb_per_sandbox, fleet_first_cycles,
-              fleet_last_cycles, kFleet);
+              fleet_last_cycles, kFleet, recycle_first_cycles,
+              recycle_last_cycles);
 
   report.Add("snapshot.elf-load.cycles", load_cycles);
   report.Add("snapshot.spawn.cycles", spawn_cycles);
@@ -223,6 +246,8 @@ int main(int argc, char** argv) {
   report.Add("snapshot.fleet.host_kb_per_sandbox", fleet_kb_per_sandbox);
   report.Add("snapshot.fleet.spawn-slot1.cycles", fleet_first_cycles);
   report.Add("snapshot.fleet.spawn-slot4096.cycles", fleet_last_cycles);
+  report.Add("snapshot.fleet.recycle-slot1.cycles", recycle_first_cycles);
+  report.Add("snapshot.fleet.recycle-slot4096.cycles", recycle_last_cycles);
   if (!report.Write()) return 1;
 
   // Self-gating: the headline claims of docs/SNAPSHOTS.md.

@@ -1,6 +1,8 @@
 #include "verifier/verifier.h"
 
+#include <algorithm>
 #include <chrono>
+#include <utility>
 #include <vector>
 
 #include "arch/decode.h"
@@ -20,16 +22,19 @@ using arch::Width;
 struct Violation {
   FailKind kind = FailKind::kNone;
   std::string reason;
+  uint64_t at = 0;  // word index of the instruction that raised it
 
-  Violation() = default;
-  Violation(FailKind k, std::string r) : kind(k), reason(std::move(r)) {}
   bool ok() const { return kind == FailKind::kNone; }
 };
 
-// True if `r` is a register that is architecturally guaranteed (by the
-// invariants this verifier enforces) to hold a valid sandbox address:
-// x18, x21, x23, x24.
-bool IsAddressReg(Reg r) { return arch::IsAddressReserved(r); }
+// The obligations accepted instructions leave open (verifier.h), each
+// held as the violation it becomes unless a later word meets it.
+struct Open {
+  Violation sp;   // small sp adjust: an sp access or the sp guard
+  Violation x30;  // x30 load: blr x30 next (x30_blr) or the x30 guard
+  bool x30_blr = false;
+  uint64_t at = 0;  // the word being checked, stamped on what it raises
+};
 
 // Checks the addressing of one memory access. `i` must be a memory access.
 Violation CheckAccess(const Inst& i, const VerifyOptions& opts) {
@@ -57,7 +62,7 @@ Violation CheckAccess(const Inst& i, const VerifyOptions& opts) {
   }
 
   // Immediate modes: base must be a reserved address register or sp.
-  if (!IsAddressReg(m.base) && !m.base.IsSp()) {
+  if (!arch::IsAddressReserved(m.base) && !m.base.IsSp()) {
     return {FailKind::kBadAddressingMode,
             "memory access through unguarded base register"};
   }
@@ -79,25 +84,10 @@ Violation CheckAccess(const Inst& i, const VerifyOptions& opts) {
   return {};
 }
 
-// True if this instruction is `blr x30`.
-bool IsBlrX30(const Inst& i) {
-  return i.mn == Mn::kBlr && i.rn == arch::kRegLink;
-}
-
-// True if `i` is a valid runtime-call-table load: ldr x30, [x21, #n]
-// with n inside the table.
-bool IsTableLoad(const Inst& i, const VerifyOptions& opts) {
-  return i.mn == Mn::kLdr && !i.msigned && i.msize == 8 &&
-         i.rt == arch::kRegLink && i.mem.base == arch::kRegBase &&
-         i.mem.mode == AddrMode::kImm && i.mem.imm >= 0 &&
-         static_cast<uint64_t>(i.mem.imm) + 8 <= opts.table_bytes;
-}
-
-// Checks writes to reserved registers in instruction `insts[k]`.
-Violation CheckReservedWrites(std::span<const Inst> insts, size_t k,
-                              const VerifyOptions& opts) {
-  const Inst& i = insts[k];
-
+// Checks writes to reserved registers in `i`; an x30 load or a small sp
+// adjust passes here and leaves its obligation in `open`.
+Violation CheckReservedWrites(const Inst& i, const VerifyOptions& opts,
+                              Open* open) {
   // x21 (sandbox base): never written, through any channel.
   if (arch::WritesGpr(i, arch::kRegBase)) {
     return {FailKind::kBaseRegWrite, "write to x21"};
@@ -118,75 +108,49 @@ Violation CheckReservedWrites(std::span<const Inst> insts, size_t k,
             "64-bit write to x22 breaks its 32-bit invariant"};
   }
 
-  // x30: guard, bl/blr, or a table load followed immediately by blr x30.
-  if (arch::WritesGpr(i, arch::kRegLink)) {
-    const bool by_branch = i.mn == Mn::kBl || i.mn == Mn::kBlr;
-    const bool by_guard = arch::IsGuardFor(i, arch::kRegLink);
-    if (!by_branch && !by_guard) {
-      if (IsTableLoad(i, opts)) {
-        if (k + 1 >= insts.size() || !IsBlrX30(insts[k + 1])) {
-          return {FailKind::kLinkRegProtocol,
-                  "call-table load of x30 not followed by blr x30"};
-        }
-      } else if (arch::IsLoad(i)) {
-        // A reload of x30 from memory (e.g. an epilogue ldp) must be
-        // followed by the x30 guard before any branch could use it.
-        if (k + 1 >= insts.size() ||
-            !arch::IsGuardFor(insts[k + 1], arch::kRegLink)) {
-          return {FailKind::kLinkRegProtocol,
-                  "load of x30 not followed by its guard"};
-        }
-      } else {
-        return {FailKind::kLinkRegProtocol, "unguarded write to x30"};
-      }
+  // x30: guard, bl/blr, or a load the next word discharges: blr x30
+  // after a call-table load, the x30 guard after any other load (e.g. an
+  // epilogue ldp) before any branch could use it.
+  if (arch::WritesGpr(i, arch::kRegLink) && i.mn != Mn::kBl &&
+      i.mn != Mn::kBlr && !arch::IsGuardFor(i, arch::kRegLink)) {
+    if (!arch::IsLoad(i)) {
+      return {FailKind::kLinkRegProtocol, "unguarded write to x30"};
     }
+    // A call-table load is ldr x30, [x21, #n] with n inside the table.
+    open->x30_blr = i.mn == Mn::kLdr && !i.msigned && i.msize == 8 &&
+                    i.rt == arch::kRegLink && i.mem.base == arch::kRegBase &&
+                    i.mem.mode == AddrMode::kImm && i.mem.imm >= 0 &&
+                    static_cast<uint64_t>(i.mem.imm) + 8 <= opts.table_bytes;
+    open->x30 = {FailKind::kLinkRegProtocol,
+                 open->x30_blr
+                     ? "call-table load of x30 not followed by blr x30"
+                     : "load of x30 not followed by its guard",
+                 open->at};
   }
 
   // sp: guard, small add/sub with an in-block sp access following, or
-  // pre/post-index writeback (already restricted to sp in CheckAccess).
-  if (arch::WritesGpr(i, Reg::Sp())) {
-    if (arch::IsMemAccess(i)) {
-      // sp writeback: the imm9 encoding bounds the step to +-256 bytes.
-      return {};
-    }
-    if (arch::IsSpGuard(i)) return {};
+  // pre/post-index writeback (already restricted to sp in CheckAccess;
+  // the imm9 encoding bounds the step to +-256 bytes).
+  if (arch::WritesGpr(i, Reg::Sp()) && !arch::IsMemAccess(i) &&
+      !arch::IsSpGuard(i)) {
     const bool small_adjust =
         (i.mn == Mn::kAddImm || i.mn == Mn::kSubImm) && i.rn.IsSp() &&
         i.rd.IsSp() && i.width == Width::kX && i.imm < 1024;
     if (!small_adjust) {
       return {FailKind::kSpProtocol, "unguarded write to sp"};
     }
-    // Scan forward: an sp-based access must occur before any branch and
-    // before any further sp write (other than sp-based writeback, which
-    // itself proves sp is in-bounds).
-    for (size_t j = k + 1; j < insts.size(); ++j) {
-      const Inst& n = insts[j];
-      if (arch::IsBranch(n)) {
-        return {FailKind::kSpProtocol,
-                "sp adjusted without a following in-block access"};
-      }
-      if (arch::IsMemAccess(n) && n.mem.base.IsSp()) return {};
-      if (arch::IsSpGuard(n)) return {};  // re-canonicalized: safe
-      if (arch::WritesGpr(n, Reg::Sp())) {
-        return {FailKind::kSpProtocol,
-                "sp adjusted twice without an access"};
-      }
-    }
-    return {FailKind::kSpProtocol,
-            "sp adjusted without a following in-block access"};
+    open->sp = {FailKind::kSpProtocol,
+                "sp adjusted without a following in-block access", open->at};
   }
   return {};
 }
 
-// The full per-instruction check: allowlist/system, ll/sc, memory
-// addressing, indirect branches, then reserved-register writes — in the
-// exact precedence order the linear pass applies, since precedence is
-// observable through FailKind when one instruction violates several
-// rules at once.
-Violation CheckInstImpl(std::span<const Inst> insts, size_t k,
-                        const VerifyOptions& opts) {
-  const Inst& i = insts[k];
-
+// The full per-instruction check, in the precedence order the pass
+// applies (observable through FailKind when one instruction breaks
+// several rules): allowlist/system, ll/sc, memory addressing, indirect
+// branches, then reserved-register writes.
+Violation CheckInstImpl(const Inst& i, const VerifyOptions& opts,
+                        Open* open) {
   // Property 3: instruction allowlist. The decoder already rejects
   // everything outside the supported ARMv8.0 subset; system instructions
   // that do decode are forbidden here.
@@ -212,23 +176,22 @@ Violation CheckInstImpl(std::span<const Inst> insts, size_t k,
 
   // Property 1b: indirect branches.
   if (arch::IsIndirectBranch(i)) {
-    if (!IsAddressReg(i.rn) && i.rn != arch::kRegLink) {
+    if (!arch::IsAddressReserved(i.rn) && i.rn != arch::kRegLink) {
       return {FailKind::kUnguardedIndirectBranch,
               "indirect branch through unguarded register"};
     }
   }
 
   // Property 2: reserved-register integrity.
-  return CheckReservedWrites(insts, k, opts);
+  return CheckReservedWrites(i, opts, open);
 }
 
 }  // namespace
 
-FailKind CheckInst(std::span<const arch::Inst> insts, size_t k,
-                   const VerifyOptions& opts, std::string* reason) {
-  Violation v = CheckInstImpl(insts, k, opts);
-  if (!v.ok() && reason != nullptr) *reason = std::move(v.reason);
-  return v.kind;
+FailKind CheckInst(const arch::Inst& i, const VerifyOptions& opts) {
+  Open open;
+  const Violation v = CheckInstImpl(i, opts, &open);
+  return !v.ok() ? v.kind : !open.sp.ok() ? open.sp.kind : open.x30.kind;
 }
 
 const char* FailKindName(FailKind k) {
@@ -256,23 +219,20 @@ const char* FailKindName(FailKind k) {
 VerifyResult Verify(std::span<const uint8_t> text,
                     const VerifyOptions& opts, VerifyStats* stats) {
   using Clock = std::chrono::steady_clock;
-  const Clock::time_point t0 =
-      stats != nullptr ? Clock::now() : Clock::time_point{};
-  bool decoded = false;
-  Clock::time_point decode_done = t0;
-  // Every return funnels through this so the stats accumulator sees the
-  // verdict and the per-pass split regardless of which pass rejected.
+  Clock::time_point t = stats != nullptr ? Clock::now() : Clock::time_point{};
+  // Charges the time since the last lap to one of the two phases.
+  auto lap = [&](double VerifyStats::*phase) {
+    if (stats == nullptr) return;
+    const Clock::time_point now = Clock::now();
+    stats->*phase += std::chrono::duration<double>(now - t).count();
+    t = now;
+  };
+  // Every return funnels through this so the stats see every verdict.
   auto finish = [&](VerifyResult r) {
     if (stats != nullptr) {
-      const Clock::time_point t1 = Clock::now();
       ++stats->calls;
       ++stats->fail_counts[static_cast<size_t>(r.kind)];
       stats->insts_checked += r.insts_checked;
-      const Clock::time_point split = decoded ? decode_done : t1;
-      stats->decode_seconds +=
-          std::chrono::duration<double>(split - t0).count();
-      stats->check_seconds +=
-          std::chrono::duration<double>(t1 - split).count();
     }
     return r;
   };
@@ -282,28 +242,65 @@ VerifyResult Verify(std::span<const uint8_t> text,
                                      FailKind::kTextSize,
                                      "text size not a multiple of 4"));
   }
-  // Decode everything up front (still one linear pass; the lookahead rules
-  // for x30 and sp need the decoded successors).
-  std::vector<Inst> insts;
-  insts.reserve(text.size() / 4);
-  for (uint64_t off = 0; off < text.size(); off += 4) {
-    auto inst = arch::Decode(arch::ReadWordLE(text, off));
-    if (!inst) {
-      return finish(
-          VerifyResult::Fail(off, FailKind::kUndecodable,
-                             "undecodable instruction: " + inst.error()));
+  const uint64_t n = text.size() / 4;
+  std::vector<Inst> window;
+  window.reserve(std::min<uint64_t>(n, kWindowWords));
+  Violation fail;  // earliest so far; only an open sp adjust can beat it
+  Open open;
+  for (uint64_t first = 0; first < n; first += kWindowWords) {
+    // Decode first: an undecodable word beats every check failure, so
+    // windows past a known failure are still decoded.
+    const uint64_t end = std::min(n, first + kWindowWords);
+    window.clear();
+    for (uint64_t k = first; k < end; ++k) {
+      auto inst = arch::Decode(arch::ReadWordLE(text, k * 4));
+      if (!inst) {
+        lap(&VerifyStats::decode_seconds);
+        return finish(
+            VerifyResult::Fail(k * 4, FailKind::kUndecodable,
+                               "undecodable instruction: " + inst.error()));
+      }
+      window.push_back(*inst);
     }
-    insts.push_back(*inst);
-  }
-  decoded = true;
-  if (stats != nullptr) decode_done = Clock::now();
-
-  for (size_t k = 0; k < insts.size(); ++k) {
-    if (auto v = CheckInstImpl(insts, k, opts); !v.ok()) {
-      return finish(VerifyResult::Fail(k * 4, v.kind, std::move(v.reason)));
+    lap(&VerifyStats::decode_seconds);
+    for (uint64_t k = first; k < end; ++k) {
+      if (!fail.ok() && open.sp.ok()) break;  // verdict settled
+      const Inst& i = window[k - first];
+      // The open sp obligation first: it is older than anything else.
+      if (!open.sp.ok()) {
+        if ((arch::IsMemAccess(i) && i.mem.base.IsSp()) ||
+            arch::IsSpGuard(i)) {
+          open.sp = {};
+        } else if (arch::IsBranch(i) || arch::WritesGpr(i, Reg::Sp())) {
+          if (!arch::IsBranch(i)) {
+            open.sp.reason = "sp adjusted twice without an access";
+          }
+          fail = std::exchange(open.sp, {});
+          break;
+        }
+      }
+      if (!fail.ok()) continue;  // past a failure only sp can still win
+      if (!open.x30.ok() &&
+          !(open.x30_blr ? i.mn == Mn::kBlr && i.rn == arch::kRegLink
+                         : arch::IsGuardFor(i, arch::kRegLink))) {
+        fail = std::exchange(open.x30, {});
+        continue;
+      }
+      open.x30.kind = FailKind::kNone;  // met
+      open.at = k;
+      if (Violation v = CheckInstImpl(i, opts, &open); !v.ok()) {
+        fail = {v.kind, std::move(v.reason), k};
+      }
     }
+    lap(&VerifyStats::check_seconds);
   }
-  return finish(VerifyResult::Ok(insts.size()));
+  // The end of the text breaks whatever is still open; an open sp adjust
+  // is older than any failure or x30 load.
+  if (!open.sp.ok()) fail = std::move(open.sp);
+  if (fail.ok()) fail = std::move(open.x30);
+  if (fail.ok()) return finish(VerifyResult::Ok(n));
+  return finish(VerifyResult::Fail(fail.at * 4, fail.kind,
+                                   std::move(fail.reason)));
 }
 
 }  // namespace lfi::verifier

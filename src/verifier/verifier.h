@@ -13,11 +13,19 @@
 //  2. Reserved registers are only modified in invariant-preserving ways:
 //     x21 never; x18/x23/x24 only via `add xR, x21, wN, uxtw`; x22 only by
 //     writes that zero the top 32 bits; x30 only by bl/blr, the guard, or
-//     a call-table load immediately followed by `blr x30`; sp only via the
+//     a load followed by `blr x30` (call table) or the guard; sp only via the
 //     `add sp, x21, x22` guard, small add/sub followed in-block by an
 //     sp-based access, or pre/post-index writeback.
 //  3. Only instructions from the supported ARMv8.0 allowlist appear
 //     (undecodable words and system instructions are rejected).
+//
+// The pass decodes kWindowWords words at a time into one reused buffer
+// and checks each window before decoding the next. The only state carried
+// between words is what an accepted instruction leaves open: a small sp
+// adjust waiting for an sp-based access or the sp guard, and an x30 load
+// waiting for `blr x30` or the x30 guard on the next word. A broken one
+// fails at the word that raised it; the end of the text breaks any still
+// open. An undecodable word anywhere beats every check failure.
 #ifndef LFI_VERIFIER_VERIFIER_H_
 #define LFI_VERIFIER_VERIFIER_H_
 
@@ -29,6 +37,9 @@
 #include "arch/inst.h"
 
 namespace lfi::verifier {
+
+// Words decoded and checked per step of the pass.
+inline constexpr size_t kWindowWords = 1024;
 
 struct VerifyOptions {
   // When false, loads are not checked (the "no loads" fault-isolation-only
@@ -96,8 +107,8 @@ struct VerifyResult {
 };
 
 // Accumulated verification statistics, for observability (`lfi-run
-// --stats`). Host wall-clock times, split by the verifier's two passes
-// (decode-all, then the property checks); being host times they are NOT
+// --stats`). Host wall-clock times, summed over the windows of the pass:
+// decoding each window, then checking it. Being host times they are NOT
 // deterministic and must never feed the simulated-cycle trace.
 struct VerifyStats {
   uint64_t calls = 0;             // Verify() invocations
@@ -109,23 +120,15 @@ struct VerifyStats {
 };
 
 // Verifies a text segment (little-endian instruction words). When `stats`
-// is non-null, per-pass timing and the verdict are accumulated into it.
+// is non-null, per-phase timing and the verdict are accumulated into it.
 VerifyResult Verify(std::span<const uint8_t> text,
                     const VerifyOptions& opts = {},
                     VerifyStats* stats = nullptr);
 
-// Per-instruction classification hook: checks instruction `k` of an
-// already-decoded text against every Section 5.2 property (system
-// allowlist, ll/sc, memory addressing, indirect branches, reserved-
-// register writes), with lookahead into `insts` for the x30 and sp
-// context rules. Returns kNone when the instruction passes. This is the
-// exact per-instruction body of Verify()'s check pass, exposed so the
-// verify_model enumerator classifies single instructions without
-// re-running the whole pipeline. `reason` (optional) receives the
-// human-oriented explanation only on failure.
-FailKind CheckInst(std::span<const arch::Inst> insts, size_t k,
-                   const VerifyOptions& opts = {},
-                   std::string* reason = nullptr);
+// The verdict of a text holding only `i`, so an x30 load or a small sp
+// adjust fails: the end of the text breaks its obligation. The
+// verify_model enumerator classifies single instructions with this.
+FailKind CheckInst(const arch::Inst& i, const VerifyOptions& opts = {});
 
 }  // namespace lfi::verifier
 

@@ -140,8 +140,9 @@ Verdict PredictVerdict(std::span<const MFacts> facts,
 Verdict PredictVerdict(std::span<const uint32_t> words,
                        const verifier::VerifyOptions& opts);
 
-// Per-instruction check against already-extracted facts (index k), the
-// model twin of verifier::CheckInst.
+// Per-instruction check against already-extracted facts (index k), with
+// the x30 lookahead and sp forward scan over `facts`. On a one-element
+// span it is the model twin of verifier::CheckInst(inst, opts).
 verifier::FailKind CheckFacts(std::span<const MFacts> facts, size_t k,
                               const verifier::VerifyOptions& opts);
 

@@ -19,8 +19,7 @@ Verdict ActualBare(uint32_t w, const verifier::VerifyOptions& opts) {
     v.kind = FailKind::kUndecodable;
     return v;
   }
-  const arch::Inst inst = *dec;
-  const FailKind kind = verifier::CheckInst({&inst, 1}, 0, opts);
+  const FailKind kind = verifier::CheckInst(*dec, opts);
   if (kind == FailKind::kNone) v.ok = true;
   else v.kind = kind;
   return v;

@@ -270,6 +270,9 @@ VerifyOptions ShrunkenOptions() {
   return opts;
 }
 
+constexpr size_t kSeam = kWindowWords;  // first word of window 1
+static_assert(2 * kSeam + 8 <= 4096, "seam cases must fit the module");
+
 const std::vector<StampCase>& StampCases() {
   static const std::vector<StampCase> cases = {
       {"all_nops_accepted", {}, {}, FailKind::kNone},
@@ -300,6 +303,48 @@ const std::vector<StampCase>& StampCases() {
       {"call_table_load_as_last_instruction",
        {{4095, "ldr x30, [x21, #24]"}}, {},
        FailKind::kLinkRegProtocol, 4095 * 4},
+      // The window seam: the pass decodes and checks kWindowWords words at
+      // a time, and what the last word of a window leaves open is settled
+      // in the next one.
+      {"sp_adjust_last_in_window_met_in_next",
+       {{kSeam - 1, "sub sp, sp, #32"}, {kSeam, "str x0, [sp, #8]"}}, {},
+       FailKind::kNone},
+      {"sp_adjust_last_in_window_broken_in_next",
+       {{kSeam - 1, "sub sp, sp, #32"}, {kSeam + 5, "ret"}}, {},
+       FailKind::kSpProtocol, (kSeam - 1) * 4},
+      {"call_table_load_last_in_window",
+       {{kSeam - 1, "ldr x30, [x21, #24]"}, {kSeam, "blr x30"}}, {},
+       FailKind::kNone},
+      {"call_table_load_last_in_window_without_blr",
+       {{kSeam - 1, "ldr x30, [x21, #24]"}}, {},
+       FailKind::kLinkRegProtocol, (kSeam - 1) * 4},
+      {"x30_reload_last_in_window",
+       {{kSeam - 1, "ldp x29, x30, [sp], #16"},
+        {kSeam, "add x30, x21, w30, uxtw"}}, {},
+       FailKind::kNone},
+      {"x30_reload_last_in_window_without_guard",
+       {{kSeam - 1, "ldp x29, x30, [sp], #16"}, {kSeam, "ret"}}, {},
+       FailKind::kLinkRegProtocol, (kSeam - 1) * 4},
+      // An sp adjust from window 0 is still open when a word in window 1
+      // fails its own rules: the adjust is settled past that failure, and
+      // if it is broken its earlier offset wins.
+      {"open_sp_adjust_broken_after_later_failure",
+       {{kSeam - 10, "sub sp, sp, #32"}, {kSeam + 3, "ldr x0, [x1]"},
+        {2 * kSeam + 7, "ret"}}, {},
+       FailKind::kSpProtocol, (kSeam - 10) * 4},
+      {"open_sp_adjust_met_after_later_failure",
+       {{kSeam - 10, "sub sp, sp, #32"}, {kSeam + 3, "ldr x0, [x1]"},
+        {2 * kSeam + 7, "str x0, [sp]"}}, {},
+       FailKind::kBadAddressingMode, (kSeam + 3) * 4},
+      {"undecodable_in_window_2_beats_failure_in_window_0",
+       {{10, "svc #0"}}, {{2 * kSeam + 1, 0}},
+       FailKind::kUndecodable, (2 * kSeam + 1) * 4},
+      {"sp_adjust_open_at_end_of_text",
+       {{4000, "sub sp, sp, #32"}}, {},
+       FailKind::kSpProtocol, 4000 * 4},
+      {"sp_adjust_as_last_instruction",
+       {{4095, "sub sp, sp, #32"}}, {},
+       FailKind::kSpProtocol, 4095 * 4},
       {"text_of_three_bytes", {}, {}, FailKind::kTextSize, 0, {1, 2, 3}},
       // Shrunken options: the unchecked load at 10 passes, the llsc at
       // 3000 does not.

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 
 #include "asmtext/assemble.h"
@@ -154,6 +155,135 @@ TEST(VerifyModel, PredictVerdictMatchesVerifyOnCuratedSequences) {
       EXPECT_EQ(model.fail_index * 4, real.fail_offset) << src;
     }
   }
+}
+
+// The sequence oracle for Verify's windowed pass: seeded random texts
+// from a pool of obligation raisers, dischargers, breakers, words that
+// fail their own rules, nop filler and a rare undecodable word. The
+// model's PredictVerdict decodes everything and scans forward from each
+// sp adjust; Verify carries the open obligations from window to window.
+// Three texts in four are 1-64 words long; the rest are 1000-1100 words
+// of nops with sparse pool words and a dense run of them across the first
+// window seam.
+TEST(VerifyModel, PredictVerdictMatchesVerifyOnRandomSequences) {
+  struct PoolWord {
+    uint32_t word;
+    uint32_t weight;
+  };
+  const std::vector<uint32_t> w = AssembleWords(
+      "l:\n"
+      // Raisers: a small sp adjust, x30 loads from the table and memory.
+      "sub sp, sp, #32\n"
+      "ldr x30, [x21, #24]\n"
+      "ldr x30, [sp]\n"
+      "ldp x29, x30, [sp], #16\n"
+      // Dischargers: an sp-based store, the sp guard, blr x30, the x30
+      // guard.
+      "str x0, [sp, #8]\n"
+      "add sp, x21, x22\n"
+      "blr x30\n"
+      "add x30, x21, w5, uxtw\n"
+      // Breakers: branches and a second sp adjust.
+      "b l\n"
+      "cbz x0, l\n"
+      "ret\n"
+      "add sp, sp, #16\n"
+      // Words that fail their own rules.
+      "svc #0\n"
+      "ldr x0, [x1]\n"
+      "mov x22, x0\n"
+      "nop\n");
+  ASSERT_EQ(w.size(), 16u);
+  const std::vector<PoolWord> pool = {
+      {w[0], 24},  {w[1], 12}, {w[2], 8},  {w[3], 8},  {w[4], 24},
+      {w[5], 12},  {w[6], 24}, {w[7], 24}, {w[8], 8},  {w[9], 8},
+      {w[10], 8},  {w[11], 8}, {w[12], 4}, {w[13], 4}, {w[14], 4},
+      {w[15], 160}, {0u, 1},  // the all-zero word is undecodable
+  };
+  uint32_t total_weight = 0;
+  for (const PoolWord& p : pool) total_weight += p.weight;
+
+  // Verify's verdict on a word sequence, in the model's terms.
+  auto verify = [](std::span<const uint32_t> ws,
+                   const verifier::VerifyOptions& o) {
+    std::vector<uint8_t> bytes(ws.size() * 4);
+    std::memcpy(bytes.data(), ws.data(), bytes.size());
+    const verifier::VerifyResult r = verifier::Verify(bytes, o);
+    return Verdict{r.ok, r.kind, static_cast<size_t>(r.fail_offset / 4)};
+  };
+  auto same = [](const Verdict& a, const Verdict& b) {
+    return a.ok == b.ok && a.kind == b.kind && a.fail_index == b.fail_index;
+  };
+
+  uint64_t state = 0x5eed5eedULL;
+  auto next = [&state](uint64_t bound) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return (state >> 33) % bound;
+  };
+  auto draw = [&] {
+    uint64_t r = next(total_weight);
+    for (const PoolWord& p : pool) {
+      if (r < p.weight) return p.word;
+      r -= p.weight;
+    }
+    return pool.back().word;
+  };
+
+  constexpr int kTexts = 100000;
+  constexpr size_t kSeam = verifier::kWindowWords;
+  std::array<uint64_t, static_cast<size_t>(FailKind::kCount)> kinds{};
+  uint64_t mismatches = 0, sampled = 0, open_at_seam = 0;
+  std::vector<uint32_t> words;
+  for (int t = 0; t < kTexts; ++t) {
+    const bool is_long = t % 4 == 1;
+    const size_t len = is_long ? 1000 + next(101) : 1 + next(64);
+    words.assign(len, w[15]);
+    for (size_t k = 0; k < len; ++k) {
+      const bool near_seam = k + 2 >= kSeam && k < kSeam + 8;
+      if (!is_long || near_seam || next(256) == 0) words[k] = draw();
+    }
+    verifier::VerifyOptions vopts;
+    vopts.check_loads = t / 4 % 4 != 3;
+    const Verdict real = verify(words, vopts);
+    const Verdict model =
+        PredictVerdict(std::span<const uint32_t>(words), vopts);
+    if (!same(model, real) && ++mismatches <= 5) {
+      ADD_FAILURE() << "text " << t << " (" << len << " words): model "
+                    << (model.ok ? "ok" : FailKindName(model.kind)) << "@"
+                    << model.fail_index << ", Verify "
+                    << (real.ok ? "ok" : FailKindName(real.kind)) << "@"
+                    << real.fail_index;
+    }
+    ++kinds[static_cast<size_t>(real.kind)];
+    // An obligation is open at the seam when discharging words appended
+    // to the first window change its verdict: blr x30 meets a call-table
+    // load, the x30 guard any other x30 load, and an sp store an sp adjust.
+    // Sampled: one long text in five.
+    if (is_long && t % 5 == 0) {
+      ++sampled;
+      std::vector<uint32_t> head(words.begin(), words.begin() + kSeam);
+      const Verdict alone = verify(head, vopts);
+      for (uint32_t x30_discharge : {w[6], w[7]}) {
+        head.resize(kSeam);
+        head.insert(head.end(), {x30_discharge, w[4]});
+        if (!same(verify(head, vopts), alone)) {
+          ++open_at_seam;
+          break;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // The draw is not vacuous: every outcome the pool can produce occurs,
+  // and many long texts carry an obligation across the seam.
+  for (FailKind k : {FailKind::kNone, FailKind::kUndecodable,
+                     FailKind::kSystemInstruction,
+                     FailKind::kBadAddressingMode,
+                     FailKind::kScratchRegWrite,
+                     FailKind::kLinkRegProtocol, FailKind::kSpProtocol}) {
+    EXPECT_GT(kinds[static_cast<size_t>(k)], 1000u) << FailKindName(k);
+  }
+  EXPECT_GT(open_at_seam, sampled / 10);
 }
 
 TEST(VerifyModel, ExtractFactsSeesGuardShapes) {
