@@ -109,26 +109,11 @@ void Measure(const char* title, const char* key, const std::string& src,
        false},
   };
   for (const auto& v : variants) {
-    auto file = asmtext::Parse(src);
     rewriter::RewriteOptions opts;
     opts.level = v.level;
     opts.sp_elision = v.sp_elision;
     rewriter::RewriteStats stats;
-    auto rewritten = rewriter::Rewrite(*file, opts, &stats);
-    if (!rewritten) {
-      std::printf("  %-28s rewrite error\n", v.name);
-      continue;
-    }
-    asmtext::LayoutSpec spec;
-    spec.text_offset = runtime::kProgramStart;
-    auto img = asmtext::Assemble(*rewritten, spec);
-    Built b;
-    b.ok = img.ok();
-    if (img.ok()) {
-      b.text_bytes = img->text.size();
-      b.elf = elf::Write(elf::FromAssembled(*img));
-    }
-    const Outcome o = Run(b, core, true);
+    const Outcome o = Run(Pack(elf::Build(src, opts, &stats)), core, true);
     if (!o.ok || o.status != base.status) {
       std::printf("  %-28s ERROR %s\n", v.name, o.error.c_str());
       continue;

@@ -16,29 +16,6 @@
 namespace lfi::bench {
 namespace {
 
-// The fault programs are hand-guarded (the guard load must survive to
-// execution), so they bypass the rewriter but still pass verification.
-Built BuildRaw(const std::string& src) {
-  Built b;
-  auto file = asmtext::Parse(src);
-  if (!file) {
-    b.error = file.error();
-    return b;
-  }
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*file, spec);
-  if (!img) {
-    b.error = img.error();
-    return b;
-  }
-  b.text_bytes = img->text.size();
-  b.elf = elf::Write(elf::FromAssembled(*img));
-  b.file_bytes = b.elf.size();
-  b.ok = true;
-  return b;
-}
-
 constexpr const char* kFaultNow = R"(
     movz x1, #0x4000
     add x18, x21, w1, uxtw

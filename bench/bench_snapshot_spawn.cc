@@ -26,28 +26,6 @@
 namespace lfi::bench {
 namespace {
 
-// Hand-guarded build (the guard-region fault must survive to execution).
-Built BuildRaw(const std::string& src) {
-  Built b;
-  auto file = asmtext::Parse(src);
-  if (!file) {
-    b.error = file.error();
-    return b;
-  }
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*file, spec);
-  if (!img) {
-    b.error = img.error();
-    return b;
-  }
-  b.text_bytes = img->text.size();
-  b.elf = elf::Write(elf::FromAssembled(*img));
-  b.file_bytes = b.elf.size();
-  b.ok = true;
-  return b;
-}
-
 // A service-sized image (~1MiB of data, 64+ pages) that dirties one data
 // page and then faults — the shape that makes restart interesting: the
 // image is large, the delta is small.

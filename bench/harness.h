@@ -20,6 +20,7 @@
 
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
+#include "elf/build.h"
 #include "elf/elf.h"
 #include "rewriter/rewriter.h"
 #include "runtime/runtime.h"
@@ -58,14 +59,28 @@ inline const char* ConfigName(Config c) {
   return "?";
 }
 
-inline Built BuildLfi(const std::string& src, Config config,
-                      rewriter::RewriteStats* stats = nullptr) {
+// Packs the result of elf::Build for Run() and the size tables.
+inline Built Pack(Result<elf::Built> r) {
   Built b;
-  auto file = asmtext::Parse(src);
-  if (!file) {
-    b.error = file.error();
+  if (!r) {
+    b.error = r.error();
     return b;
   }
+  b.text_bytes = r->text_size;
+  b.elf = std::move(r->bytes);
+  b.file_bytes = b.elf.size();
+  b.ok = true;
+  return b;
+}
+
+// Builds without the rewriter: hand-guarded programs whose guard-region
+// faults must survive to execution, still subject to verification.
+inline Built BuildRaw(const std::string& src) {
+  return Pack(elf::Build(src, std::nullopt));
+}
+
+inline Built BuildLfi(const std::string& src, Config config,
+                      rewriter::RewriteStats* stats = nullptr) {
   rewriter::RewriteOptions opts;
   switch (config) {
     case Config::kNative: opts.insert_guards = false; break;
@@ -77,23 +92,7 @@ inline Built BuildLfi(const std::string& src, Config config,
       opts.sandbox_loads = false;
       break;
   }
-  auto rewritten = rewriter::Rewrite(*file, opts, stats);
-  if (!rewritten) {
-    b.error = rewritten.error();
-    return b;
-  }
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*rewritten, spec);
-  if (!img) {
-    b.error = img.error();
-    return b;
-  }
-  b.text_bytes = img->text.size();
-  b.elf = elf::Write(elf::FromAssembled(*img));
-  b.file_bytes = b.elf.size();
-  b.ok = true;
-  return b;
+  return Pack(elf::Build(src, opts, stats));
 }
 
 inline Built BuildWasm(const std::string& src, wasm::Engine engine) {
@@ -115,9 +114,7 @@ inline Built BuildWasm(const std::string& src, wasm::Engine engine) {
     b.error = expanded.error();
     return b;
   }
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*expanded, spec);
+  auto img = asmtext::Assemble(*expanded, asmtext::LayoutSpec{});
   if (!img) {
     b.error = img.error();
     return b;

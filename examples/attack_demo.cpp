@@ -14,27 +14,16 @@
 #include <cstdio>
 #include <string>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
-#include "elf/elf.h"
-#include "rewriter/rewriter.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 
 namespace {
 
-// Builds WITHOUT the rewriter: these are attacker-supplied binaries.
-lfi::Result<std::vector<uint8_t>> BuildRaw(const std::string& src) {
-  auto file = lfi::asmtext::Parse(src);
-  if (!file) return lfi::Error{file.error()};
+// Builds WITHOUT the guards: these are attacker-supplied binaries.
+lfi::Result<lfi::elf::Built> BuildRaw(const std::string& src) {
   lfi::rewriter::RewriteOptions opts;
   opts.insert_guards = false;  // only expands rtcall pseudo-instructions
-  auto expanded = lfi::rewriter::Rewrite(*file, opts);
-  if (!expanded) return lfi::Error{expanded.error()};
-  lfi::asmtext::LayoutSpec spec;
-  spec.text_offset = lfi::runtime::kProgramStart;
-  auto img = lfi::asmtext::Assemble(*expanded, spec);
-  if (!img) return lfi::Error{img.error()};
-  return lfi::elf::Write(lfi::elf::FromAssembled(*img));
+  return lfi::elf::Build(src, opts);
 }
 
 }  // namespace
@@ -63,19 +52,19 @@ spin:
 secret:
   .quad 0
 )");
-  auto victim_pid = rt.Load({victim->data(), victim->size()});
+  auto victim_pid = rt.Load(victim->bytes);
   std::printf("[victim] loaded: pid %d\n", *victim_pid);
 
   // Scenario 1: raw unguarded store. The verifier must reject it.
   auto raw = BuildRaw("movz x1, #0x4141\nstr x1, [x1]\nret\n");
-  auto raw_pid = rt.Load({raw->data(), raw->size()});
+  auto raw_pid = rt.Load(raw->bytes);
   std::printf("[1] raw store:           %s\n",
               raw_pid ? "LOADED (BUG!)" : raw_pid.error().c_str());
 
   // Scenario 2: counterfeit guard using a non-base register.
   auto fake = BuildRaw(
       "movz x1, #0x4141\nadd x18, x1, w1, uxtw\nldr x0, [x18]\nret\n");
-  auto fake_pid = rt.Load({fake->data(), fake->size()});
+  auto fake_pid = rt.Load(fake->bytes);
   std::printf("[2] counterfeit guard:   %s\n",
               fake_pid ? "LOADED (BUG!)" : fake_pid.error().c_str());
 
@@ -102,7 +91,7 @@ _start:
 secret_guess:
   .quad 0
 )");
-  auto hostile_pid = rt.Load({hostile->data(), hostile->size()});
+  auto hostile_pid = rt.Load(hostile->bytes);
   std::printf("[3] hostile-but-verified: %s\n",
               hostile_pid ? "loaded (passes verification, as expected)"
                           : hostile_pid.error().c_str());

@@ -10,28 +10,8 @@
 #include <cstdio>
 #include <string>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
-#include "elf/elf.h"
-#include "rewriter/rewriter.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
-
-namespace {
-
-lfi::Result<std::vector<uint8_t>> Build(const std::string& src) {
-  auto file = lfi::asmtext::Parse(src);
-  if (!file) return lfi::Error{file.error()};
-  auto rewritten =
-      lfi::rewriter::Rewrite(*file, lfi::rewriter::RewriteOptions{});
-  if (!rewritten) return lfi::Error{rewritten.error()};
-  lfi::asmtext::LayoutSpec spec;
-  spec.text_offset = lfi::runtime::kProgramStart;
-  auto img = lfi::asmtext::Assemble(*rewritten, spec);
-  if (!img) return lfi::Error{img.error()};
-  return lfi::elf::Write(lfi::elf::FromAssembled(*img));
-}
-
-}  // namespace
 
 int main() {
   // The client forks a worker: parent (pid 1) computes, child echoes back
@@ -122,15 +102,15 @@ sbox:
   .zero 16
 )";
 
-  auto elf_bytes = Build(client_src);
-  if (!elf_bytes) {
-    std::printf("build error: %s\n", elf_bytes.error().c_str());
+  auto built = lfi::elf::Build(client_src);
+  if (!built) {
+    std::printf("build error: %s\n", built.error().c_str());
     return 1;
   }
   lfi::runtime::RuntimeConfig cfg;
   cfg.core = lfi::arch::AppleM1LikeParams();
   lfi::runtime::Runtime rt(cfg);
-  auto pid = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto pid = rt.Load(built->bytes);
   if (!pid) {
     std::printf("load error: %s\n", pid.error().c_str());
     return 1;

@@ -14,12 +14,9 @@
 #include <numeric>
 #include <vector>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
-#include "elf/elf.h"
+#include "elf/build.h"
 #include "embed/abi.h"
 #include "embed/embed.h"
-#include "rewriter/rewriter.h"
 #include "runtime/runtime.h"
 
 namespace {
@@ -60,35 +57,22 @@ g_forge:
   return lfi::embed::GuestModuleSource(exports, body);
 }
 
-std::vector<uint8_t> BuildElf(const std::string& src) {
-  auto file = lfi::asmtext::Parse(src);
-  if (!file) return {};
-  auto rewritten = lfi::rewriter::Rewrite(*file, {});
-  if (!rewritten) return {};
-  lfi::asmtext::LayoutSpec spec;
-  spec.text_offset = lfi::runtime::kProgramStart;
-  auto image = lfi::asmtext::Assemble(*rewritten, spec);
-  if (!image) return {};
-  return lfi::elf::Write(lfi::elf::FromAssembled(*image));
-}
-
 }  // namespace
 
 int main() {
   using lfi::embed::BufIn;
   using lfi::embed::Err;
 
-  const std::vector<uint8_t> elf_bytes = BuildElf(GuestModule());
-  if (elf_bytes.empty()) {
-    std::printf("failed to build guest module\n");
+  auto built = lfi::elf::Build(GuestModule());
+  if (!built) {
+    std::printf("failed to build guest module: %s\n", built.error().c_str());
     return 1;
   }
 
   lfi::runtime::RuntimeConfig cfg;
   cfg.core = lfi::arch::AppleM1LikeParams();
   lfi::runtime::Runtime rt(cfg);
-  auto made =
-      lfi::embed::Sandbox::Create(rt, {elf_bytes.data(), elf_bytes.size()});
+  auto made = lfi::embed::Sandbox::Create(rt, built->bytes);
   if (!made.ok()) {
     std::printf("create failed: %s\n", made.error().c_str());
     return 1;

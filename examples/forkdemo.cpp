@@ -11,10 +11,7 @@
 
 #include <cstdio>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
-#include "elf/elf.h"
-#include "rewriter/rewriter.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 
 int main() {
@@ -84,18 +81,16 @@ status:
   .zero 8
 )";
 
-  auto file = lfi::asmtext::Parse(src);
-  auto rewritten =
-      lfi::rewriter::Rewrite(*file, lfi::rewriter::RewriteOptions{});
-  lfi::asmtext::LayoutSpec spec;
-  spec.text_offset = lfi::runtime::kProgramStart;
-  auto img = lfi::asmtext::Assemble(*rewritten, spec);
-  auto elf_bytes = lfi::elf::Write(lfi::elf::FromAssembled(*img));
+  auto built = lfi::elf::Build(src);
+  if (!built) {
+    std::printf("build error: %s\n", built.error().c_str());
+    return 1;
+  }
 
   lfi::runtime::RuntimeConfig cfg;
   cfg.core = lfi::arch::AppleM1LikeParams();
   lfi::runtime::Runtime rt(cfg);
-  auto pid = rt.Load({elf_bytes.data(), elf_bytes.size()});
+  auto pid = rt.Load(built->bytes);
   if (!pid) {
     std::printf("load error: %s\n", pid.error().c_str());
     return 1;

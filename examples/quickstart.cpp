@@ -55,10 +55,9 @@ greeting:
               stats.input_insts, stats.output_insts,
               lfi::asmtext::Print(*rewritten).c_str());
 
-  // 3. Assemble into a sandbox image and package as ELF.
-  lfi::asmtext::LayoutSpec spec;
-  spec.text_offset = lfi::runtime::kProgramStart;
-  auto image = lfi::asmtext::Assemble(*rewritten, spec);
+  // 3. Assemble into a sandbox image and package as ELF. The default
+  //    layout is the loader's: text at kProgramStart (runtime/layout.h).
+  auto image = lfi::asmtext::Assemble(*rewritten, lfi::asmtext::LayoutSpec{});
   if (!image) {
     std::printf("assemble error: %s\n", image.error().c_str());
     return 1;

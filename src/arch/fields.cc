@@ -224,16 +224,16 @@ std::vector<EncClassInfo> BuildClasses() {
   c.push_back({"pair", 0x3C000000u, 0x28000000u,
                {F("opc", 30, 2), F("mode", 23, 3), F("l", 22, 1),
                 B("imm7", 15, 7, {0, 1, 63, 64, 127},
-                  "scaled pair offset: max +-512 bytes, an order of "
-                  "magnitude inside the guard range for every legal "
-                  "guard_bytes; sign boundary swept"),
+                  "scaled pair offset: -1024..+1008 bytes (high end "
+                  "+1040 with the footprint), far inside the 48KiB "
+                  "guard; sign boundary swept"),
                 F("rt2", 10, 5), F("rn", 5, 5), F("rt", 0, 5)}});
   c.push_back({"ls-uimm", 0x3B000000u, 0x39000000u,
                {F("size", 30, 2), F("v", 26, 1), F("opc", 22, 2),
                 B("imm12", 10, 12, {0, 1, 2047, 3070, 3071, 3072, 4095},
                   "scaled offset: the only predicate is the guard-range "
-                  "bound; both sides of the 48KiB boundary for the "
-                  "16-byte q access (3071*16+16 == 49152) swept"),
+                  "bound; both sides of the 48KiB guard for the 16-byte "
+                  "q access (3071*16+16 == 49152) swept"),
                 F("rn", 5, 5), F("rt", 0, 5)}});
   c.push_back({"ls-regoff", 0x3B200000u, 0x38200000u,
                {F("size", 30, 2), F("v", 26, 1), F("opc", 22, 2),
@@ -243,10 +243,9 @@ std::vector<EncClassInfo> BuildClasses() {
   c.push_back({"ls-imm9", 0x3B200000u, 0x38000000u,
                {F("size", 30, 2), F("v", 26, 1), F("opc", 22, 2),
                 B("imm9", 12, 9, {0, 1, 255, 256, 511},
-                  "unscaled offset: +-256 bytes, inside every legal guard "
-                  "range at the default; sign boundary swept (tiny "
-                  "guard_bytes interactions are covered by ls-uimm and "
-                  "the options-interaction tests)"),
+                  "unscaled offset: -256..+255 bytes, far inside the "
+                  "48KiB guard; sign boundary swept (the guard's edge "
+                  "is swept by ls-uimm)"),
                 F("mode", 10, 2), F("rn", 5, 5), F("rt", 0, 5)}});
 
   // ---- Floating point and SIMD ----

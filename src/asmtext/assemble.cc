@@ -101,11 +101,11 @@ Result<Image> Assemble(const AsmFile& file, const LayoutSpec& spec) {
 
   img.text_addr = spec.text_offset;
   img.rodata_addr =
-      AlignUp(img.text_addr + sizes[int(Section::kText)], spec.align);
+      AlignUp(img.text_addr + sizes[int(Section::kText)], runtime::kPage);
   img.data_addr =
-      AlignUp(img.rodata_addr + sizes[int(Section::kRodata)], spec.align);
+      AlignUp(img.rodata_addr + sizes[int(Section::kRodata)], runtime::kPage);
   img.bss_addr =
-      AlignUp(img.data_addr + sizes[int(Section::kData)], spec.align);
+      AlignUp(img.data_addr + sizes[int(Section::kData)], runtime::kPage);
   img.bss_size = sizes[int(Section::kBss)];
 
   const uint64_t bases[4] = {img.text_addr, img.rodata_addr, img.data_addr,

@@ -14,14 +14,15 @@
 #include <vector>
 
 #include "asmtext/ast.h"
+#include "runtime/layout.h"
 #include "support/result.h"
 
 namespace lfi::asmtext {
 
-// Where sections land inside the sandbox.
+// Where sections land inside the sandbox: .text at `text_offset`, then
+// rodata, data and bss each starting on the next slot page.
 struct LayoutSpec {
-  uint64_t text_offset = 0x20000;  // first byte of .text
-  uint64_t align = 16384;          // section alignment (16KiB pages)
+  uint64_t text_offset = runtime::kProgramStart;  // first byte of .text
 };
 
 // A laid-out program image (sandbox-relative addresses).

@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "runtime/layout.h"
+
 namespace lfi::elf {
 
 namespace {
@@ -82,7 +84,7 @@ std::vector<uint8_t> Write(const ElfImage& image) {
     Put64(&out, seg.vaddr);         // p_paddr
     Put64(&out, seg.data.size());   // p_filesz
     Put64(&out, seg.memsz);         // p_memsz
-    Put64(&out, 16384);             // p_align
+    Put64(&out, runtime::kPage);    // p_align
     offset += seg.data.size();
   }
   for (const auto& seg : image.segments) {

@@ -5,14 +5,10 @@
 #include <string>
 #include <vector>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
-#include "elf/elf.h"
+#include "elf/build.h"
 #include "embed/embed.h"
 #include "fuzz/exec.h"
 #include "fuzz/rng.h"
-#include "rewriter/rewriter.h"
-#include "runtime/layout.h"
 #include "runtime/runtime.h"
 
 namespace lfi::embed {
@@ -104,18 +100,6 @@ bad_cb:
   return GuestModuleSource(exports, body);
 }
 
-Result<std::vector<uint8_t>> BuildModuleElf(const std::string& src) {
-  auto file = asmtext::Parse(src);
-  if (!file.ok()) return Error{file.error()};
-  auto rewritten = rewriter::Rewrite(*file, {});
-  if (!rewritten.ok()) return Error{rewritten.error()};
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*rewritten, spec);
-  if (!img.ok()) return Error{img.error()};
-  return elf::Write(elf::FromAssembled(*img));
-}
-
 struct Harness {
   std::string source;
   std::unique_ptr<runtime::Runtime> rt;
@@ -128,12 +112,12 @@ struct Harness {
 
   Status Up() {
     source = FuzzModuleSource();
-    auto elf_bytes = BuildModuleElf(source);
-    if (!elf_bytes.ok()) return Status::Fail("build: " + elf_bytes.error());
+    auto built = elf::Build(source);
+    if (!built.ok()) return Status::Fail("build: " + built.error());
     runtime::RuntimeConfig cfg;
     cfg.core = arch::AppleM1LikeParams();
     rt = std::make_unique<runtime::Runtime>(cfg);
-    auto made = Sandbox::Create(*rt, {elf_bytes->data(), elf_bytes->size()});
+    auto made = Sandbox::Create(*rt, built->bytes);
     if (!made.ok()) return Status::Fail(made.error());
     sb = std::move(*made);
     checker = std::make_unique<fuzz::SlotInvariantChecker>(sb->base());

@@ -27,13 +27,14 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "runtime/layout.h"
 #include "support/result.h"
 
 namespace lfi::emu {
 
-// Page size: 16KiB, matching Apple ARM64 machines (the paper sizes its
-// guard regions as multiples of 16KiB for this reason).
-inline constexpr uint64_t kPageSize = 16384;
+// Page size: the slot's 16KiB page, matching Apple ARM64 machines (the
+// paper sizes its guard regions as multiples of 16KiB for this reason).
+inline constexpr uint64_t kPageSize = runtime::kPage;
 inline constexpr uint64_t kPageMask = kPageSize - 1;
 
 // Page permission bits.

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "arch/cost_model.h"
+#include "runtime/layout.h"
 
 namespace lfi::emu {
 
@@ -117,7 +118,7 @@ class TlbModel {
  public:
   explicit TlbModel(unsigned entries);
   bool Access(uint64_t addr) {
-    const uint64_t page = addr / 16384;
+    const uint64_t page = addr / runtime::kPage;
     uint64_t& slot = tags_[page % tags_.size()];
     if (slot == page) return true;
     slot = page;

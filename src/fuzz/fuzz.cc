@@ -88,9 +88,7 @@ std::string RunPipeline(const std::string& src, Rng& rng,
   ro.sp_elision = rng.Chance(80);
   auto rw = rewriter::Rewrite(*f, ro);
   if (!rw.ok()) return "rewrite failed: " + rw.error();
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*rw, spec);
+  auto img = asmtext::Assemble(*rw, asmtext::LayoutSpec{});
   if (!img.ok()) return "assemble of rewritten text failed: " + img.error();
   verifier::VerifyOptions vo = opts.verify;
   vo.check_loads = ro.sandbox_loads;

@@ -7,6 +7,7 @@
 #include "arch/encode.h"
 #include "arch/inst.h"
 #include "arch/reg.h"
+#include "runtime/layout.h"
 
 namespace lfi::fuzz {
 namespace {
@@ -21,6 +22,7 @@ using arch::Reg;
 using arch::Shift;
 using arch::VReg;
 using arch::Width;
+using runtime::kGuardSize;
 
 // Registers a compiler running under -ffixed-x18/x21/x22/x23/x24 (and with
 // x30 managed only through the call protocols) may allocate freely.
@@ -99,8 +101,8 @@ unsigned RandSize(Rng& rng) {
 // occasionally a negative unscaled offset.
 int64_t AccessImm(Rng& rng, unsigned msize) {
   switch (rng.Below(8)) {
-    case 0: return 48 * 1024 - 8;       // last in-guard doubleword
-    case 1: return 48 * 1024;           // first out-of-guard offset
+    case 0: return kGuardSize - 8;  // last in-guard doubleword
+    case 1: return kGuardSize;      // first out-of-guard offset
     case 2: return -int64_t(rng.Below(257));
     default: return int64_t(rng.Below(512)) * msize;
   }
@@ -373,9 +375,9 @@ void TmplQAccess(Rng& rng, std::vector<uint32_t>* out) {
   i.mem.base = addr;
   i.mem.mode = AddrMode::kImm;
   switch (rng.Below(4)) {
-    case 0: i.mem.imm = 48 * 1024 - 16; break;  // last in-guard slot
-    case 1: i.mem.imm = 48 * 1024; break;       // first out-of-guard slot
-    case 2: i.mem.imm = 65520; break;           // max encodable
+    case 0: i.mem.imm = kGuardSize - 16; break;  // last in-guard slot
+    case 1: i.mem.imm = kGuardSize; break;       // first out-of-guard slot
+    case 2: i.mem.imm = 65520; break;            // max encodable
     default: i.mem.imm = int64_t(rng.Below(4096)) * 16; break;
   }
   out->push_back(Enc(i));
@@ -497,9 +499,9 @@ std::vector<std::vector<uint32_t>> SeedCorpusWords() {
       i.mem.imm = imm;
       return i;
     };
-    add({Enc(Guard(Reg::X(18), Reg::X(0))), Enc(qldr(48 * 1024 - 16)),
+    add({Enc(Guard(Reg::X(18), Reg::X(0))), Enc(qldr(kGuardSize - 16)),
          Enc(ret)});
-    add({Enc(Guard(Reg::X(18), Reg::X(0))), Enc(qldr(48 * 1024)), Enc(ret)});
+    add({Enc(Guard(Reg::X(18), Reg::X(0))), Enc(qldr(kGuardSize)), Enc(ret)});
     add({Enc(Guard(Reg::X(18), Reg::X(0))),
          Enc(Access(false, Reg::X(1), Reg::X(18), 32760, 8)), Enc(ret)});
   }

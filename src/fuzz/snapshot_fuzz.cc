@@ -7,13 +7,10 @@
 #include <optional>
 #include <span>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
+#include "elf/build.h"
 #include "elf/elf.h"
 #include "fuzz/fuzz.h"
 #include "fuzz/gen.h"
-#include "rewriter/rewriter.h"
-#include "runtime/layout.h"
 #include "runtime/runtime.h"
 #include "snapshot/snapshot.h"
 
@@ -89,16 +86,9 @@ std::vector<std::vector<uint8_t>> SeedSnapshots() {
   std::vector<std::vector<uint8_t>> out;
   runtime::Runtime rt{runtime::RuntimeConfig{}};
   for (const std::string& src : SeedCorpusAsm()) {
-    auto file = asmtext::Parse(src);
-    if (!file) continue;
-    auto rw = rewriter::Rewrite(*file, rewriter::RewriteOptions{});
-    if (!rw) continue;
-    asmtext::LayoutSpec spec;
-    spec.text_offset = runtime::kProgramStart;
-    auto img = asmtext::Assemble(*rw, spec);
-    if (!img) continue;
-    const std::vector<uint8_t> elf = elf::Write(elf::FromAssembled(*img));
-    auto parsed = elf::Read({elf.data(), elf.size()});
+    auto built = elf::Build(src);
+    if (!built) continue;
+    auto parsed = elf::Read(built->bytes);
     if (!parsed) continue;
     auto pid = rt.LoadImage(*parsed);
     if (!pid) continue;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "arch/encode.h"
+#include "runtime/layout.h"
 
 namespace lfi::rewriter {
 
@@ -146,8 +147,9 @@ bool FitsW22AddImm(int64_t imm) {
 // offsets can encode up to 65520, beyond the 48KiB guard, so this check
 // is not redundant with encodability.
 bool OffsetStaysInGuard(int64_t imm, unsigned footprint) {
-  constexpr int64_t kGuard = 48 * 1024;
-  return imm >= -kGuard && imm + static_cast<int64_t>(footprint) <= kGuard;
+  return imm >= -static_cast<int64_t>(runtime::kGuardSize) &&
+         imm + static_cast<int64_t>(footprint) <=
+             static_cast<int64_t>(runtime::kGuardSize);
 }
 
 class RewriterImpl {
@@ -535,7 +537,7 @@ Status RewriterImpl::RewriteX30Write(const Inst& i) {
 }
 
 Status RewriterImpl::ExpandRtcall(int64_t n) {
-  if (n < 0 || n >= opts_.rtcall_entries) {
+  if (n < 0 || static_cast<uint64_t>(n) >= runtime::kCallTableBytes / 8) {
     return Status::Fail("rtcall number out of range: " + std::to_string(n));
   }
   if (opts_.save_restore_x30) {
@@ -827,7 +829,8 @@ Result<AsmFile> RewriterImpl::Run(const AsmFile& in) {
         mv.rd = Reg::X(9);
         mv.imm = s.inst.imm;
         Emit(mv);
-        auto st = ExpandRtcall(kHostcallRtcall);
+        auto st =
+            ExpandRtcall(static_cast<int64_t>(runtime::Rtcall::kHostcall));
         if (!st.ok()) {
           return Error{st.error() + " at line " + std::to_string(s.line)};
         }

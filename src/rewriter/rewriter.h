@@ -46,15 +46,7 @@ struct RewriteOptions {
   // The Section 4.2 elision of sp guards after small adjustments followed
   // by an in-block access. Disabled only by the ablation benchmark.
   bool sp_elision = true;
-  // Number of 8-byte entries in the runtime-call table; rtcall numbers
-  // must be below this.
-  int64_t rtcall_entries = 512;
 };
-
-// Runtime-call number the `hostcall #i` pseudo dispatches through
-// (runtime/layout.h Rtcall::kHostcall). The rewriter cannot depend on the
-// runtime, so the number is pinned here; layout_test checks they agree.
-inline constexpr int64_t kHostcallRtcall = 18;
 
 // Statistics from a rewrite, used by the code-size evaluation (§6.3).
 struct RewriteStats {
@@ -68,7 +60,8 @@ struct RewriteStats {
 
 // Rewrites `in`, returning the guarded file. Fails if the input already
 // uses the reserved registers (compilers must be invoked with -ffixed-*,
-// Section 5.1) or contains instructions that cannot be made safe.
+// Section 5.1), contains instructions that cannot be made safe, or names
+// an rtcall past the call table (runtime/layout.h kCallTableBytes / 8).
 Result<asmtext::AsmFile> Rewrite(const asmtext::AsmFile& in,
                                  const RewriteOptions& opts,
                                  RewriteStats* stats = nullptr);

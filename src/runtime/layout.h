@@ -12,6 +12,11 @@
 //
 // Code must additionally stay out of the last 128MiB of the slot so that
 // direct branches (reach: +-128MiB) cannot land in a neighbor's text.
+//
+// This header is the one definition of the slot geometry. It is
+// header-only and includes nothing but <cstdint>, so the lower layers
+// (verifier, rewriter, assembler, ELF writer, emulator, fuzz generator)
+// include it without linking the runtime.
 #ifndef LFI_RUNTIME_LAYOUT_H_
 #define LFI_RUNTIME_LAYOUT_H_
 
@@ -22,6 +27,9 @@ namespace lfi::runtime {
 inline constexpr uint64_t kSlotSize = uint64_t{1} << 32;  // 4GiB
 inline constexpr uint64_t kPage = 16384;
 inline constexpr uint64_t kGuardSize = 48 * 1024;
+// Bytes of the call table that code may load x30 from (512 entries); the
+// verifier accepts `ldr x30, [x21, #n]` + `blr x30` only for n + 8 <= this.
+inline constexpr uint64_t kCallTableBytes = 4096;
 // Program content begins after the table page and leading guard region.
 inline constexpr uint64_t kProgramStart = kPage + kGuardSize;  // 64KiB
 // Last usable byte (exclusive): the trailing guard region.

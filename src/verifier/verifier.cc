@@ -7,6 +7,7 @@
 
 #include "arch/decode.h"
 #include "arch/inst.h"
+#include "runtime/layout.h"
 
 namespace lfi::verifier {
 
@@ -37,7 +38,7 @@ struct Open {
 };
 
 // Checks the addressing of one memory access. `i` must be a memory access.
-Violation CheckAccess(const Inst& i, const VerifyOptions& opts) {
+Violation CheckAccess(const Inst& i) {
   const auto& m = i.mem;
   // Total footprint of the access (pair accesses touch 2*msize).
   const uint64_t footprint =
@@ -76,8 +77,8 @@ Violation CheckAccess(const Inst& i, const VerifyOptions& opts) {
   // the base sits at the very edge of the sandbox.
   const int64_t lo = m.imm;
   const int64_t hi = m.imm + static_cast<int64_t>(footprint);
-  if (lo < -static_cast<int64_t>(opts.guard_bytes) ||
-      hi > static_cast<int64_t>(opts.guard_bytes)) {
+  if (lo < -static_cast<int64_t>(runtime::kGuardSize) ||
+      hi > static_cast<int64_t>(runtime::kGuardSize)) {
     return {FailKind::kGuardRangeOverflow,
             "immediate offset reaches past the guard region"};
   }
@@ -86,8 +87,7 @@ Violation CheckAccess(const Inst& i, const VerifyOptions& opts) {
 
 // Checks writes to reserved registers in `i`; an x30 load or a small sp
 // adjust passes here and leaves its obligation in `open`.
-Violation CheckReservedWrites(const Inst& i, const VerifyOptions& opts,
-                              Open* open) {
+Violation CheckReservedWrites(const Inst& i, Open* open) {
   // x21 (sandbox base): never written, through any channel.
   if (arch::WritesGpr(i, arch::kRegBase)) {
     return {FailKind::kBaseRegWrite, "write to x21"};
@@ -120,7 +120,8 @@ Violation CheckReservedWrites(const Inst& i, const VerifyOptions& opts,
     open->x30_blr = i.mn == Mn::kLdr && !i.msigned && i.msize == 8 &&
                     i.rt == arch::kRegLink && i.mem.base == arch::kRegBase &&
                     i.mem.mode == AddrMode::kImm && i.mem.imm >= 0 &&
-                    static_cast<uint64_t>(i.mem.imm) + 8 <= opts.table_bytes;
+                    static_cast<uint64_t>(i.mem.imm) + 8 <=
+                        runtime::kCallTableBytes;
     open->x30 = {FailKind::kLinkRegProtocol,
                  open->x30_blr
                      ? "call-table load of x30 not followed by blr x30"
@@ -166,7 +167,7 @@ Violation CheckInstImpl(const Inst& i, const VerifyOptions& opts,
   if (arch::IsMemAccess(i)) {
     const bool pure_load = arch::IsLoad(i) && !arch::IsStore(i);
     if (opts.check_loads || !pure_load) {
-      if (auto v = CheckAccess(i, opts); !v.ok()) return v;
+      if (auto v = CheckAccess(i); !v.ok()) return v;
     } else if (i.mem.HasWriteback() && !i.mem.base.IsSp() &&
                arch::IsReservedGpr(i.mem.base)) {
       return {FailKind::kReservedWriteback,
@@ -183,7 +184,7 @@ Violation CheckInstImpl(const Inst& i, const VerifyOptions& opts,
   }
 
   // Property 2: reserved-register integrity.
-  return CheckReservedWrites(i, opts, open);
+  return CheckReservedWrites(i, open);
 }
 
 }  // namespace

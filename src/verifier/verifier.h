@@ -41,16 +41,12 @@ namespace lfi::verifier {
 // Words decoded and checked per step of the pass.
 inline constexpr size_t kWindowWords = 1024;
 
+// The slot geometry the checks assume (the guard size and the callable
+// part of the call table) is runtime/layout.h's, not an option.
 struct VerifyOptions {
   // When false, loads are not checked (the "no loads" fault-isolation-only
   // configuration in Figure 3).
   bool check_loads = true;
-  // Size of each guard region surrounding the sandbox. Immediate offsets
-  // must not be able to reach past it.
-  uint64_t guard_bytes = 48 * 1024;
-  // Bytes of the runtime-call table at the sandbox base that x30 may be
-  // loaded from.
-  uint64_t table_bytes = 4096;
   // Allow load-linked/store-conditional (ldxr/stxr). Section 7.1: LL/SC
   // enables a timerless cache side channel on Apple M1 (S2C, USENIX Sec
   // '23); with software protection the fix is one verifier switch - the

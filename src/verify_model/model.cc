@@ -4,6 +4,8 @@
 #include <cassert>
 #include <string>
 
+#include "runtime/layout.h"
+
 namespace lfi::verify_model {
 
 namespace {
@@ -517,10 +519,10 @@ bool IsBlrX30(const MFacts& f) {
   return f.br == MBranch::kBlr && f.ibr_rn == 30;
 }
 
-bool IsTableLoad(const MFacts& f, const verifier::VerifyOptions& opts) {
+bool IsTableLoad(const MFacts& f) {
   return f.plain_int_ldr && !f.msigned && f.msize == 8 && f.rt == 30 &&
          f.base == 21 && f.mode == MMode::kImm && f.imm >= 0 &&
-         static_cast<uint64_t>(f.imm) + 8 <= opts.table_bytes;
+         static_cast<uint64_t>(f.imm) + 8 <= runtime::kCallTableBytes;
 }
 
 // ARM condition evaluation from NZCV.
@@ -586,8 +588,8 @@ verifier::FailKind CheckFacts(std::span<const MFacts> facts, size_t k,
         if (wb && f.base != 31) return FailKind::kReservedWriteback;
         const int64_t lo = f.imm;
         const int64_t hi = f.imm + static_cast<int64_t>(f.footprint);
-        if (lo < -static_cast<int64_t>(opts.guard_bytes) ||
-            hi > static_cast<int64_t>(opts.guard_bytes)) {
+        if (lo < -static_cast<int64_t>(runtime::kGuardSize) ||
+            hi > static_cast<int64_t>(runtime::kGuardSize)) {
           return FailKind::kGuardRangeOverflow;
         }
       }
@@ -616,7 +618,7 @@ verifier::FailKind CheckFacts(std::span<const MFacts> facts, size_t k,
     const bool by_branch = f.br == MBranch::kBl || f.br == MBranch::kBlr;
     const bool by_guard = f.guard_for == 30;
     if (!by_branch && !by_guard) {
-      if (IsTableLoad(f, opts)) {
+      if (IsTableLoad(f)) {
         if (k + 1 >= facts.size() || !IsBlrX30(facts[k + 1])) {
           return FailKind::kLinkRegProtocol;
         }
@@ -675,13 +677,12 @@ Verdict PredictVerdict(std::span<const uint32_t> words,
   return PredictVerdict(facts, opts);
 }
 
-std::vector<uint32_t> DischargeSuffix(const MFacts& f,
-                                      const verifier::VerifyOptions& opts) {
+std::vector<uint32_t> DischargeSuffix(const MFacts& f) {
   const bool x30_needs_context =
       f.WritesReg(30) && f.br != MBranch::kBl && f.br != MBranch::kBlr &&
       f.guard_for != 30 && f.load;
   if (x30_needs_context) {
-    if (IsTableLoad(f, opts)) return {0xD63F03C0u};  // blr x30
+    if (IsTableLoad(f)) return {0xD63F03C0u};  // blr x30
     // add x30, x21, w1, uxtw #0 (the x30 guard).
     return {0x8B200000u | (1u << 16) | (2u << 13) | (21u << 5) | 30u};
   }

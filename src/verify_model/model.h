@@ -152,8 +152,7 @@ verifier::FailKind CheckFacts(std::span<const MFacts> facts, size_t k,
 // a small sp adjust). Empty when the instruction needs no context. The
 // suffix instructions are standalone-legal, so a rejection of
 // word+suffix still anchors at index 0.
-std::vector<uint32_t> DischargeSuffix(const MFacts& f,
-                                      const verifier::VerifyOptions& opts);
+std::vector<uint32_t> DischargeSuffix(const MFacts& f);
 
 // ---- Effect prediction (emulator cross-validation) ----
 

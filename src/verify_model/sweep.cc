@@ -155,7 +155,7 @@ SweepResult SweepClass(const arch::EncClassInfo& cls,
 
     // Context-dependent word: sweep again with the discharge suffix.
     if (facts.decodable) {
-      const std::vector<uint32_t> suffix = DischargeSuffix(facts, opts.verify);
+      const std::vector<uint32_t> suffix = DischargeSuffix(facts);
       if (!suffix.empty()) {
         ++res.suffixed;
         std::vector<uint32_t> words;

@@ -3,9 +3,10 @@
 
 The script guards BENCH_BASELINE.json in CI; the contract under test:
 
-  * exit 0 when every gated metric is within tolerance;
-  * exit 0 on out-of-tolerance drift in report-only mode, exit 1 with
-    --strict (only .cycles/.bytes metrics gate);
+  * exit 0 when every gated metric equals its baseline;
+  * exit 0 on any drift of a gated metric in report-only mode, exit 1
+    with --strict (only .cycles/.bytes/.exact metrics gate, at zero
+    tolerance);
   * exit 2 whenever a baseline metric is missing from the run, strict or
     not -- a silently vanished metric means a bench section stopped
     running or was renamed without regenerating the baseline, and
@@ -55,12 +56,14 @@ class CheckBenchRegressionTest(unittest.TestCase):
     def test_identical_run_passes(self):
         p = run_check(BASE, dict(BASE), "--strict")
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
-        self.assertIn("within tolerance", p.stdout)
+        self.assertIn("equal the baseline", p.stdout)
 
-    def test_drift_within_tolerance_passes_strict(self):
-        cur = dict(BASE, **{"bench.a.cycles": 1050})  # +5% < 10%
-        p = run_check(BASE, cur, "--strict")
-        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
+    def test_any_cycles_or_bytes_drift_fails_strict(self):
+        for metric, value in (("bench.a.cycles", 1001), ("bench.b.bytes", 511)):
+            cur = dict(BASE, **{metric: value})
+            p = run_check(BASE, cur, "--strict")
+            self.assertEqual(p.returncode, 1, metric + p.stdout + p.stderr)
+            self.assertIn(metric, p.stdout)
 
     def test_regression_reports_but_passes_without_strict(self):
         cur = dict(BASE, **{"bench.a.cycles": 2000})
@@ -106,27 +109,20 @@ class CheckBenchRegressionTest(unittest.TestCase):
         self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
 
     def test_exact_metric_gates_with_zero_tolerance(self):
-        # Any drift at all on a .exact metric is a regression, even with
-        # a huge --tolerance.
+        # Any drift at all on a .exact metric is a regression.
         cur = dict(BASE, **{"bench.d.identical.exact": 0.0})
         p = run_check(BASE, cur)
         self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
         self.assertIn("REGRESSION", p.stdout)
         p = run_check(BASE, cur, "--strict")
         self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
-        p = run_check(BASE, cur, "--strict", "--tolerance", "1000")
-        self.assertEqual(p.returncode, 1, p.stdout + p.stderr)
 
-    def test_exact_metric_identical_passes(self):
-        p = run_check(BASE, dict(BASE), "--strict", "--tolerance", "0")
-        self.assertEqual(p.returncode, 0, p.stdout + p.stderr)
-
-    def test_tolerance_flag_respected(self):
-        cur = dict(BASE, **{"bench.a.cycles": 1150})  # +15%
-        self.assertEqual(run_check(BASE, cur, "--strict").returncode, 1)
-        self.assertEqual(
-            run_check(BASE, cur, "--strict", "--tolerance", "20").returncode,
-            0)
+    def test_tolerance_flag_is_gone(self):
+        # No drift is allowed, so there is no tolerance to set: the flag
+        # is a usage error like any unknown option.
+        p = run_check(BASE, dict(BASE), "--strict", "--tolerance", "20")
+        self.assertEqual(p.returncode, 2, p.stdout + p.stderr)
+        self.assertIn("unrecognized arguments", p.stderr)
 
 
 if __name__ == "__main__":

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include "arch/cost_model.h"
+#include "asmtext/assemble.h"
+#include "asmtext/parser.h"
+#include "elf/build.h"
+#include "elf/elf.h"
 #include "emu/timing.h"
-#include "pipeline_util.h"
+#include "rewriter/rewriter.h"
 #include "runtime/layout.h"
 #include "runtime/runtime.h"
 #include "runtime/vfs.h"
@@ -142,6 +146,9 @@ TEST(Layout, SlotGeometryMatchesFigure1) {
   EXPECT_GT(kGuardSize, (uint64_t{1} << 15) + (uint64_t{1} << 10));
   // Program area starts after the table page + guard.
   EXPECT_EQ(kProgramStart, kPage + kGuardSize);
+  // The call table holds every runtime call and fits in its page.
+  EXPECT_LE(static_cast<uint64_t>(Rtcall::kCount) * 8, kCallTableBytes);
+  EXPECT_LE(kCallTableBytes, kPage);
   // Code must end 128MiB before the slot end (direct-branch reach).
   EXPECT_EQ(kSlotSize - kCodeEnd, uint64_t{128} << 20);
   // 65535 4GiB slots + the runtime's slot 0 fill the 48-bit space.
@@ -160,12 +167,40 @@ runtime::RuntimeConfig Cfg() {
 
 int RunAndStatus(const std::string& src) {
   runtime::Runtime rt(Cfg());
-  auto e = test::BuildElf(src);
+  auto e = elf::Build(src);
   EXPECT_TRUE(e.ok()) << e.error();
-  auto pid = rt.Load({e->data(), e->size()});
+  auto pid = rt.Load(e->bytes);
   EXPECT_TRUE(pid.ok());
   rt.RunUntilIdle();
   return rt.proc(*pid)->exit_status;
+}
+
+TEST(Layout, DefaultAssemblerLayoutLoads) {
+  // The assembler's default layout is the loader's: an ELF built with
+  // LayoutSpec{} loads and runs, its data reached through adrp.
+  auto file = asmtext::Parse(R"(
+_start:
+  adrp x9, val
+  add x9, x9, :lo12:val
+  ldr x0, [x9]
+  rtcall #0
+.data
+val:
+  .quad 0
+)");
+  ASSERT_TRUE(file.ok()) << file.error();
+  auto rewritten = rewriter::Rewrite(*file, {});
+  ASSERT_TRUE(rewritten.ok()) << rewritten.error();
+  auto img = asmtext::Assemble(*rewritten, asmtext::LayoutSpec{});
+  ASSERT_TRUE(img.ok()) << img.error();
+  EXPECT_EQ(img->text_addr, runtime::kProgramStart);
+  const std::vector<uint8_t> bytes = elf::Write(elf::FromAssembled(*img));
+  runtime::Runtime rt(Cfg());
+  auto pid = rt.Load(bytes);
+  ASSERT_TRUE(pid.ok()) << pid.error();
+  rt.RunUntilIdle();
+  EXPECT_EQ(rt.proc(*pid)->exit_kind, runtime::ExitKind::kExited);
+  EXPECT_EQ(rt.proc(*pid)->exit_status, 0);
 }
 
 TEST(RuntimeErrors, BadFdReturnsEbadf) {

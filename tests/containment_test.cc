@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "chaos/chaos.h"
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 
 namespace lfi::runtime {
@@ -44,9 +44,9 @@ constexpr const char* kSibling = R"(
 )";
 
 std::vector<uint8_t> MustBuild(const std::string& src, bool rewrite) {
-  auto e = test::BuildElf(src, rewrite);
+  auto e = rewrite ? elf::Build(src) : elf::Build(src, std::nullopt);
   EXPECT_TRUE(e.ok()) << (e.ok() ? "" : e.error());
-  return e.ok() ? *e : std::vector<uint8_t>{};
+  return e.ok() ? e->bytes : std::vector<uint8_t>{};
 }
 
 TEST(Containment, FaultMatrixLeavesSiblingUndisturbed) {
@@ -167,9 +167,9 @@ std::vector<ProcResult> RunTrio(chaos::ChaosEngine* eng, int pinned_victim) {
   if (eng != nullptr) rt.set_chaos(eng);
   std::vector<int> pids;
   for (const char* src : {kChaosVictim, kBystanderB, kBystanderC}) {
-    auto elf = test::BuildElf(src, true);
+    auto elf = elf::Build(src);
     EXPECT_TRUE(elf.ok());
-    auto pid = rt.Load({elf->data(), elf->size()});
+    auto pid = rt.Load(elf->bytes);
     EXPECT_TRUE(pid.ok());
     pids.push_back(*pid);
   }

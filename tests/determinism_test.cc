@@ -19,9 +19,9 @@
 #include <vector>
 
 #include "chaos/chaos.h"
+#include "elf/build.h"
 #include "embed/abi.h"
 #include "embed/embed.h"
-#include "pipeline_util.h"
 #include "runtime/runtime.h"
 #include "runtime/spawn_pool.h"
 #include "serve/serve.h"
@@ -101,11 +101,11 @@ const char* kChaosVictim = R"(
 // image, and round-trips it through the on-disk format so the test covers
 // the whole pipeline a warm-spawn service would use.
 std::shared_ptr<const snapshot::Snapshot> ImageOf(const std::string& src) {
-  auto elf = test::BuildElf(src);
+  auto elf = elf::Build(src);
   EXPECT_TRUE(elf.ok()) << (elf.ok() ? "" : elf.error());
   if (!elf.ok()) return nullptr;
   Runtime rt(TestConfig());
-  auto pid = rt.Load({elf->data(), elf->size()});
+  auto pid = rt.Load(elf->bytes);
   EXPECT_TRUE(pid.ok()) << (pid.ok() ? "" : pid.error());
   if (!pid.ok()) return nullptr;
   auto snap = rt.CaptureSnapshot(*pid);
@@ -150,10 +150,10 @@ TraceRun TracedRun(const std::string& src, bool spawn,
     if (!p.ok()) return out;
     pid = *p;
   } else {
-    auto elf = test::BuildElf(src);
+    auto elf = elf::Build(src);
     EXPECT_TRUE(elf.ok()) << (elf.ok() ? "" : elf.error());
     if (!elf.ok()) return out;
-    auto p = rt.Load({elf->data(), elf->size()});
+    auto p = rt.Load(elf->bytes);
     EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
     if (!p.ok()) return out;
     pid = *p;
@@ -316,10 +316,10 @@ ServedRun ServedRetryStorm(emu::Dispatch dispatch) {
   chaos::ChaosEngine storm(0xfeed, profile);
   rt.set_chaos(&storm);
 
-  auto elf = test::BuildElf(kServeHandler);
+  auto elf = elf::Build(kServeHandler);
   EXPECT_TRUE(elf.ok()) << (elf.ok() ? "" : elf.error());
   if (!elf.ok()) return out;
-  auto pid = rt.Load({elf->data(), elf->size()});
+  auto pid = rt.Load(elf->bytes);
   EXPECT_TRUE(pid.ok()) << (pid.ok() ? "" : pid.error());
   if (!pid.ok()) return out;
   auto snap = rt.CaptureSnapshot(*pid);
@@ -420,11 +420,11 @@ ebad:
   add x19, x19, #1
   ret
 )";
-  auto elf = test::BuildElf(embed::GuestModuleSource(exports, body));
+  auto elf = elf::Build(embed::GuestModuleSource(exports, body));
   EXPECT_TRUE(elf.ok()) << (elf.ok() ? "" : elf.error());
   if (!elf.ok()) return out;
 
-  auto a = embed::Sandbox::Create(rt, {elf->data(), elf->size()});
+  auto a = embed::Sandbox::Create(rt, elf->bytes);
   EXPECT_TRUE(a.ok()) << (a.ok() ? "" : a.error());
   if (!a.ok()) return out;
   auto b = embed::Sandbox::CreateFrom(**a);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "asmtext/parser.h"
+#include "elf/build.h"
 #include "elf/elf.h"
 #include "emu/machine.h"
 #include "asmtext/assemble.h"
@@ -175,12 +176,10 @@ msg:
 }
 
 TEST(Fuzz, ElfReaderNeverCrashesOnMutatedBinaries) {
-  auto f = asmtext::Parse(".text\n_start:\nnop\nret\n.data\nv:\n.quad 1\n");
-  ASSERT_TRUE(f.ok());
-  asmtext::LayoutSpec spec;
-  auto img = asmtext::Assemble(*f, spec);
-  ASSERT_TRUE(img.ok());
-  const std::vector<uint8_t> good = elf::Write(elf::FromAssembled(*img));
+  auto built = elf::Build(".text\n_start:\nnop\nret\n.data\nv:\n.quad 1\n",
+                          std::nullopt);
+  ASSERT_TRUE(built.ok()) << built.error();
+  const std::vector<uint8_t>& good = built->bytes;
   Rng rng(0x2468);
   for (int trial = 0; trial < 3000; ++trial) {
     std::vector<uint8_t> bytes = good;

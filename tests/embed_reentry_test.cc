@@ -13,9 +13,9 @@
 #include <vector>
 
 #include "chaos/chaos.h"
+#include "elf/build.h"
 #include "embed/abi.h"
 #include "embed/embed.h"
-#include "pipeline_util.h"
 #include "runtime/runtime.h"
 
 namespace lfi::embed {
@@ -94,10 +94,10 @@ rbuf:
 class EmbedReentryTest : public ::testing::Test {
  protected:
   void Make(Sandbox::Options opts = Sandbox::Options{}) {
-    auto elf = test::BuildElf(ReentryModule());
+    auto elf = elf::Build(ReentryModule());
     ASSERT_TRUE(elf.ok()) << elf.error();
     rt_ = std::make_unique<runtime::Runtime>(TestConfig());
-    auto sb = Sandbox::Create(*rt_, {elf->data(), elf->size()}, opts);
+    auto sb = Sandbox::Create(*rt_, elf->bytes, opts);
     ASSERT_TRUE(sb.ok()) << sb.error();
     sb_ = std::move(*sb);
   }

@@ -14,9 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "elf/build.h"
 #include "embed/abi.h"
 #include "embed/embed.h"
-#include "pipeline_util.h"
 #include "runtime/runtime.h"
 
 namespace lfi::embed {
@@ -124,10 +124,10 @@ spin:
 class EmbedTest : public ::testing::Test {
  protected:
   void Make(Sandbox::Options opts = Sandbox::Options{}) {
-    auto elf = test::BuildElf(MatrixModule());
+    auto elf = elf::Build(MatrixModule());
     ASSERT_TRUE(elf.ok()) << elf.error();
     rt_ = std::make_unique<runtime::Runtime>(TestConfig());
-    auto sb = Sandbox::Create(*rt_, {elf->data(), elf->size()}, opts);
+    auto sb = Sandbox::Create(*rt_, elf->bytes, opts);
     ASSERT_TRUE(sb.ok()) << sb.error();
     sb_ = std::move(*sb);
   }
@@ -465,10 +465,10 @@ bogus:
   .quad __lfi_ret_stub
   .quad 0
 )";
-  auto elf = test::BuildElf(src);
+  auto elf = elf::Build(src);
   ASSERT_TRUE(elf.ok()) << elf.error();
   runtime::Runtime rt(TestConfig());
-  auto sb = Sandbox::Create(rt, {elf->data(), elf->size()});
+  auto sb = Sandbox::Create(rt, elf->bytes);
   EXPECT_FALSE(sb.ok());
 }
 
@@ -479,10 +479,10 @@ TEST_F(EmbedTest, OrdinaryProgramNeverReachesEmbedReady) {
   mov x0, #0
   rtcall #0
 )";
-  auto elf = test::BuildElf(src);
+  auto elf = elf::Build(src);
   ASSERT_TRUE(elf.ok()) << elf.error();
   runtime::Runtime rt(TestConfig());
-  auto sb = Sandbox::Create(rt, {elf->data(), elf->size()});
+  auto sb = Sandbox::Create(rt, elf->bytes);
   EXPECT_FALSE(sb.ok());
 }
 

@@ -11,7 +11,8 @@
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
 #include "asmtext/printer.h"
-#include "pipeline_util.h"
+#include "elf/build.h"
+#include "elf/elf.h"
 #include "rewriter/rewriter.h"
 #include "workloads/workloads.h"
 
@@ -90,9 +91,9 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 TEST(Integration, ElfRoundTripOfRewrittenWorkload) {
-  auto elf_bytes = test::BuildElf(workloads::Generate("505.mcf", 50000));
+  auto elf_bytes = elf::Build(workloads::Generate("505.mcf", 50000));
   ASSERT_TRUE(elf_bytes.ok());
-  auto img = elf::Read({elf_bytes->data(), elf_bytes->size()});
+  auto img = elf::Read(elf_bytes->bytes);
   ASSERT_TRUE(img.ok()) << img.error();
   // Re-serialize and re-read: identical segment contents.
   auto bytes2 = elf::Write(*img);

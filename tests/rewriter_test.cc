@@ -268,10 +268,17 @@ TEST(Rewriter, RtcallExpansion) {
 }
 
 TEST(Rewriter, RtcallOutOfRangeRejected) {
-  RewriteOptions opts;
-  opts.rtcall_entries = 16;
-  EXPECT_FALSE(Rewrite(MustParse("rtcall #16"), opts).ok());
-  EXPECT_FALSE(Rewrite(MustParse("rtcall #-1"), opts).ok());
+  // The call table's last entry (kCallTableBytes / 8 - 1) rewrites,
+  // assembles and verifies: the rewriter and the verifier read one
+  // constant. The next number is rejected.
+  auto out = Rewrite(MustParse("rtcall #511"), RewriteOptions{});
+  ASSERT_TRUE(out.ok()) << out.error();
+  auto img = asmtext::Assemble(*out, asmtext::LayoutSpec{});
+  ASSERT_TRUE(img.ok()) << img.error();
+  const auto v = verifier::Verify(img->text);
+  EXPECT_TRUE(v.ok) << v.reason;
+  EXPECT_FALSE(Rewrite(MustParse("rtcall #512"), RewriteOptions{}).ok());
+  EXPECT_FALSE(Rewrite(MustParse("rtcall #-1"), RewriteOptions{}).ok());
 }
 
 TEST(Rewriter, RejectsReservedRegisterUse) {

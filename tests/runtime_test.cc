@@ -5,7 +5,7 @@
 
 #include <set>
 
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 
 namespace lfi::runtime {
@@ -25,10 +25,10 @@ struct TestRun {
   explicit TestRun(const std::string& src, bool rewrite = true,
                    RuntimeConfig cfg = TestConfig())
       : rt(cfg) {
-    auto elf_bytes = test::BuildElf(src, rewrite);
+    auto elf_bytes = rewrite ? elf::Build(src) : elf::Build(src, std::nullopt);
     EXPECT_TRUE(elf_bytes.ok()) << (elf_bytes.ok() ? "" : elf_bytes.error());
     if (!elf_bytes.ok()) return;
-    auto p = rt.Load({elf_bytes->data(), elf_bytes->size()});
+    auto p = rt.Load(elf_bytes->bytes);
     EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
     if (p.ok()) pid = *p;
   }
@@ -456,10 +456,10 @@ TEST(Runtime, PreemptionInterleavesTwoSandboxes) {
   RuntimeConfig cfg = TestConfig();
   cfg.timeslice_insts = 100;  // force many preemptions
   Runtime rt(cfg);
-  auto elf_bytes = test::BuildElf(looper);
+  auto elf_bytes = elf::Build(looper);
   ASSERT_TRUE(elf_bytes.ok());
-  auto p1 = rt.Load({elf_bytes->data(), elf_bytes->size()});
-  auto p2 = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto p1 = rt.Load(elf_bytes->bytes);
+  auto p2 = rt.Load(elf_bytes->bytes);
   ASSERT_TRUE(p1.ok() && p2.ok());
   rt.RunUntilIdle();
   EXPECT_EQ(rt.proc(*p1)->exit_status, *p1);
@@ -499,11 +499,11 @@ TEST(Runtime, SandboxCannotTouchNeighbor) {
     .quad 0
   )";
   Runtime rt(TestConfig());
-  auto velf = test::BuildElf(victim);
-  auto aelf = test::BuildElf(attacker);
+  auto velf = elf::Build(victim);
+  auto aelf = elf::Build(attacker);
   ASSERT_TRUE(velf.ok() && aelf.ok());
-  auto vp = rt.Load({velf->data(), velf->size()});
-  auto ap = rt.Load({aelf->data(), aelf->size()});
+  auto vp = rt.Load(velf->bytes);
+  auto ap = rt.Load(aelf->bytes);
   ASSERT_TRUE(vp.ok() && ap.ok());
   rt.RunUntilIdle();
   // The attacker saw its own write (0x4141), proving the store was
@@ -513,11 +513,10 @@ TEST(Runtime, SandboxCannotTouchNeighbor) {
 }
 
 TEST(Runtime, UnverifiableProgramRejectedAtLoad) {
-  auto elf_bytes = test::BuildElf("ldr x0, [x1]\nret\n",
-                                  /*rewrite=*/false);
+  auto elf_bytes = elf::Build("ldr x0, [x1]\nret\n", std::nullopt);
   ASSERT_TRUE(elf_bytes.ok());
   Runtime rt(TestConfig());
-  auto p = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto p = rt.Load(elf_bytes->bytes);
   EXPECT_FALSE(p.ok());
 }
 
@@ -584,11 +583,11 @@ TEST(Runtime, FastYieldSwitchesDirectly) {
     rtcall #0
   )";
   Runtime rt(TestConfig());
-  auto ea = test::BuildElf(a);
-  auto eb = test::BuildElf(b);
+  auto ea = elf::Build(a);
+  auto eb = elf::Build(b);
   ASSERT_TRUE(ea.ok() && eb.ok());
-  auto pa = rt.Load({ea->data(), ea->size()});
-  auto pb = rt.Load({eb->data(), eb->size()});
+  auto pa = rt.Load(ea->bytes);
+  auto pb = rt.Load(eb->bytes);
   ASSERT_TRUE(pa.ok() && pb.ok());
   rt.RunUntilIdle();
   EXPECT_EQ(rt.proc(*pa)->exit_status, 11);
@@ -600,11 +599,11 @@ TEST(Runtime, ManySlotsAccounting) {
   // design supports ~65k slots but tests stay modest.
   const std::string prog = "mov x0, #1\nrtcall #0\n";
   Runtime rt(TestConfig());
-  auto e = test::BuildElf(prog);
+  auto e = elf::Build(prog);
   ASSERT_TRUE(e.ok());
   std::vector<int> pids;
   for (int k = 0; k < 32; ++k) {
-    auto p = rt.Load({e->data(), e->size()});
+    auto p = rt.Load(e->bytes);
     ASSERT_TRUE(p.ok()) << p.error();
     pids.push_back(*p);
   }
@@ -635,9 +634,9 @@ TEST(Runtime, SlotExhaustionFailsClosedOnEveryInstantiationPath) {
   for (uint64_t k = 1; k < kMaxSlots; ++k) ASSERT_TRUE(rt.ReserveSlot().ok());
   // fork(), then exit with its result: 0 in a child, ENOMEM (-12) when
   // there is no slot for one.
-  auto e = test::BuildElf("rtcall #8\nrtcall #0\n");
+  auto e = elf::Build("rtcall #8\nrtcall #0\n");
   ASSERT_TRUE(e.ok()) << e.error();
-  auto pid = rt.Load({e->data(), e->size()});
+  auto pid = rt.Load(e->bytes);
   ASSERT_TRUE(pid.ok()) << pid.error();
   const uint64_t slot = rt.proc(*pid)->slot;
   EXPECT_EQ(slot, kMaxSlots);
@@ -648,7 +647,7 @@ TEST(Runtime, SlotExhaustionFailsClosedOnEveryInstantiationPath) {
     EXPECT_EQ(rt.space().MappedPages(), pages);
   };
 
-  EXPECT_FALSE(rt.Load({e->data(), e->size()}).ok());
+  EXPECT_FALSE(rt.Load(e->bytes).ok());
   unchanged();
   EXPECT_FALSE(rt.SpawnFromSnapshot(rt.proc(*pid)->snapshot).ok());
   unchanged();
@@ -673,7 +672,7 @@ TEST(Runtime, SlotExhaustionFailsClosedOnEveryInstantiationPath) {
   // pid: none of the failures above allocated one.
   ASSERT_TRUE(rt.Kill(*pid, "release").ok());
   EXPECT_EQ(rt.slots_in_use(), kMaxSlots - 1);
-  auto next = rt.Load({e->data(), e->size()});
+  auto next = rt.Load(e->bytes);
   ASSERT_TRUE(next.ok()) << next.error();
   EXPECT_EQ(*next, *pid + 1);
   EXPECT_EQ(rt.proc(*next)->slot, slot);

@@ -10,7 +10,7 @@
 #include <string>
 #include <vector>
 
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 #include "trace/trace.h"
 
@@ -54,11 +54,11 @@ TEST(Scheduler, RoundRobinSharesCpuFairly) {
   Runtime rt(cfg);
   TraceSink sink;
   rt.set_trace_sink(&sink);
-  auto e = test::BuildElf(looper);
+  auto e = elf::Build(looper);
   ASSERT_TRUE(e.ok()) << e.error();
   std::vector<int> pids;
   for (int k = 0; k < 3; ++k) {
-    auto p = rt.Load({e->data(), e->size()});
+    auto p = rt.Load(e->bytes);
     ASSERT_TRUE(p.ok()) << p.error();
     pids.push_back(*p);
   }
@@ -92,11 +92,11 @@ TEST(Scheduler, PreemptionPreventsStarvationByBusyLoop) {
   Runtime rt(cfg);
   TraceSink sink;
   rt.set_trace_sink(&sink);
-  auto eh = test::BuildElf(hog);
-  auto eq = test::BuildElf(quick);
+  auto eh = elf::Build(hog);
+  auto eq = elf::Build(quick);
   ASSERT_TRUE(eh.ok() && eq.ok());
-  auto ph = rt.Load({eh->data(), eh->size()});
-  auto pq = rt.Load({eq->data(), eq->size()});
+  auto ph = rt.Load(eh->bytes);
+  auto pq = rt.Load(eq->bytes);
   ASSERT_TRUE(ph.ok() && pq.ok());
   rt.RunUntilIdle(/*max_total_insts=*/100000);
 
@@ -126,11 +126,11 @@ TEST(Scheduler, YieldToChainRunsInOrder) {
   Runtime rt(TestConfig());
   TraceSink sink;
   rt.set_trace_sink(&sink);
-  auto ey = test::BuildElf(yielder);
+  auto ey = elf::Build(yielder);
   ASSERT_TRUE(ey.ok()) << ey.error();
-  auto p1 = rt.Load({ey->data(), ey->size()});
-  auto p2 = rt.Load({ey->data(), ey->size()});
-  auto p3 = rt.Load({ey->data(), ey->size()});
+  auto p1 = rt.Load(ey->bytes);
+  auto p2 = rt.Load(ey->bytes);
+  auto p3 = rt.Load(ey->bytes);
   ASSERT_TRUE(p1.ok() && p2.ok() && p3.ok());
   rt.RunUntilIdle();
 
@@ -205,9 +205,9 @@ TEST(Scheduler, PipeUnblockWakesReader) {
   Runtime rt(TestConfig());
   TraceSink sink;
   rt.set_trace_sink(&sink);
-  auto e = test::BuildElf(prog);
+  auto e = elf::Build(prog);
   ASSERT_TRUE(e.ok()) << e.error();
-  auto pp = rt.Load({e->data(), e->size()});
+  auto pp = rt.Load(e->bytes);
   ASSERT_TRUE(pp.ok());
   EXPECT_EQ(rt.RunUntilIdle(), 0);
   EXPECT_EQ(rt.proc(*pp)->exit_status, 65);
@@ -283,9 +283,9 @@ TEST(Scheduler, BlockedWriterWakesWhenReaderDrains) {
   Runtime rt(TestConfig());
   TraceSink sink;
   rt.set_trace_sink(&sink);
-  auto e = test::BuildElf(prog);
+  auto e = elf::Build(prog);
   ASSERT_TRUE(e.ok()) << e.error();
-  auto pp = rt.Load({e->data(), e->size()});
+  auto pp = rt.Load(e->bytes);
   ASSERT_TRUE(pp.ok());
   EXPECT_EQ(rt.RunUntilIdle(), 0);
   EXPECT_EQ(rt.proc(*pp)->exit_status, 0);

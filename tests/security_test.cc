@@ -3,8 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "elf/build.h"
 #include "emu/timing.h"
-#include "pipeline_util.h"
 #include "runtime/runtime.h"
 
 namespace lfi {
@@ -26,19 +26,19 @@ RuntimeConfig Config() {
 TEST(Security, LlScDisallowedByVerifierOption) {
   const std::string src =
       "add x18, x21, w0, uxtw\nldxr x1, [x18]\nstxr w2, x1, [x18]\nret\n";
-  auto elf_bytes = test::BuildElf(src, /*rewrite=*/false);
+  auto elf_bytes = elf::Build(src, std::nullopt);
   ASSERT_TRUE(elf_bytes.ok());
   // Allowed by default...
   {
     Runtime rt(Config());
-    EXPECT_TRUE(rt.Load({elf_bytes->data(), elf_bytes->size()}).ok());
+    EXPECT_TRUE(rt.Load(elf_bytes->bytes).ok());
   }
   // ...rejected when the deployment disables LL/SC (S2C mitigation).
   {
     RuntimeConfig cfg = Config();
     cfg.verify.allow_llsc = false;
     Runtime rt(cfg);
-    auto pid = rt.Load({elf_bytes->data(), elf_bytes->size()});
+    auto pid = rt.Load(elf_bytes->bytes);
     EXPECT_FALSE(pid.ok());
   }
   // Acquire/release (not LL/SC) stays allowed: only the exploitable
@@ -47,10 +47,10 @@ TEST(Security, LlScDisallowedByVerifierOption) {
     RuntimeConfig cfg = Config();
     cfg.verify.allow_llsc = false;
     Runtime rt(cfg);
-    auto ok_elf = test::BuildElf(
-        "add x18, x21, w0, uxtw\nldar x1, [x18]\nret\n", false);
+    auto ok_elf = elf::Build(
+        "add x18, x21, w0, uxtw\nldar x1, [x18]\nret\n", std::nullopt);
     ASSERT_TRUE(ok_elf.ok());
-    EXPECT_TRUE(rt.Load({ok_elf->data(), ok_elf->size()}).ok());
+    EXPECT_TRUE(rt.Load(ok_elf->bytes).ok());
   }
 }
 
@@ -103,9 +103,9 @@ TEST(Security, SpectreIsolationCostsCyclesOnSwitches) {
     RuntimeConfig cfg = Config();
     cfg.spectre_ctx_isolation = isolate;
     Runtime rt(cfg);
-    auto e = test::BuildElf(looper);
-    auto p1 = rt.Load({e->data(), e->size()});
-    auto p2 = rt.Load({e->data(), e->size()});
+    auto e = elf::Build(looper);
+    auto p1 = rt.Load(e->bytes);
+    auto p2 = rt.Load(e->bytes);
     EXPECT_TRUE(p1.ok() && p2.ok());
     rt.RunUntilIdle();
     return rt.Cycles();
@@ -183,14 +183,14 @@ TEST_P(EscapeProperty, HostileSandboxNeverTouchesVictim) {
     .zero 8192
   )";
   Runtime rt(Config());
-  auto velf = test::BuildElf(victim);
+  auto velf = elf::Build(victim);
   ASSERT_TRUE(velf.ok()) << velf.error();
-  auto vpid = rt.Load({velf->data(), velf->size()});
+  auto vpid = rt.Load(velf->bytes);
   ASSERT_TRUE(vpid.ok());
 
-  auto aelf = test::BuildElf(HostileProgram(GetParam()), /*rewrite=*/false);
+  auto aelf = elf::Build(HostileProgram(GetParam()), std::nullopt);
   ASSERT_TRUE(aelf.ok()) << aelf.error();
-  auto apid = rt.Load({aelf->data(), aelf->size()});
+  auto apid = rt.Load(aelf->bytes);
   // The hostile program uses only legal guard forms, so it must load.
   ASSERT_TRUE(apid.ok()) << apid.error();
 
@@ -214,9 +214,9 @@ TEST(Security, RuntimeCallTableIsReadOnlyToSandbox) {
     blr x30
   )";
   Runtime rt(Config());
-  auto elf_bytes = test::BuildElf(attack, /*rewrite=*/false);
+  auto elf_bytes = elf::Build(attack, std::nullopt);
   ASSERT_TRUE(elf_bytes.ok());
-  auto pid = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto pid = rt.Load(elf_bytes->bytes);
   ASSERT_TRUE(pid.ok()) << pid.error();
   rt.RunUntilIdle();
   EXPECT_EQ(rt.proc(*pid)->exit_kind, ExitKind::kKilled);
@@ -242,9 +242,9 @@ TEST(Security, GuardRegionBoundaryArithmetic) {
   // sandbox or its guard region. Build unrewritten to keep the exact
   // shape; it must verify.
   Runtime rt(Config());
-  auto elf_bytes = test::BuildElf(probe, /*rewrite=*/false);
+  auto elf_bytes = elf::Build(probe, std::nullopt);
   ASSERT_TRUE(elf_bytes.ok());
-  auto pid = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto pid = rt.Load(elf_bytes->bytes);
   ASSERT_TRUE(pid.ok()) << pid.error();
   rt.RunUntilIdle();
   // Exited or killed-by-guard-trap are both safe outcomes; what may NOT

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "chaos/chaos.h"
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/layout.h"
 #include "runtime/runtime.h"
 #include "runtime/spawn_pool.h"
@@ -67,10 +67,10 @@ struct Pooled {
   explicit Pooled(const std::string& src = kServiceProg,
                   RuntimeConfig cfg = TestConfig())
       : rt(cfg) {
-    auto elf = test::BuildElf(src);
+    auto elf = elf::Build(src);
     EXPECT_TRUE(elf.ok()) << (elf.ok() ? "" : elf.error());
     if (!elf.ok()) return;
-    auto p = rt.Load({elf->data(), elf->size()});
+    auto p = rt.Load(elf->bytes);
     EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
     if (!p.ok()) return;
     seed_pid = *p;
@@ -315,9 +315,9 @@ TEST(Server, WarmPoolBeatsColdLoadPerRequest) {
   EXPECT_GT(warm_rep.warm_hits + warm_rep.cold_spawns, 0u);
 
   Runtime cold_rt{TestConfig()};
-  auto elf = test::BuildElf(kServiceProg);
+  auto elf = elf::Build(kServiceProg);
   ASSERT_TRUE(elf.ok());
-  auto image = elf::Read({elf->data(), elf->size()});
+  auto image = elf::Read(elf->bytes);
   ASSERT_TRUE(image.ok());
   Server cold_srv(&cold_rt, config(), &*image);
   const ServeReport cold_rep = cold_srv.Run();

@@ -21,8 +21,8 @@
 #include <tuple>
 #include <vector>
 
+#include "elf/build.h"
 #include "elf/elf.h"
-#include "pipeline_util.h"
 #include "runtime/runtime.h"
 #include "runtime/spawn_pool.h"
 #include "snapshot/snapshot.h"
@@ -297,10 +297,10 @@ struct Loaded {
   int pid = -1;
   explicit Loaded(const std::string& src, RuntimeConfig cfg = TestConfig())
       : rt(cfg) {
-    auto elf = test::BuildElf(src);
+    auto elf = elf::Build(src);
     EXPECT_TRUE(elf.ok()) << (elf.ok() ? "" : elf.error());
     if (!elf.ok()) return;
-    auto p = rt.Load({elf->data(), elf->size()});
+    auto p = rt.Load(elf->bytes);
     EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
     if (p.ok()) pid = *p;
   }
@@ -795,9 +795,9 @@ using runtime::kStackSize;
 using runtime::SlotBase;
 
 elf::ElfImage HelloImage() {
-  auto bytes = test::BuildElf(kHelloProg);
+  auto bytes = elf::Build(kHelloProg);
   EXPECT_TRUE(bytes.ok());
-  auto img = elf::Read({bytes->data(), bytes->size()});
+  auto img = elf::Read(bytes->bytes);
   EXPECT_TRUE(img.ok());
   return *std::move(img);
 }
@@ -1199,11 +1199,11 @@ struct Neighbours {
   int a = -1, c = -1;
   SlotView view_a, view_c;
   explicit Neighbours(RuntimeConfig cfg) : rt(cfg) {
-    auto bytes = test::BuildElf(kHelloProg);
+    auto bytes = elf::Build(kHelloProg);
     EXPECT_TRUE(bytes.ok());
-    a = *rt.Load({bytes->data(), bytes->size()});
-    const int b = *rt.Load({bytes->data(), bytes->size()});
-    c = *rt.Load({bytes->data(), bytes->size()});
+    a = *rt.Load(bytes->bytes);
+    const int b = *rt.Load(bytes->bytes);
+    c = *rt.Load(bytes->bytes);
     EXPECT_TRUE(rt.Kill(b, "make room").ok());
     view_a = ViewSlot(rt, rt.proc(a));
     view_c = ViewSlot(rt, rt.proc(c));

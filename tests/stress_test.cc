@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 
 namespace lfi::runtime {
@@ -29,11 +29,11 @@ TEST(Stress, SixtyFourConcurrentSandboxes) {
   RuntimeConfig cfg = Cfg();
   cfg.timeslice_insts = 500;  // force heavy interleaving
   Runtime rt(cfg);
-  auto e = test::BuildElf(prog);
+  auto e = elf::Build(prog);
   ASSERT_TRUE(e.ok());
   std::vector<int> pids;
   for (int k = 0; k < 64; ++k) {
-    auto p = rt.Load({e->data(), e->size()});
+    auto p = rt.Load(e->bytes);
     ASSERT_TRUE(p.ok()) << p.error();
     pids.push_back(*p);
   }
@@ -76,9 +76,9 @@ TEST(Stress, ForkChainReclaimsEverySlot) {
   const std::string full = ".globl _start\n.text\n_start:\n" + prog +
                            "\n.bss\ndepth:\n.zero 8\nstatus:\n.zero 8\n";
   Runtime rt(Cfg());
-  auto e = test::BuildElf(full);
+  auto e = elf::Build(full);
   ASSERT_TRUE(e.ok()) << e.error();
-  auto pid = rt.Load({e->data(), e->size()});
+  auto pid = rt.Load(e->bytes);
   ASSERT_TRUE(pid.ok());
   EXPECT_EQ(rt.RunUntilIdle(), 0);
   EXPECT_EQ(rt.proc(*pid)->exit_status, 12);
@@ -170,9 +170,9 @@ buf2:
   .zero 1024
 )";
   Runtime rt(Cfg());
-  auto e = test::BuildElf(prog);
+  auto e = elf::Build(prog);
   ASSERT_TRUE(e.ok()) << e.error();
-  auto pid = rt.Load({e->data(), e->size()});
+  auto pid = rt.Load(e->bytes);
   ASSERT_TRUE(pid.ok());
   EXPECT_EQ(rt.RunUntilIdle(uint64_t{500} * 1000 * 1000), 0);
   EXPECT_EQ(rt.proc(*pid)->exit_status, 0);  // parent exits 0
@@ -214,9 +214,9 @@ TEST(Stress, SchedulingIsDeterministic) {
     RuntimeConfig cfg = Cfg();
     cfg.timeslice_insts = 333;
     Runtime rt(cfg);
-    auto e = test::BuildElf(prog);
-    auto p1 = rt.Load({e->data(), e->size()});
-    auto p2 = rt.Load({e->data(), e->size()});
+    auto e = elf::Build(prog);
+    auto p1 = rt.Load(e->bytes);
+    auto p2 = rt.Load(e->bytes);
     EXPECT_TRUE(p1.ok() && p2.ok());
     rt.RunUntilIdle();
     return rt.Cycles();
@@ -239,9 +239,9 @@ TEST(Stress, TimesliceAffectsSwitchOverheadMonotonically) {
     RuntimeConfig cfg = Cfg();
     cfg.timeslice_insts = slice;
     Runtime rt(cfg);
-    auto e = test::BuildElf(prog);
-    auto p1 = rt.Load({e->data(), e->size()});
-    auto p2 = rt.Load({e->data(), e->size()});
+    auto e = elf::Build(prog);
+    auto p1 = rt.Load(e->bytes);
+    auto p2 = rt.Load(e->bytes);
     EXPECT_TRUE(p1.ok() && p2.ok());
     rt.RunUntilIdle();
     return rt.Cycles();

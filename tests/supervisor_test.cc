@@ -6,8 +6,8 @@
 
 #include <string>
 
+#include "elf/build.h"
 #include "fuzz/rng.h"
-#include "pipeline_util.h"
 #include "runtime/runtime.h"
 
 namespace lfi::runtime {
@@ -26,10 +26,10 @@ struct TestRun {
   explicit TestRun(const std::string& src, bool rewrite = true,
                    RuntimeConfig cfg = TestConfig())
       : rt(cfg) {
-    auto elf_bytes = test::BuildElf(src, rewrite);
+    auto elf_bytes = rewrite ? elf::Build(src) : elf::Build(src, std::nullopt);
     EXPECT_TRUE(elf_bytes.ok()) << (elf_bytes.ok() ? "" : elf_bytes.error());
     if (!elf_bytes.ok()) return;
-    auto p = rt.Load({elf_bytes->data(), elf_bytes->size()});
+    auto p = rt.Load(elf_bytes->bytes);
     EXPECT_TRUE(p.ok()) << (p.ok() ? "" : p.error());
     if (p.ok()) pid = *p;
   }

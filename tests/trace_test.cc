@@ -9,7 +9,7 @@
 #include <sstream>
 #include <string>
 
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 #include "trace/trace.h"
 
@@ -83,9 +83,9 @@ uint64_t TotalRetired(const TraceSink& sink) {
 
 void RunBusyProg(runtime::Runtime& rt, TraceSink& sink) {
   rt.set_trace_sink(&sink);
-  auto e = test::BuildElf(kBusyProg);
+  auto e = elf::Build(kBusyProg);
   ASSERT_TRUE(e.ok()) << e.error();
-  auto pid = rt.Load({e->data(), e->size()});
+  auto pid = rt.Load(e->bytes);
   ASSERT_TRUE(pid.ok()) << pid.error();
   EXPECT_EQ(rt.RunUntilIdle(), 0);
   EXPECT_EQ(rt.proc(*pid)->exit_status, 'P');

@@ -1,9 +1,9 @@
 // FailKind coverage matrix: every rejection kind the verifier can emit
 // must be produced by at least one crafted text here, with the expected
 // fail_offset. Adding a FailKind without extending CasesFor() fails
-// loudly. Plus VerifyOptions interaction tests: exact FailKind
-// transitions at guard/table boundaries and under check_loads/allow_llsc
-// combinations.
+// loudly. Plus exact FailKind transitions at the slot layout's guard and
+// call-table edges (runtime/layout.h), and VerifyOptions interaction
+// tests under check_loads/allow_llsc combinations.
 
 #include <gtest/gtest.h>
 
@@ -79,13 +79,10 @@ std::optional<std::vector<KindCase>> CasesFor(FailKind k) {
           {"sxtw register offset", {},
            "ldr x0, [x21, w2, sxtw]\n", {}, 0},
       };
-    case FailKind::kGuardRangeOverflow: {
-      VerifyOptions small;
-      small.guard_bytes = 1024;
+    case FailKind::kGuardRangeOverflow:
       return std::vector<KindCase>{
-          {"imm past shrunken guard", {}, "ldr x0, [x21, #1024]\n", small, 0},
+          {"imm past the guard", {}, "ldr q0, [x18, #49152]\n", {}, 0},
       };
-    }
     case FailKind::kReservedWriteback:
       return std::vector<KindCase>{
           {"post-index on x18", {}, "ldr x0, [x18], #8\n", {}, 0},
@@ -159,53 +156,29 @@ TEST(FailKindMatrix, NamesAreStableAndDistinct) {
   }
 }
 
-// --- VerifyOptions interactions -------------------------------------
+// --- The slot layout's edges ---------------------------------------
 
 TEST(VerifyOptionsMatrix, GuardBytesBoundaryExact) {
-  VerifyOptions small;
-  small.guard_bytes = 4096;
-  // hi = imm + 8 must stay <= guard_bytes: 4088 is the last legal ldr.
-  EXPECT_TRUE(Check("ldr x0, [x21, #4088]\n", small).ok);
-  auto r = Check("ldr x0, [x21, #4096]\n", small);
+  // hi = imm + 16 must stay <= kGuardSize (48 KiB): 49136 is the last
+  // legal q-register offset, and the scaled imm12 still encodes 49152.
+  EXPECT_TRUE(Check("ldr q0, [x18, #49136]\n").ok);
+  auto r = Check("ldr q0, [x18, #49152]\n");
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.kind, FailKind::kGuardRangeOverflow);
-  // Same offsets are fine under the default 48 KiB guard.
-  EXPECT_TRUE(Check("ldr x0, [x21, #4096]\n").ok);
-}
-
-TEST(VerifyOptionsMatrix, NegativeGuardBoundaryExact) {
-  VerifyOptions tiny;
-  tiny.guard_bytes = 128;
-  EXPECT_TRUE(Check("ldur x0, [x21, #-128]\n", tiny).ok);
-  auto r = Check("ldur x0, [x21, #-129]\n", tiny);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.kind, FailKind::kGuardRangeOverflow);
-}
-
-TEST(VerifyOptionsMatrix, PairFootprintBoundaryExact) {
-  VerifyOptions small;
-  small.guard_bytes = 512;
-  // Pair footprint is 16 bytes: 496 + 16 == 512 fits exactly.
-  EXPECT_TRUE(Check("ldp x0, x1, [x21, #496]\n", small).ok);
-  auto r = Check("ldp x0, x1, [x21, #504]\n", small);
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.kind, FailKind::kGuardRangeOverflow);
+  EXPECT_EQ(r.fail_offset, 0u);
 }
 
 TEST(VerifyOptionsMatrix, TableBytesBoundaryExact) {
-  VerifyOptions small;
-  small.table_bytes = 32;
-  // Entry must fit: imm + 8 <= table_bytes.
-  EXPECT_TRUE(Check("ldr x30, [x21, #24]\nblr x30\n", small).ok);
-  auto r = Check("ldr x30, [x21, #32]\nblr x30\n", small);
+  // Entry must fit: imm + 8 <= kCallTableBytes (4096, 512 entries).
+  EXPECT_TRUE(Check("ldr x30, [x21, #4088]\nblr x30\n").ok);
+  // One entry further is an ordinary x30 load, which needs its guard.
+  auto r = Check("ldr x30, [x21, #4096]\nblr x30\n");
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.kind, FailKind::kLinkRegProtocol);
   EXPECT_EQ(r.fail_offset, 0u);
-  // Growing the table flips the same text back to accepted.
-  VerifyOptions bigger;
-  bigger.table_bytes = 40;
-  EXPECT_TRUE(Check("ldr x30, [x21, #32]\nblr x30\n", bigger).ok);
 }
+
+// --- VerifyOptions interactions -------------------------------------
 
 TEST(VerifyOptionsMatrix, CheckLoadsAndLlscInteraction) {
   VerifyOptions relaxed;       // loads unchecked, llsc allowed
@@ -233,13 +206,10 @@ TEST(VerifyOptionsMatrix, CheckLoadsAndLlscInteraction) {
   // stlr is a store: still checked even with check_loads=false.
   EXPECT_FALSE(Check("stlr x0, [x1]\n", strict).ok);
 
-  // All four options shrunk at once compose: an unchecked load, the last
-  // legal guard offset and the last legal table entry are all accepted.
-  VerifyOptions shrunk = strict;
-  shrunk.guard_bytes = 4096;
-  shrunk.table_bytes = 32;
-  auto all = Check("ldr x0, [x1]\nldr x1, [x21, #4088]\n"
-                   "ldr x30, [x21, #24]\nblr x30\n", shrunk);
+  // Both options compose with the layout's edges: an unchecked load, the
+  // last legal guard store and the last legal table entry are accepted.
+  auto all = Check("ldr x0, [x1]\nstr q0, [x18, #49136]\n"
+                   "ldr x30, [x21, #4088]\nblr x30\n", strict);
   EXPECT_TRUE(all.ok) << all.reason;
 }
 

@@ -265,8 +265,6 @@ VerifyOptions ShrunkenOptions() {
   VerifyOptions opts;
   opts.check_loads = false;
   opts.allow_llsc = false;
-  opts.guard_bytes = 4096;
-  opts.table_bytes = 32;
   return opts;
 }
 

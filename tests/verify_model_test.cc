@@ -310,7 +310,7 @@ TEST(VerifyModel, ExtractFactsSeesGuardShapes) {
   EXPECT_TRUE(tl.plain_int_ldr);
   EXPECT_EQ(tl.rt, 30);
   EXPECT_EQ(tl.base, 21);
-  const auto suffix = DischargeSuffix(tl, {});
+  const auto suffix = DischargeSuffix(tl);
   ASSERT_EQ(suffix.size(), 1u);
   EXPECT_EQ(suffix[0], 0xD63F03C0u);  // blr x30
 }

@@ -5,7 +5,7 @@
 
 #include "asmtext/assemble.h"
 #include "asmtext/parser.h"
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 #include "wasm/wasm.h"
 #include "workloads/workloads.h"
@@ -24,9 +24,7 @@ Result<std::vector<uint8_t>> BuildWasmElf(const std::string& src,
   opts.insert_guards = false;  // wasm engines have no machine-code verifier
   auto expanded = rewriter::Rewrite(*instrumented, opts);
   if (!expanded) return Error{expanded.error()};
-  asmtext::LayoutSpec spec;
-  spec.text_offset = runtime::kProgramStart;
-  auto img = asmtext::Assemble(*expanded, spec);
+  auto img = asmtext::Assemble(*expanded, asmtext::LayoutSpec{});
   if (!img) return Error{img.error()};
   return elf::Write(elf::FromAssembled(*img));
 }
@@ -64,7 +62,7 @@ TEST_P(WasmEngineTest, PreservesWorkloadSemantics) {
   for (const auto& w : workloads::AllWorkloads()) {
     if (!w.wasm_compatible) continue;
     const std::string src = workloads::Generate(w.name, 150000);
-    auto native = test::BuildElf(src, true, [] {
+    auto native = elf::Build(src, [] {
       rewriter::RewriteOptions o;
       o.insert_guards = false;
       return o;
@@ -72,7 +70,7 @@ TEST_P(WasmEngineTest, PreservesWorkloadSemantics) {
     ASSERT_TRUE(native.ok()) << native.error();
     auto wasmed = BuildWasmElf(src, GetParam());
     ASSERT_TRUE(wasmed.ok()) << w.name << ": " << wasmed.error();
-    const RunResult n = RunElf(*native);
+    const RunResult n = RunElf(native->bytes);
     const RunResult ws = RunElf(*wasmed);
     EXPECT_EQ(ws.status, n.status) << w.name;
     // Sandboxing never speeds a program up.

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "pipeline_util.h"
+#include "elf/build.h"
 #include "runtime/runtime.h"
 #include "workloads/workloads.h"
 
@@ -34,7 +34,7 @@ int RunStatus(const std::string& src, bool guards,
   opts.insert_guards = guards;
   opts.level = level;
   opts.sandbox_loads = sandbox_loads;
-  auto elf_bytes = test::BuildElf(src, /*rewrite=*/true, opts);
+  auto elf_bytes = elf::Build(src, opts);
   if (!elf_bytes.ok()) {
     ADD_FAILURE() << elf_bytes.error();
     return -1000;
@@ -42,7 +42,7 @@ int RunStatus(const std::string& src, bool guards,
   // Native (guard-free) binaries cannot verify; sandbox_loads=false
   // binaries verify with load checks off.
   runtime::Runtime rt(Config(false));
-  auto pid = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto pid = rt.Load(elf_bytes->bytes);
   if (!pid.ok()) {
     ADD_FAILURE() << pid.error();
     return -1000;
@@ -73,10 +73,10 @@ TEST_P(WorkloadTest, AllConfigsPreserveSemantics) {
 TEST_P(WorkloadTest, RewrittenBinaryVerifies) {
   const std::string src = Generate(GetParam().name, 50000);
   rewriter::RewriteOptions opts;
-  auto elf_bytes = test::BuildElf(src, true, opts);
+  auto elf_bytes = elf::Build(src, opts);
   ASSERT_TRUE(elf_bytes.ok()) << elf_bytes.error();
   runtime::Runtime rt(Config(true));  // verification enforced
-  auto pid = rt.Load({elf_bytes->data(), elf_bytes->size()});
+  auto pid = rt.Load(elf_bytes->bytes);
   EXPECT_TRUE(pid.ok()) << (pid.ok() ? "" : pid.error());
 }
 

@@ -2,23 +2,23 @@
 """Compare a bench --json run against the committed baseline.
 
 The benchmarks run on a deterministic simulator, so cycle counts are
-exact and machine-independent: any drift beyond the tolerance is a real
-behavior change in the rewriter, verifier, runtime, or cost model -- not
-noise. Usage:
+exact and machine-independent: any drift at all is a real behavior
+change in the rewriter, verifier, runtime, or cost model -- not noise.
+Usage:
 
     bench_coremark --json current.json
     bench_table5_microbench --json current.json   # merges into same file
     tools/check_bench_regression.py BENCH_BASELINE.json current.json
 
-Only `.cycles`, `.bytes`, and `.exact` metrics gate. The first two are
-exact under the deterministic simulator but tolerate small drift (a
-changed workload mix legitimately moves them); `.exact` metrics are
-pass/fail facts (e.g. "the warm pool decoded its handler once") and
-gate with ZERO tolerance, ignoring --tolerance. Derived metrics like
+Only `.cycles`, `.bytes`, and `.exact` metrics gate, and each must
+equal its baseline exactly: the first two are deterministic simulator
+outputs, and `.exact` metrics are pass/fail facts (e.g. "the warm pool
+decoded its handler once"). A change that moves one on purpose
+regenerates BENCH_BASELINE.json and says why. Derived metrics like
 overhead_pct, ns, and Minsts/s rates are reported but never fail the
 check, since they either amplify small cycle deltas or depend on the
 host machine. Exit status is 0 unless --strict is given and a gated
-metric moved by more than its tolerance.
+metric differs from its baseline.
 
 One class of failure is loud even without --strict: a metric present in
 the baseline but absent from the run. A silently vanished metric usually
@@ -31,7 +31,7 @@ import argparse
 import json
 import sys
 
-DEFAULT_TOLERANCE_PCT = 10.0
+GATED_SUFFIXES = (".cycles", ".bytes", ".exact")
 
 
 def load(path):
@@ -56,10 +56,6 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("baseline", help="committed BENCH_BASELINE.json")
     ap.add_argument("current", help="json from this run's benches")
-    ap.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE_PCT,
-                    help="allowed +/- %% drift on .cycles/.bytes metrics "
-                         "(default %(default)s; .exact metrics always "
-                         "gate at zero)")
     ap.add_argument("--strict", action="store_true",
                     help="exit 1 on regressions (default: report only)")
     ap.add_argument("--markdown", metavar="PATH",
@@ -82,17 +78,13 @@ def main():
             missing.append(metric)
             continue
         delta = 0.0 if b == c else (100.0 * (c - b) / b if b else float("inf"))
-        if metric.endswith(".exact"):
-            ok = b == c
-        else:
-            gated = metric.endswith((".cycles", ".bytes"))
-            ok = not gated or abs(delta) <= args.tolerance
+        ok = b == c or not metric.endswith(GATED_SUFFIXES)
         rows.append((metric, b, c, delta, "ok" if ok else "REGRESSION"))
         if not ok:
             regressions.append(metric)
 
-    header = (f"bench regression check: tolerance +/-{args.tolerance:g}% "
-              f"on .cycles/.bytes metrics")
+    header = ("bench regression check: .cycles/.bytes/.exact metrics "
+              "must equal the baseline")
     lines_md = [f"### {header}", "",
                 "| metric | baseline | current | delta | |",
                 "|---|---:|---:|---:|---|"]
@@ -113,10 +105,10 @@ def main():
         verdicts.append(f"{len(missing)} baseline metric(s) MISSING from "
                         f"the run: " + ", ".join(missing))
     if regressions:
-        verdicts.append(f"{len(regressions)} metric(s) outside tolerance: "
+        verdicts.append(f"{len(regressions)} gated metric(s) changed: "
                         + ", ".join(regressions))
     if not verdicts:
-        verdicts.append("all gated metrics within tolerance")
+        verdicts.append("all gated metrics equal the baseline")
     for verdict in verdicts:
         print(verdict)
     lines_md += [""] + verdicts

@@ -6,10 +6,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "asmtext/assemble.h"
-#include "asmtext/parser.h"
-#include "elf/elf.h"
-#include "runtime/layout.h"
+#include "elf/build.h"
 
 int main(int argc, char** argv) {
   if (argc != 3) {
@@ -23,23 +20,20 @@ int main(int argc, char** argv) {
   }
   std::stringstream ss;
   ss << f.rdbuf();
-  auto file = lfi::asmtext::Parse(ss.str());
-  if (!file) {
-    std::fprintf(stderr, "lfi-as: %s\n", file.error().c_str());
+  auto built = lfi::elf::Build(ss.str(), std::nullopt);
+  if (!built) {
+    std::fprintf(stderr, "lfi-as: %s\n", built.error().c_str());
     return 1;
   }
-  lfi::asmtext::LayoutSpec spec;
-  spec.text_offset = lfi::runtime::kProgramStart;
-  auto img = lfi::asmtext::Assemble(*file, spec);
-  if (!img) {
-    std::fprintf(stderr, "lfi-as: %s\n", img.error().c_str());
-    return 1;
-  }
-  const auto elf_bytes = lfi::elf::Write(lfi::elf::FromAssembled(*img));
   std::ofstream out(argv[2], std::ios::binary);
-  out.write(reinterpret_cast<const char*>(elf_bytes.data()),
-            static_cast<std::streamsize>(elf_bytes.size()));
+  out.write(reinterpret_cast<const char*>(built->bytes.data()),
+            static_cast<std::streamsize>(built->bytes.size()));
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "lfi-as: cannot write %s\n", argv[2]);
+    return 1;
+  }
   std::fprintf(stderr, "lfi-as: wrote %zu bytes (%zu text)\n",
-               elf_bytes.size(), img->text.size());
+               built->bytes.size(), built->text_size);
   return 0;
 }
