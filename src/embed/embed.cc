@@ -207,7 +207,6 @@ Status Sandbox::Restart() {
   }
   auto st = rt_->Recycle(pid_);
   if (!st.ok()) return st;
-  rt_->set_retain_on_exit(pid_, true);
   ready_cpu_ = rt_->proc(pid_)->cpu;
   suspended_.clear();
   return Status::Ok();

@@ -7,6 +7,7 @@
 //                       it must hold no sandbox-specific secrets)
 //   +16KiB .. +64KiB  : 48KiB guard region (unmapped)
 //   +64KiB ..         : program text, rodata, data, bss, heap
+//   .. kMmapTop       : mmap arena, grows down toward the heap
 //   ..  4GiB-48KiB    : stack grows down from the top of this area
 //   4GiB-48KiB .. 4GiB: 48KiB guard region (unmapped)
 //
@@ -38,6 +39,11 @@ inline constexpr uint64_t kProgramEnd = kSlotSize - kGuardSize;
 inline constexpr uint64_t kCodeEnd = kSlotSize - (uint64_t{128} << 20);
 // Default stack size.
 inline constexpr uint64_t kStackSize = uint64_t{1} << 20;  // 1MiB
+// Where a fresh load starts the mmap cursor, 64MiB below the stack. The
+// arena [cursor, kMmapTop) holds exactly what mmap has handed out, and
+// munmap accepts nothing else.
+inline constexpr uint64_t kMmapTop =
+    kProgramEnd - kStackSize - (uint64_t{64} << 20);
 
 // Sandboxes live in slots 1..kMaxSlots within the 48-bit address space;
 // slot 0 is reserved for the runtime itself ("one sandbox region may need

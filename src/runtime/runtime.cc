@@ -154,7 +154,7 @@ Result<snapshot::Snapshot> SnapshotFromElf(const elf::ElfImage& image) {
   snap.brk_start = max_data_end;
   snap.brk = max_data_end;
   snap.brk_mapped = max_data_end;
-  snap.mmap_cursor = kLoadEnd - (uint64_t{64} << 20);
+  snap.mmap_cursor = kMmapTop;
   // Initial registers, slot-relative: the reserved base registers are 0
   // here and become the slot base at install.
   snap.cpu.pc = image.entry;
@@ -355,35 +355,38 @@ Result<int> Runtime::LoadImage(const elf::ElfImage& image) {
   // policy rolls back to and what spawn pools clone.
   auto snap =
       std::make_shared<const snapshot::Snapshot>(std::move(built).value());
-  auto p = Instantiate(*snap);
+  auto p = Instantiate(snap, RestoreFds(snap->fds), cfg_.default_policy,
+                       /*start=*/true);
   if (!p) return Error{p.error()};
-  (*p)->policy = cfg_.default_policy;
-  (*p)->fds = RestoreFds(snap->fds);
-  (*p)->snapshot = snap;
 
   const uint64_t pages = snap->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kElfLoad,
                          kElfLoadBaseCycles + kElfLoadPageCycles * pages,
                          pages, 0, 0};
-  const int pid = (*p)->pid;
-  procs_[pid] = std::move(*p);
-  Enqueue(pid);
-  return pid;
+  return (*p)->pid;
 }
 
-Result<std::unique_ptr<Proc>> Runtime::Instantiate(
-    const snapshot::Snapshot& snap) {
+Result<Proc*> Runtime::Instantiate(
+    std::shared_ptr<const snapshot::Snapshot> snap, std::vector<FileDesc> fds,
+    const SupervisorPolicy& policy, bool start) {
   auto slot = AllocSlot();
   if (!slot) return Error{slot.error()};
   auto p = std::make_unique<Proc>();
   p->slot = *slot;
   p->base = SlotBase(*slot);
-  if (auto st = InstallSnapshot(p.get(), snap); !st.ok()) {
+  if (auto st = InstallSnapshot(p.get(), *snap); !st.ok()) {
     FreeSlot(p.get());
     return Error{st.error()};
   }
   p->pid = AllocPid();
-  return p;
+  p->policy = policy;
+  p->fds = std::move(fds);
+  p->snapshot = std::move(snap);
+  p->parked = !start;
+  Proc* raw = p.get();
+  procs_[raw->pid] = std::move(p);
+  Enqueue(raw);
+  return raw;
 }
 
 Status Runtime::InstallSnapshot(Proc* p, const snapshot::Snapshot& snap,
@@ -600,12 +603,10 @@ std::vector<FileDesc> Runtime::RestoreFds(
 Result<int> Runtime::SpawnFromSnapshot(
     std::shared_ptr<const snapshot::Snapshot> snap, bool start) {
   if (snap == nullptr) return Error{"spawn: null snapshot"};
-  auto p = Instantiate(*snap);
+  auto fds = RestoreFds(snap->fds);
+  auto p = Instantiate(std::move(snap), std::move(fds), cfg_.default_policy,
+                       start);
   if (!p) return Error{p.error()};
-  (*p)->policy = cfg_.default_policy;
-  (*p)->parked = !start;
-  (*p)->fds = RestoreFds(snap->fds);
-  (*p)->snapshot = std::move(snap);
 
   const uint64_t pages = (*p)->snapshot->pages.size();
   last_instantiation_ = {InstantiationStats::Method::kSnapshotSpawn,
@@ -613,13 +614,11 @@ Result<int> Runtime::SpawnFromSnapshot(
                              kSnapshotSpawnPageCycles * pages,
                          pages, 0, 0};
   const int pid = (*p)->pid;
-  procs_[pid] = std::move(*p);
   // Counter only, no ring event: spawn must not perturb the trace stream
   // (a spawned sandbox replays byte-identically against a loaded one).
   if (sink_ != nullptr) {
     sink_->metrics(pid).Add(trace::Counter::kSnapshotSpawns);
   }
-  if (start) Enqueue(pid);
   return pid;
 }
 
@@ -634,7 +633,7 @@ Status Runtime::Activate(int pid) {
     return Status::Fail("activate: parked proc was killed");
   }
   p->parked = false;
-  Enqueue(pid);
+  Enqueue(p);
   return Status::Ok();
 }
 
@@ -668,13 +667,9 @@ Status Runtime::Recycle(int pid) {
       p->parked || (p->state == ProcState::kZombie && p->retain_on_exit);
   if (!quiescent) return Status::Fail("recycle: proc is not quiescent");
   // Zombie slots survive DoExit only via retain_on_exit, so the mappings
-  // RestoreFromSnapshot diffs against are still live. Temporarily leave
-  // kDead out of the picture: restore refuses dead procs already.
+  // RestoreFromSnapshot diffs against are still live.
+  if (auto st = RestoreFromSnapshot(pid, *p->snapshot); !st.ok()) return st;
   p->state = ProcState::kReady;
-  if (auto st = RestoreFromSnapshot(pid, *p->snapshot); !st.ok()) {
-    p->state = ProcState::kZombie;
-    return st;
-  }
   p->parked = true;
   p->exit_kind = ExitKind::kRunning;
   p->exit_status = 0;
@@ -799,14 +794,14 @@ Proc* Runtime::PickNext() {
     if (p->state == ProcState::kBlockedRead ||
         p->state == ProcState::kBlockedWrite ||
         p->state == ProcState::kBlockedWait) {
-      if (TryUnblock(p.get())) Enqueue(pid);
+      if (TryUnblock(p.get())) Enqueue(p.get());
     }
   }
   while (!ready_.empty()) {
     const int pid = ready_.front();
     ready_.pop_front();
     Proc* p = proc(pid);
-    if (p != nullptr && p->state == ProcState::kReady) return p;
+    if (p != nullptr && Runnable(p)) return p;
   }
   return nullptr;
 }
@@ -864,7 +859,7 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
       }
       case emu::StopReason::kInstLimit:
         // Preemption alarm fired: rotate.
-        Enqueue(p->pid);
+        Enqueue(p);
         break;
       case emu::StopReason::kFault:
       case emu::StopReason::kBrk:
@@ -877,7 +872,7 @@ int Runtime::RunUntilIdle(uint64_t max_total_insts) {
         } else {
           // Some other hook (e.g. a debugger) stopped the machine; just
           // end this timeslice.
-          Enqueue(p->pid);
+          Enqueue(p);
         }
         break;
       }
@@ -950,26 +945,15 @@ void Runtime::AttributeSlice(Proc* p, const trace::ExecCounters& before,
 
 // ---- Embedding primitives (src/embed/, docs/EMBEDDING.md) ----
 
-void Runtime::DequeuePid(int pid) {
-  for (auto it = ready_.begin(); it != ready_.end();) {
-    if (*it == pid) {
-      it = ready_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 Status Runtime::BeginEmbed(int pid) {
   Proc* p = proc(pid);
   if (p == nullptr) return Status::Fail("embed: no such pid");
   if (p->state != ProcState::kReady) {
     return Status::Fail("embed: proc is not runnable");
   }
-  DequeuePid(pid);
-  // Parked procs are never enqueued by Activate-less paths, and every
-  // Enqueue a runtime call performs inside RunEmbedded is immediately
-  // undone there — the scheduler never sees an embedded sandbox.
+  // Parked, it never re-enters the run queue (Enqueue refuses it), so
+  // the scheduler never sees an embedded sandbox.
+  Dequeue(pid);
   p->parked = true;
   // Faults and exits must keep the slot mapped so the embed layer can
   // Recycle() back to its baseline snapshot instead of losing the slot.
@@ -1118,11 +1102,10 @@ Runtime::EmbedStop Runtime::RunEmbedded(int pid, const emu::CpuState& enter,
           p->cpu.pc = Canon(p, p->cpu.x[30]);
           return out;
         }
-        // Ordinary runtime call (write to a pipe, brk, clock, ...): let
-        // the normal dispatcher service it, then undo its Enqueue — the
-        // scheduler must never see an embedded sandbox.
+        // Ordinary runtime call (write to a pipe, brk, clock, ...): the
+        // normal dispatcher services it, and its Enqueue of the parked
+        // proc is a no-op.
         HandleRuntimeEntry(p);
-        DequeuePid(p->pid);
         if (p->state == ProcState::kReady) {
           machine_.state() = p->cpu;
           continue;
@@ -1255,7 +1238,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
       // wait(status_ptr): block until a child exits.
       p->block_buf = p->cpu.x[0];
       p->state = ProcState::kBlockedWait;
-      if (TryUnblock(p)) Enqueue(p->pid);
+      if (TryUnblock(p)) Enqueue(p);
       if (sink_ != nullptr) {
         if (p->state == ProcState::kReady) {
           sink_->Emit(trace::EventKind::kSyscall, p->pid, sys_enter, Cycles(),
@@ -1280,19 +1263,17 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
       break;
     case Rtcall::kYieldTo: {
       const int target = static_cast<int>(p->cpu.x[0]);
-      Proc* t = proc(target);
-      if (t == nullptr || (t->state != ProcState::kReady)) {
+      // Only another runnable sandbox is a target: the caller itself,
+      // parked (warm-pool or embedded), blocked and exited pids get ESRCH
+      // and the caller goes to the back of the queue.
+      const Proc* t = proc(target);
+      if (t == nullptr || t == p || !Runnable(t)) {
         r = kEsrch;
         break;
       }
       // Move the target to the front so it runs next; the switch itself
       // only saves/restores callee-saved registers (~50 cycles total).
-      for (auto it = ready_.begin(); it != ready_.end(); ++it) {
-        if (*it == target) {
-          ready_.erase(it);
-          break;
-        }
-      }
+      Dequeue(target);
       ready_.push_front(target);
       if (sink_ != nullptr) {
         sink_->EmitInstant(trace::EventKind::kYieldTo, p->pid, Cycles(),
@@ -1313,7 +1294,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
       supervisor_.SysSigreturn(p, p->cpu.x[0]);
       if (p->state == ProcState::kReady &&
           p->exit_kind == ExitKind::kRunning) {
-        Enqueue(p->pid);
+        Enqueue(p);
         if (sink_ != nullptr) {
           sink_->Emit(trace::EventKind::kSyscall, p->pid, sys_enter, Cycles(),
                       static_cast<uint64_t>(call), 0);
@@ -1339,7 +1320,7 @@ void Runtime::HandleRuntimeEntry(Proc* p) {
   }
   if (p->state == ProcState::kReady) {
     p->cpu.x[0] = r;
-    Enqueue(p->pid);
+    Enqueue(p);
     if (sink_ != nullptr) {
       sink_->Emit(trace::EventKind::kSyscall, p->pid, sys_enter, Cycles(),
                   static_cast<uint64_t>(call), r);
@@ -1574,8 +1555,7 @@ uint64_t Runtime::SysBrk(Proc* p, uint64_t addr) {
     // Shrink: the pages stay mapped (high-water mark below), but the
     // freed range must read back as zeros if the heap later regrows over
     // it — otherwise stale bytes leak across a shrink/regrow cycle. Whole
-    // freed pages go back to the shared zero page; a chunk the guest has
-    // munmapped stays unmapped.
+    // freed pages go back to the shared zero page.
     space_.HostZero(p->base + want, p->brk - want);
   }
   // Grow only past the high-water mark: after a shrink the old pages stay
@@ -1623,6 +1603,11 @@ uint64_t Runtime::SysMmap(Proc* p, uint64_t len) {
 uint64_t Runtime::SysMunmap(Proc* p, uint64_t addr, uint64_t len) {
   const uint64_t off = addr & 0xffffffffu;
   len = AlignUp(len, kPage);
+  // Only mmap's own arena: heap, image and stack mappings are not mmap
+  // bytes and must not refund the max_mmap_bytes accounting.
+  if (off < p->mmap_cursor || off >= kMmapTop || len > kMmapTop - off) {
+    return kEinval;
+  }
   auto it = p->mappings.find(off);
   if (it == p->mappings.end() || it->second.first != len) return kEinval;
   (void)space_.Unmap(p->base + off, len);
@@ -1645,27 +1630,21 @@ uint64_t Runtime::SysFork(Proc* p) {
   if (!CaptureInto(p, snap.get()).ok()) return kEnomem;
   snap->cpu.x[0] = 0;  // fork returns 0 in the child
 
-  auto child = Instantiate(*snap);
-  if (!child) return kEnomem;
-  (*child)->ppid = p->pid;
-  (*child)->policy = p->policy;  // fault policy and limits are inherited
   // Descriptors duplicate LIVE from the parent, not from the fd records:
   // the child must share the parent's pipe objects (a rehydrated pipe is
-  // a private copy and would sever parent<->child pipelines).
-  (*child)->fds = p->fds;
-  for (auto& d : (*child)->fds) {
+  // a private copy and would sever parent<->child pipelines). Fault
+  // policy and limits are inherited.
+  auto child = Instantiate(std::move(snap), p->fds, p->policy,
+                           /*start=*/true);
+  if (!child) return kEnomem;
+  for (const auto& d : (*child)->fds) {
     if (d.kind == FileDesc::Kind::kPipeRead) ++d.pipe->readers;
     if (d.kind == FileDesc::Kind::kPipeWrite) ++d.pipe->writers;
   }
-  (*child)->snapshot = std::move(snap);
-
+  (*child)->ppid = p->pid;
+  p->children.push_back((*child)->pid);
   machine_.timing().ChargeFlat(400 + 30 * p->mappings.size());
-
-  const int child_pid = (*child)->pid;
-  p->children.push_back(child_pid);
-  procs_[child_pid] = std::move(*child);
-  Enqueue(child_pid);
-  return static_cast<uint64_t>(child_pid);
+  return static_cast<uint64_t>((*child)->pid);
 }
 
 uint64_t Runtime::SysPipe(Proc* p, uint64_t fdsptr) {

@@ -68,8 +68,9 @@ struct Proc {
   uint64_t base = 0;
   emu::CpuState cpu;
   ProcState state = ProcState::kReady;
-  bool parked = false;  // spawned warm (SpawnFromSnapshot start=false) and
-                        // not yet Activate()d; never scheduled while set
+  bool parked = false;  // warm-pool spawn or recycled sandbox awaiting
+                        // Activate(), or embedded (BeginEmbed): never in
+                        // the run queue, so nothing schedules it
   bool retain_on_exit = false;  // keep the slot mapped after exit (zombie
                                 // even without a parent) so the sandbox can
                                 // be Recycle()d instead of torn down
@@ -220,8 +221,8 @@ class Runtime {
   // the address space unchanged.
   // Costs no simulated cycles (see the instantiation cost model above);
   // the modeled cost lands in last_instantiation(). With start == false
-  // the proc is created parked (not enqueued) — the spawn pool's warm
-  // state — and runs once Activate() is called.
+  // the proc is created parked — the spawn pool's warm state — and runs
+  // once Activate() is called.
   Result<int> SpawnFromSnapshot(std::shared_ptr<const snapshot::Snapshot> snap,
                                 bool start = true);
 
@@ -319,9 +320,10 @@ class Runtime {
     kResume,  // resuming after a hostcall (kEmbedHostcallRetCycles)
   };
 
-  // Detaches pid from the scheduler for embedded use: dequeues it, parks
-  // it (RunUntilIdle never picks it again), and sets retain_on_exit so
-  // faults and exits keep the slot mapped for Recycle().
+  // Detaches pid from the scheduler for embedded use: dequeues and parks
+  // it, so only RunEmbedded drives it from here on, and sets
+  // retain_on_exit so faults and exits keep the slot mapped for
+  // Recycle().
   Status BeginEmbed(int pid);
 
   // Installs `enter` (reserved registers re-canonicalized first — the
@@ -414,9 +416,12 @@ class Runtime {
   // With `diff`, records the installed and unmapped page counts.
   Status InstallSnapshot(Proc* p, const snapshot::Snapshot& snap,
                          InstantiationStats* diff = nullptr);
-  // Allocates a slot and installs `snap` into it as a new proc with a
-  // fresh pid; on failure the slot is freed again, untouched.
-  Result<std::unique_ptr<Proc>> Instantiate(const snapshot::Snapshot& snap);
+  // The one admission step: allocates a slot and pid, installs `snap`,
+  // sets policy, fds and checkpoint, adds the proc to procs_ and enqueues
+  // it (parks it if !start). On failure the slot is freed, untouched.
+  Result<Proc*> Instantiate(std::shared_ptr<const snapshot::Snapshot> snap,
+                            std::vector<FileDesc> fds,
+                            const SupervisorPolicy& policy, bool start);
 
   // Snapshot plumbing. CaptureInto freezes p into *out (slot-relative).
   // RebaseCpu/RelativizeCpu convert the reserved pointer registers
@@ -429,11 +434,17 @@ class Runtime {
   static emu::CpuState RelativizeCpu(const emu::CpuState& cpu);
   std::vector<FileDesc> RestoreFds(const std::vector<snapshot::FdRec>& recs);
 
-  // Scheduler.
+  // Scheduler. Runnable is the only answer to "may p run"; Enqueue is the
+  // only way into the run queue, and it never queues a parked proc.
+  static bool Runnable(const Proc* p) {
+    return p->state == ProcState::kReady && !p->parked;
+  }
   Proc* PickNext();
   void SwitchTo(Proc* p, bool fast);
-  void Enqueue(int pid) { ready_.push_back(pid); }
-  void DequeuePid(int pid);
+  void Enqueue(const Proc* p) {
+    if (!p->parked) ready_.push_back(p->pid);
+  }
+  void Dequeue(int pid) { std::erase(ready_, pid); }
   bool TryUnblock(Proc* p);
 
   // Runs p, whose state is loaded into the machine, for one timeslice of

@@ -143,7 +143,7 @@ bool Supervisor::DeliverSignal(Proc* p, const emu::CpuFault& f, int signo,
   p->cpu.sp = frame;
   p->cpu.pc = handler;
   rt_->machine_.timing().ChargeFlat(kSignalDeliverCycles);
-  rt_->Enqueue(p->pid);
+  rt_->Enqueue(p);
   if (rt_->sink_ != nullptr) {
     rt_->sink_->metrics(p->pid).Add(trace::Counter::kSignalsDelivered);
     rt_->sink_->EmitInstant(trace::EventKind::kSignalDeliver, p->pid,
@@ -192,7 +192,7 @@ bool Supervisor::Restart(Proc* p) {
   p->exit_kind = ExitKind::kRunning;
   p->exit_status = 0;
   p->disposition = Disposition::kRestarted;
-  rt_->Enqueue(p->pid);
+  rt_->Enqueue(p);
   if (rt_->sink_ != nullptr) {
     rt_->sink_->metrics(p->pid).Add(trace::Counter::kRestarts);
     rt_->sink_->EmitInstant(trace::EventKind::kProcRestart, p->pid,

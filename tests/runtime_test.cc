@@ -928,8 +928,10 @@ TEST(Runtime, BrkShrinkReinstallsTheZeroPage) {
   EXPECT_EQ(head[1], 0u);
 }
 
-// A brk chunk the guest munmapped stays unmapped across a shrink over it.
-TEST(Runtime, BrkShrinkLeavesMunmappedChunkUnmapped) {
+// munmap undoes only mmap: a brk chunk is not in the mmap arena, so
+// munmap refuses it with EINVAL and it stays mapped; the shrink over it
+// then hands every freed page back to the shared zero page.
+TEST(Runtime, MunmapRefusesBrkChunk) {
   TestRun t(R"(
     mov x0, #0
     rtcall #5
@@ -942,8 +944,9 @@ TEST(Runtime, BrkShrinkLeavesMunmappedChunkUnmapped) {
     rtcall #5           // chunk B: two more pages
     movz x1, #0x8000
     add x0, x19, x1
-    rtcall #7           // munmap(chunk B)
-    cbnz x0, bad
+    rtcall #7           // munmap(chunk B) -> -EINVAL
+    cmn x0, #22
+    b.ne bad
     mov x0, x19
     rtcall #5           // shrink over both chunks
   spin:
@@ -958,13 +961,53 @@ TEST(Runtime, BrkShrinkLeavesMunmappedChunkUnmapped) {
   ASSERT_EQ(p->exit_kind, ExitKind::kRunning);
   ASSERT_EQ(p->brk, p->brk_start);
   const uint64_t heap = p->base + p->brk_start;
-  for (uint64_t off : {uint64_t{0}, kPage}) {
+  for (uint64_t off : {uint64_t{0}, kPage, 2 * kPage, 3 * kPage}) {
     EXPECT_EQ(t.rt.space().PagePayload(heap + off, nullptr),
               emu::AddressSpace::ZeroPage().get());
   }
-  for (uint64_t off : {2 * kPage, 3 * kPage}) {
-    EXPECT_EQ(t.rt.space().PagePayload(heap + off, nullptr), nullptr);
-  }
+}
+
+// max_mmap_bytes caps the live mmap bytes: munmapping a heap page must
+// not refund the mmap accounting, or a guest could hold twice its cap.
+TEST(Runtime, MunmapOfHeapPageKeepsMmapCap) {
+  TestRun t(R"(
+    movz x1, #0x4000
+    rtcall #6           // mmap one page: the whole 16KiB cap
+    cmn x0, #12
+    b.eq bad
+    movz x1, #0x4000
+    rtcall #6           // second page: over the cap
+    cmn x0, #12
+    b.ne bad
+    mov x0, #0
+    rtcall #5
+    mov x19, x0
+    movz x1, #0x4000
+    add x0, x19, x1
+    rtcall #5           // grow the heap by one page
+    mov x0, x19
+    movz x1, #0x4000
+    rtcall #7           // munmap(heap page) -> -EINVAL
+    cmn x0, #22
+    b.ne bad
+    movz x1, #0x4000
+    rtcall #6           // still over the cap
+    cmn x0, #12
+    b.ne bad
+    mov x0, #0
+    rtcall #0
+  bad:
+    mov x0, #1
+    rtcall #0
+  )");
+  ASSERT_GE(t.pid, 0);
+  SupervisorPolicy pol;
+  pol.limits.max_mmap_bytes = 16384;
+  t.rt.set_policy(t.pid, pol);
+  t.rt.RunUntilIdle();
+  EXPECT_EQ(t.P()->exit_kind, ExitKind::kExited);
+  EXPECT_EQ(t.P()->exit_status, 0);
+  EXPECT_EQ(t.P()->mmap_bytes, 16384u);
 }
 
 TEST(Runtime, ExitClosesPipeFdsNoLeak) {

@@ -1,6 +1,9 @@
 // lfi-as: assembles (rewritten) LFI assembly into a sandbox ELF.
 //
 // Usage: lfi-as in.s out.elf
+//
+// Exit status: 0 on success, 1 on an input, assembly or write error, 2 on
+// a wrong operand count.
 
 #include <cstdio>
 #include <fstream>
@@ -11,7 +14,7 @@
 int main(int argc, char** argv) {
   if (argc != 3) {
     std::fprintf(stderr, "usage: lfi-as in.s out.elf\n");
-    return 1;
+    return 2;
   }
   std::ifstream f(argv[1]);
   if (!f) {

@@ -6,6 +6,10 @@
 //
 // Usage: lfi-rewrite [-O0|-O1|-O2] [--no-loads] [--stats] [in.s [out.s]]
 //        (stdin/stdout when files are omitted)
+//
+// Exit status: 0 on success, 1 on an input or rewrite error, 2 on a usage
+// error. An unknown option or a third operand is a usage error, never a
+// path.
 
 #include <cstdio>
 #include <cstring>
@@ -16,6 +20,16 @@
 #include "asmtext/parser.h"
 #include "asmtext/printer.h"
 #include "rewriter/rewriter.h"
+
+namespace {
+
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: lfi-rewrite [-O0|-O1|-O2] [--no-loads] "
+               "[--stats] [in.s [out.s]]\n");
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   lfi::rewriter::RewriteOptions opts;
@@ -34,14 +48,21 @@ int main(int argc, char** argv) {
     } else if (arg == "--stats") {
       print_stats = true;
     } else if (arg == "--help" || arg == "-h") {
-      std::fprintf(stderr,
-                   "usage: lfi-rewrite [-O0|-O1|-O2] [--no-loads] "
-                   "[--stats] [in.s [out.s]]\n");
+      PrintUsage();
       return 0;
+    } else if (arg[0] == '-') {
+      std::fprintf(stderr, "lfi-rewrite: unknown option %s\n", arg.c_str());
+      PrintUsage();
+      return 2;
     } else if (in_path.empty()) {
       in_path = arg;
-    } else {
+    } else if (out_path.empty()) {
       out_path = arg;
+    } else {
+      std::fprintf(stderr, "lfi-rewrite: unexpected operand %s\n",
+                   arg.c_str());
+      PrintUsage();
+      return 2;
     }
   }
 
